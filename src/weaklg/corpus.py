@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 from pathlib import Path
 
@@ -248,12 +249,22 @@ def _parse_entry(raw: object, position: int) -> FanoEntry:
 def load_corpus(path: str | Path | None = None) -> tuple[FanoEntry, ...]:
     """Load the bundled table, or a compatible replacement from `path`.
 
-    The result always holds ids 1..17 exactly once each, sorted.
+    The result always holds ids 1..17 exactly once each, sorted.  The
+    bundled table is parsed and validated once per process; a file given
+    by `path` is read and validated on every call.
     """
     if path is None:
-        text = resources.files("weaklg").joinpath("data/corpus.json").read_text("utf-8")
-    else:
-        text = Path(path).read_text("utf-8")
+        return _load_bundled()
+    return _parse_corpus(Path(path).read_text("utf-8"))
+
+
+@cache
+def _load_bundled() -> tuple[FanoEntry, ...]:
+    # Safe to share: a tuple of frozen dataclasses holding only tuples.
+    return _parse_corpus(resources.files("weaklg").joinpath("data/corpus.json").read_text("utf-8"))
+
+
+def _parse_corpus(text: str) -> tuple[FanoEntry, ...]:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:

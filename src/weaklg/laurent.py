@@ -24,8 +24,7 @@ def is_probable_prime(n: int) -> bool:
     """Miller-Rabin primality test with fixed witness bases."""
     if n < 2:
         return False
-    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    for q in small:
+    for q in _MR_BASES:
         if n == q:
             return True
         if n % q == 0:

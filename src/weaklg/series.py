@@ -68,50 +68,77 @@ class MatchReport:
 def constant_term_series(f: LaurentPolynomial, terms: int = 20) -> IntegerSeries:
     """phi_f(0..terms), maintaining f^i incrementally with lossless pruning.
 
-    Per coordinate c let s_plus[c] / s_minus[c] be the largest positive /
-    negative step available in the support of f.  After the i-th product a
-    monomial with exponent e can still reach the origin within the remaining
-    terms - i factors only if -e[c] <= (terms-i)*s_plus[c] and
+    Pruning.  Per coordinate c let s_plus[c] / s_minus[c] be the largest
+    positive / negative step available in the support of f.  After the i-th
+    product a monomial with exponent e can still reach the origin within the
+    remaining terms - i factors only if -e[c] <= (terms-i)*s_plus[c] and
     e[c] <= (terms-i)*s_minus[c] for every c; anything else is dropped.
     Dropped monomials cannot contribute to phi(j) for any j <= terms, so the
     reported coefficients equal the ones from full expansion.
+
+    Packing.  Each monomial is keyed by one int, so multiplying two
+    monomials is one integer addition.  Write T = terms, sp = s_plus[c],
+    sm = s_minus[c].  Every monomial of g = f^(i-1) survived the previous
+    prune (for i = 1, g is the constant 1), so its e[c] lies in
+    [-(T-i+1)*sp, (T-i+1)*sm]; a term of f moves e[c] by a step d[c] in
+    [-sm, sp], and T-i+1 <= T, so every product has e[c] + d[c] in
+    [-(T*sp+sm), T*sm+sp].  With the offset O[c] = T*sp + sm and the width
+    W[c] = (T+1)*(sp+sm) + 1, the digit e[c] + d[c] + O[c] of every product
+    therefore lies in [0, W[c]).  g is keyed by sum_c (e[c] + O[c]) * R[c]
+    with radix R[c] = prod_{j<c} W[j], and f by sum_c d[c] * R[c] (which
+    may be negative), so the key of a product, the sum of the two keys, is
+    sum_c (e[c] + d[c] + O[c]) * R[c]: a mixed-radix numeral whose digits
+    all lie in [0, W[c]).  No digit carries into the next, the key
+    determines e + d uniquely, and divmod by W[0], W[1], ... recovers it.
+    The origin is keyed sum_c O[c] * R[c].
+
+    The box is tested when a key is first inserted in a step, on its
+    decoded digits; a coefficient that cancels to zero keeps its (boxed)
+    key until the step ends, and zero coefficients are dropped then.
     """
     if terms < 1:
         raise ValueError("terms must be >= 1")
-    n = f.nvars
-    zero = (0,) * n
-    out = [1]
     support = list(f.terms.items())
     if not support:
         return IntegerSeries(tuple([1] + [0] * terms))
+    n = f.nvars
     s_plus = [max(0, max(e[c] for e, _ in support)) for c in range(n)]
     s_minus = [max(0, -min(e[c] for e, _ in support)) for c in range(n)]
-    g: dict[tuple[int, ...], int] = {zero: 1}
+    offsets = [terms * sp + sm for sp, sm in zip(s_plus, s_minus)]
+    widths = [(terms + 1) * (sp + sm) + 1 for sp, sm in zip(s_plus, s_minus)]
+    radices = []
+    radix = 1
+    for w in widths:
+        radices.append(radix)
+        radix *= w
+    steps = [(sum(a * r for a, r in zip(e, radices)), cf) for e, cf in support]
+    origin = sum(o * r for o, r in zip(offsets, radices))
+    out = [1]
+    g = {origin: 1}
     for i in range(1, terms + 1):
         rem = terms - i
-        bound_lo = [-rem * sp for sp in s_plus]
-        bound_hi = [rem * sm for sm in s_minus]
-        nxt: dict[tuple[int, ...], int] = {}
-        for eg, cg in g.items():
-            for ef, cf in support:
-                key = tuple(a + b for a, b in zip(eg, ef))
-                if key in nxt:
-                    new = nxt[key] + cg * cf
-                    if new:
-                        nxt[key] = new
-                    else:
-                        del nxt[key]
+        # (width, lowest digit, highest digit) per coordinate after this step
+        box = [(w, o - rem * sp, o + rem * sm) for w, o, sp, sm in zip(widths, offsets, s_plus, s_minus)]
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for kg, cg in g.items():
+            for kf, cf in steps:
+                key = kg + kf
+                old = get(key)
+                if old is not None:
+                    nxt[key] = old + cg * cf
                 else:
-                    keep = True
-                    for c in range(n):
-                        v = key[c]
-                        if v < bound_lo[c] or v > bound_hi[c]:
-                            keep = False
+                    rest = key
+                    for w, lo, hi in box:
+                        rest, digit = divmod(rest, w)
+                        if digit < lo or digit > hi:
                             break
-                    if keep:
+                    else:
                         nxt[key] = cg * cf
+        for key in [key for key, c in nxt.items() if not c]:
+            del nxt[key]
         g = nxt
-        out.append(g.get(zero, 0))
+        out.append(g.get(origin, 0))
     return IntegerSeries(tuple(out))
 
 

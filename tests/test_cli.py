@@ -3,12 +3,14 @@ from __future__ import annotations
 import io
 import contextlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import weaklg
 from weaklg.cli import main
 
 
@@ -236,10 +238,14 @@ def test_argparse_usage_errors_exit_two() -> None:
 
 
 def test_console_entry_point_runs() -> None:
+    # The child imports the same weaklg as this test, installed or not.
+    package_root = str(Path(weaklg.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "weaklg", "series", "--poly", "x+1/x", "--terms", "2"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "phi(2) = 2" in proc.stdout

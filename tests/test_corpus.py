@@ -115,6 +115,19 @@ def test_get_entry_unknown_id() -> None:
         get_entry(0)
 
 
+def test_bundled_corpus_is_parsed_once_but_files_on_every_call(tmp_path: Path) -> None:
+    assert load_corpus() is load_corpus()
+    assert get_entry(7) is load_corpus()[6]
+    path = write_corpus(tmp_path, builtin_doc())
+    assert load_corpus(path) == load_corpus()
+    assert load_corpus(path) is not load_corpus(path)
+    doc = builtin_doc()
+    doc["entries"][0]["degree"] = -2
+    write_corpus(tmp_path, doc)
+    with pytest.raises(CorpusError):
+        load_corpus(path)
+
+
 def test_load_corpus_rejects_missing_entry(tmp_path: Path) -> None:
     doc = builtin_doc()
     doc["entries"] = [e for e in doc["entries"] if e["id"] != 5]

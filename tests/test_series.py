@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
@@ -86,6 +87,72 @@ def test_terms_must_be_positive() -> None:
 @given(small_polys(), st.integers(min_value=1, max_value=6))
 def test_pruned_agrees_with_naive(f: LaurentPolynomial, terms: int) -> None:
     assert constant_term_series(f, terms) == constant_term_series_naive(f, terms)
+
+
+@st.composite
+def skewed_polys(draw: st.DrawFn) -> LaurentPolynomial:
+    # One wide coordinate with independent reach down and up (0..9 each),
+    # the others within +-1: a packed key that carried between digits would
+    # change the series.
+    n = draw(st.integers(1, 4))
+    wide = draw(st.integers(0, n - 1))
+    down, up = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    exps = st.tuples(*(st.integers(-down, up) if c == wide else st.integers(-1, 1) for c in range(n)))
+    terms = draw(st.dictionaries(exps, st.integers(-3, 3).filter(bool), min_size=1, max_size=6))
+    return LaurentPolynomial(n, terms)
+
+
+@settings(deadline=None, max_examples=150)
+@given(skewed_polys(), st.integers(min_value=1, max_value=8))
+def test_packed_keys_agree_with_naive_on_skewed_supports(f: LaurentPolynomial, terms: int) -> None:
+    assert constant_term_series(f, terms) == constant_term_series_naive(f, terms)
+
+
+def test_coordinate_with_zero_step_both_ways() -> None:
+    # the last two coordinates never move, so their digits have width 1
+    f = LaurentPolynomial(3, {(1, 0, 0): 1, (-1, 0, 0): 1})
+    g = LaurentPolynomial(3, {(2, 0, 0): 1, (-1, 0, 0): 1, (0, 0, 0): -1})
+    one_variable = LaurentPolynomial(1, {(1,): 1, (-1,): 1})
+    assert constant_term_series(f, 10) == constant_term_series_naive(f, 10)
+    assert constant_term_series(f, 10).coeffs == constant_term_series(one_variable, 10).coeffs
+    assert constant_term_series(g, 9) == constant_term_series_naive(g, 9)
+
+
+def test_single_monomial() -> None:
+    assert constant_term_series(LaurentPolynomial(2, {(3, -2): 7}), 5).coeffs == (1, 0, 0, 0, 0, 0)
+    assert constant_term_series(LaurentPolynomial(2, {(0, 0): -3}), 5).coeffs == tuple((-3) ** i for i in range(6))
+
+
+def test_signed_coefficients_and_cancellation() -> None:
+    # (x - 1/x)^(2k) has constant term (-1)^k C(2k, k)
+    f = LaurentPolynomial(1, {(1,): 1, (-1,): -1})
+    expected = tuple((-1) ** (i // 2) * math.comb(i, i // 2) if i % 2 == 0 else 0 for i in range(13))
+    assert constant_term_series(f, 12).coeffs == expected
+    # 2 + 1/x - 2x: the t^2 coefficient 2*2 + 2*(1*(-2)) cancels to zero
+    # inside the step, and the origin has to come back in the next one
+    g = LaurentPolynomial(1, {(0,): 2, (-1,): 1, (1,): -2})
+    s = constant_term_series(g, 10)
+    assert s.coeffs[2] == 0
+    assert s == constant_term_series_naive(g, 10)
+
+
+def test_five_variable_cross() -> None:
+    # sum_j (x_j + 1/x_j): phi(i) = sum over even n_1+...+n_5 = i of the
+    # multinomial coefficient times prod_j C(n_j, n_j/2), which is
+    # i! / prod_j ((n_j/2)!)^2
+    n = 5
+    f = LaurentPolynomial(n, {tuple(s if c == j else 0 for c in range(n)): 1 for j in range(n) for s in (1, -1)})
+    terms = 8
+
+    def expected(i: int) -> int:
+        return sum(
+            math.factorial(i) // math.prod(math.factorial(p // 2) ** 2 for p in parts)
+            for parts in itertools.product(range(0, i + 1, 2), repeat=n)
+            if sum(parts) == i
+        )
+
+    assert constant_term_series(f, terms).coeffs == tuple(expected(i) for i in range(terms + 1))
+    assert constant_term_series(f, 6) == constant_term_series_naive(f, 6)
 
 
 def test_closed_form_small_cases() -> None:
