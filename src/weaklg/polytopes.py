@@ -1,9 +1,10 @@
 """Exact lattice and rational polytope geometry in ambient dimension <= 3.
 
 Everything runs over exact integers and Fractions: convex hulls by
-exhaustive supporting-hyperplane search with orientation predicates, dual
-polytopes by intersecting facet hyperplanes, volumes by fan triangulation
-from an interior point, Ehrhart counts by direct lattice enumeration.
+beneath-beyond insertion (Edelsbrunner, Algorithms in Combinatorial
+Geometry), dual polytopes read off the facets, volumes by fan triangulation
+from an interior point, Ehrhart counts by integer intervals of the last
+coordinate over the columns of the other coordinates.
 Numerical hull libraries are avoided deliberately; a vertex reported at
 (1/3, 1/3, 1/3) has to mean exactly that.
 """
@@ -151,24 +152,25 @@ def _affine_rank(points: Sequence[Point]) -> int:
     return rank
 
 
-def _classify(points: Sequence[Point], normal: Sequence[Coord], offset: Coord) -> int:
-    """+1 if all <= offset, -1 if all >= offset, 0 if points on both open sides."""
-    has_above = has_below = False
-    for p in points:
-        s = _dot(normal, p)
-        if s > offset:
-            has_above = True
-        elif s < offset:
-            has_below = True
-        if has_above and has_below:
-            return 0
-    if not has_above:
-        return 1
-    return -1
+def _hyperplane_normal(face: Sequence[Point]) -> tuple[Coord, ...]:
+    """A normal of the hyperplane through n points in dimension n = 2 or 3."""
+    base = face[0]
+    u = tuple(b - a for a, b in zip(base, face[1]))
+    if len(base) == 2:
+        return (u[1], -u[0])
+    return _cross(u, tuple(b - a for a, b in zip(base, face[2])))
 
 
 def _full_dim_hull(points: list[Point], n: int) -> tuple[tuple[Point, ...], tuple[Facet, ...]]:
-    """Hull of a full-dimensional point set by exhaustive facet search."""
+    """Hull of a full-dimensional point set by beneath-beyond insertion.
+
+    The boundary is kept as faces, each an n-tuple of point indices with an
+    outward hyperplane.  A point strictly beyond some faces replaces them by
+    the cone from the point over their horizon: the ridges that lie in
+    exactly one of the replaced faces.  A point on a face's hyperplane is
+    never beyond it, so the faces stay a triangulation of the boundary and
+    the facets are their hyperplanes, merged by primitive normal.
+    """
     if n == 1:
         lo = min(points)[0]
         hi = max(points)[0]
@@ -176,46 +178,51 @@ def _full_dim_hull(points: list[Point], n: int) -> tuple[tuple[Point, ...], tupl
         facets = (((1,), Fraction(hi)), ((-1,), Fraction(-lo)))
         return vertices, facets
 
-    facets: dict[tuple[tuple[int, ...], Fraction], None] = {}
-    tested: set[tuple[tuple[int, ...], Fraction]] = set()
-    for subset in combinations(points, n):
-        if n == 2:
-            d = tuple(b - a for a, b in zip(subset[0], subset[1]))
-            if d == (0, 0):
-                continue
-            normal: tuple[Coord, ...] = (d[1], -d[0])
-        else:
-            u = tuple(b - a for a, b in zip(subset[0], subset[1]))
-            v = tuple(b - a for a, b in zip(subset[0], subset[2]))
-            normal = _cross(u, v)
-            if normal == (0, 0, 0):
-                continue
-        prim = _primitive(normal)
-        offset = Fraction(_dot(prim, subset[0]))
-        key = (prim, offset) if _sign_key(prim) > 0 else (tuple(-c for c in prim), -offset)
-        if key in tested:
-            continue
-        tested.add(key)
-        side = _classify(points, prim, offset)
-        if side == 1:
-            facets[(prim, offset)] = None
-        elif side == -1:
-            facets[(tuple(-c for c in prim), -offset)] = None
+    simplex = [0]
+    for i in range(1, len(points)):
+        if _affine_rank([points[j] for j in simplex] + [points[i]]) == len(simplex):
+            simplex.append(i)
+            if len(simplex) == n + 1:
+                break
+    # strictly inside every hull built from the start simplex onwards
+    inside = tuple(sum(Fraction(points[i][c]) for i in simplex) / (n + 1) for c in range(n))
 
-    facet_list = sorted(facets)
+    faces: dict[tuple[int, ...], tuple[tuple[Coord, ...], Coord]] = {}
+
+    def add_face(face: tuple[int, ...]) -> None:
+        normal = _hyperplane_normal([points[i] for i in face])
+        offset = _dot(normal, points[face[0]])
+        if _dot(normal, inside) > offset:
+            normal, offset = tuple(-c for c in normal), -offset
+        faces[face] = (normal, offset)
+
+    for face in combinations(simplex, n):
+        add_face(face)
+    in_simplex = set(simplex)
+    for q, point in enumerate(points):
+        if q in in_simplex:
+            continue
+        visible = [face for face, (normal, offset) in faces.items() if _dot(normal, point) > offset]
+        ridges: dict[tuple[int, ...], int] = {}
+        for face in visible:
+            del faces[face]
+            for ridge in combinations(face, n - 1):
+                ridges[ridge] = ridges.get(ridge, 0) + 1
+        for ridge, seen in ridges.items():
+            if seen == 1:
+                add_face(tuple(sorted(ridge + (q,))))
+
+    facet_set = set()
+    for face, (normal, _) in faces.items():
+        prim = _primitive(normal)
+        facet_set.add((prim, Fraction(_dot(prim, points[face[0]]))))
+    facet_list = sorted(facet_set)
     vertices = []
     for p in points:
         incident = sum(1 for normal, offset in facet_list if _dot(normal, p) == offset)
         if incident >= n:
             vertices.append(tuple(_canon(Fraction(c)) for c in p))
     return tuple(sorted(vertices)), tuple(facet_list)
-
-
-def _sign_key(vec: Sequence[int]) -> int:
-    for c in vec:
-        if c != 0:
-            return 1 if c > 0 else -1
-    return 0
 
 
 def _extreme_points_low_rank(points: list[Point], n: int, rank: int) -> tuple[Point, ...]:
@@ -295,55 +302,27 @@ def contains_origin_interior(p: Polytope) -> bool:
     return all(offset > 0 for _, offset in p.facets)
 
 
-def _solve_square(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    n = len(rows)
-    m = [row[:] + [b] for row, b in zip(rows, rhs)]
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if m[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return None
-        m[col], m[pivot] = m[pivot], m[col]
-        pr = m[col]
-        inv = 1 / pr[col]
-        m[col] = [c * inv for c in pr]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]
-
-
 def dual_polytope(p: Polytope) -> Polytope:
     """Polar dual {y : <y, v> >= -1 for every vertex v of p}.
 
-    Needs the origin strictly inside p; then duality is exact and involutive,
-    and every vertex of p contributes one facet of the dual.  Dual vertices
-    are found by intersecting n facet hyperplanes at a time and keeping the
-    feasible intersection points.
+    Needs the origin strictly inside p; then duality is exact and involutive:
+    every vertex of p contributes one facet of the dual, and every facet
+    <normal, x> <= offset of p contributes the dual vertex -normal/offset.
     """
     if not contains_origin_interior(p):
         raise ValueError("dual polytope needs the origin strictly inside a full-dimensional polytope")
     n = p.dim
+    dual_vertices = sorted(
+        tuple(_canon(-Fraction(c) / offset) for c in normal) for normal, offset in p.facets
+    )
     verts = [tuple(Fraction(c) for c in v) for v in p.vertices]
-    dual_vertices: set[Point] = set()
-    for subset in combinations(verts, n):
-        rows = [list(v) for v in subset]
-        sol = _solve_square(rows, [Fraction(-1)] * n)
-        if sol is None:
-            continue
-        if all(_dot(v, sol) >= -1 for v in verts):
-            dual_vertices.add(tuple(_canon(c) for c in sol))
     facets = []
     for v in verts:
         prim = _primitive(tuple(-c for c in v))
         # <-v, y> <= 1 scaled by the positive factor that made -v primitive
         scale = next(pc / (-vc) for pc, vc in zip(prim, v) if vc != 0)
         facets.append((prim, Fraction(scale)))
-    return Polytope(dim=n, vertices=tuple(sorted(dual_vertices)), facets=tuple(sorted(facets)))
+    return Polytope(dim=n, vertices=tuple(dual_vertices), facets=tuple(sorted(facets)))
 
 
 def _facet_vertices(p: Polytope, facet: Facet) -> list[tuple[Fraction, ...]]:
@@ -451,43 +430,55 @@ def ehrhart_counts(p: Polytope, kmax: int, budget: int = 10**8) -> EhrhartResult
     """Lattice point counts of k*p for k = 0..kmax, plus the degree-<=n
     polynomial interpolating the first n+1 counts.
 
-    Counting is exact: every integer point of the bounding box of k*p is
-    tested against all facets.  The enumeration refuses to scan more than
-    `budget` box points for a single dilation.
+    Counting is exact and goes by columns: for each integer point of the
+    bounding box of k*p in the first n-1 coordinates, every facet cuts the
+    box's range of the last coordinate to an integer interval, whose length
+    is added.  `budget` bounds the total number of bounding-box points over
+    all dilations k = 1..kmax; it is checked before anything is counted.
     """
     if not p.is_full_dimensional:
         raise ValueError("Ehrhart counting needs a full-dimensional polytope")
     n = p.dim
     if kmax < n:
         raise ValueError(f"kmax must be at least the dimension ({n})")
-    # integer facet form: den * <normal, x> <= k * num
+    bounds = [
+        (min(Fraction(v[c]) for v in p.vertices), max(Fraction(v[c]) for v in p.vertices))
+        for c in range(n)
+    ]
+    boxes = []
+    total = 0
+    for k in range(1, kmax + 1):
+        box = [range(math.ceil(lo * k), math.floor(hi * k) + 1) for lo, hi in bounds]
+        total += math.prod(len(r) for r in box)
+        if total > budget:
+            raise ValueError(
+                f"Ehrhart counts for k = 1..{kmax} need at least {total} box points"
+                f" in total, over the budget of {budget}"
+            )
+        boxes.append(box)
+    # integer facet form: den * <normal, x> <= k * num, split as the first
+    # n-1 coordinates plus a * z for the last one
     facet_ints = [
-        (normal, Fraction(offset).numerator, Fraction(offset).denominator)
+        (normal[:-1], normal[-1], Fraction(offset).numerator, Fraction(offset).denominator)
         for normal, offset in p.facets
     ]
-    verts = [tuple(Fraction(c) for c in v) for v in p.vertices]
     counts = [1]
-    for k in range(1, kmax + 1):
-        los = []
-        his = []
-        size = 1
-        for c in range(n):
-            lo = math.ceil(min(v[c] for v in verts) * k)
-            hi = math.floor(max(v[c] for v in verts) * k)
-            los.append(lo)
-            his.append(hi)
-            size *= max(0, hi - lo + 1)
-        if size > budget:
-            raise ValueError(f"dilation {k} needs {size} box points, over the budget of {budget}")
+    for k, box in enumerate(boxes, start=1):
+        z_range = box[-1]
         count = 0
-        for x in product(*(range(lo, hi + 1) for lo, hi in zip(los, his))):
-            ok = True
-            for normal, num, den in facet_ints:
-                if den * _dot(normal, x) > k * num:
-                    ok = False
+        for x in product(*box[:-1]):
+            zlo, zhi = z_range.start, z_range.stop - 1
+            for head, a, num, den in facet_ints:
+                rest = k * num - den * _dot(head, x)
+                if a > 0:
+                    zhi = min(zhi, rest // (den * a))
+                elif a < 0:
+                    zlo = max(zlo, -(rest // (-den * a)))
+                elif rest < 0:
+                    zhi = zlo - 1
                     break
-            if ok:
-                count += 1
+            if zhi >= zlo:
+                count += zhi - zlo + 1
         counts.append(count)
     poly = _interpolate(counts[: n + 1])
     return EhrhartResult(counts=tuple(counts), polynomial=poly)

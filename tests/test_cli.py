@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -123,6 +124,14 @@ def test_ehrhart_counts_and_interpolation() -> None:
     doc = json.loads(out)
     assert doc["counts"] == ["1", "35", "165", "455"]
     assert doc["polynomial"][-1] == "32/3"
+
+
+def test_ehrhart_total_budget_refuses_huge_kmax_up_front() -> None:
+    start = time.perf_counter()
+    code, out, err = run("ehrhart", "--entry", "17", "--dual", "--kmax", "100000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "in total" in err and "budget of 100000000" in err
 
 
 def test_pfop_finds_operator_at_given_bidegree() -> None:

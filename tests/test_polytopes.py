@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import determinant_3x3, random_unimodular
+from support import (
+    determinant_3x3,
+    dual_vertices_oracle,
+    ehrhart_oracle,
+    hull_oracle,
+    is_full_dimensional,
+    random_unimodular,
+)
 from weaklg.corpus import load_corpus
 from weaklg.laurent import LaurentPolynomial
 from weaklg.polytopes import (
@@ -211,3 +218,102 @@ def test_dual_of_dual_across_whole_corpus() -> None:
         p = newton_polytope(entry.laurent())
         dd = dual_polytope(dual_polytope(p))
         assert dd.vertices == p.vertices, f"entry {entry.id}"
+
+
+def coords(bound: int) -> st.SearchStrategy:
+    return st.one_of(
+        st.integers(min_value=-bound, max_value=bound),
+        st.builds(Fraction, st.integers(min_value=-2 * bound, max_value=2 * bound), st.integers(min_value=1, max_value=3)),
+    )
+
+
+SPREAD_STEPS = (Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2))
+INNER_STEPS = (Fraction(0), Fraction(1, 3), Fraction(1, 2))
+
+
+@st.composite
+def point_sets(draw, dims=(1, 2, 3), bound=3, steps=SPREAD_STEPS) -> tuple[int, list[tuple]]:
+    """Small point sets with duplicates and with collinear and coplanar
+    subsets: the extra points are affine combinations a + s(b-a) + t(c-a)
+    of drawn points (t = 0 puts them on a line), plus repeats."""
+    n = draw(st.sampled_from(dims))
+    base = draw(st.lists(st.tuples(*[coords(bound)] * n), min_size=1, max_size=8))
+    pts = list(base)
+    index = st.integers(min_value=0, max_value=len(base) - 1)
+    step = st.sampled_from(steps)
+    for i, j, k, s, t in draw(st.lists(st.tuples(index, index, index, step, step), max_size=5)):
+        a, b, c = base[i], base[j], base[k]
+        pts.append(tuple(x + s * (y - x) + t * (z - x) for x, y, z in zip(a, b, c)))
+    pts += [pts[i] for i in draw(st.lists(st.integers(min_value=0, max_value=len(pts) - 1), max_size=3))]
+    return n, pts
+
+
+def _types(p) -> list:
+    return [type(c) for c in p]
+
+
+@settings(deadline=None, max_examples=200)
+@given(point_sets())
+def test_hull_matches_exhaustive_oracle(case: tuple[int, list[tuple]]) -> None:
+    n, pts = case
+    p = from_points(pts)
+    assert p.is_full_dimensional == is_full_dimensional(pts, n)
+    if not p.is_full_dimensional:
+        return
+    vertices, facets = hull_oracle(pts, n)
+    assert p.vertices == vertices
+    assert p.facets == facets
+    assert [_types(v) for v in p.vertices] == [_types(v) for v in vertices]
+    assert [(_types(a), type(b)) for a, b in p.facets] == [(_types(a), type(b)) for a, b in facets]
+
+
+@settings(deadline=None, max_examples=60)
+@given(point_sets(dims=(2,)), st.integers(min_value=-2, max_value=2), st.integers(min_value=-2, max_value=2))
+def test_planar_hull_in_space_matches_oracle(case: tuple[int, list[tuple]], a: int, b: int) -> None:
+    # a plane z = a*x + b*y + 1 in 3D takes the planar hull's route
+    _, pts = case
+    if not is_full_dimensional(pts, 2):
+        return
+
+    def lift(q: tuple) -> tuple:
+        return (q[0], q[1], a * q[0] + b * q[1] + 1)
+
+    p = from_points([lift(q) for q in pts])
+    assert not p.is_full_dimensional
+    vertices, _ = hull_oracle(pts, 2)
+    assert p.vertices == tuple(sorted(lift(v) for v in vertices))
+
+
+@settings(deadline=None, max_examples=40)
+@given(point_sets(bound=2, steps=INNER_STEPS))
+def test_ehrhart_counts_match_box_scan_oracle(case: tuple[int, list[tuple]]) -> None:
+    n, pts = case
+    if not is_full_dimensional(pts, n):
+        return
+    p = from_points(pts)
+    assert ehrhart_counts(p, 4).counts == ehrhart_oracle(p.vertices, p.facets, 4)
+
+
+@settings(deadline=None, max_examples=60)
+@given(point_sets())
+def test_dual_vertices_match_intersection_oracle(case: tuple[int, list[tuple]]) -> None:
+    n, pts = case
+    if not is_full_dimensional(pts, n):
+        return
+    # the centroid of the vertices is interior: move it to the origin
+    verts = from_points(pts).vertices
+    centre = [sum(Fraction(v[c]) for v in verts) / len(verts) for c in range(n)]
+    p = from_points([tuple(x - c for x, c in zip(v, centre)) for v in verts])
+    d = dual_polytope(p)
+    expected = dual_vertices_oracle(p.vertices)
+    assert d.vertices == expected
+    assert [_types(v) for v in d.vertices] == [_types(v) for v in expected]
+
+
+def test_corpus_polytopes_match_oracles() -> None:
+    for entry in load_corpus():
+        p = newton_polytope(entry.laurent())
+        d = dual_polytope(p)
+        assert d.vertices == dual_vertices_oracle(p.vertices), f"entry {entry.id}"
+        for q in (p, d):
+            assert ehrhart_counts(q, 4).counts == ehrhart_oracle(q.vertices, q.facets, 4), f"entry {entry.id}"
