@@ -65,7 +65,6 @@ from .series import (
     ci_period_closed_form,
     compare_series,
     constant_term_series,
-    constant_term_series_naive,
     normalize_shift,
     shifted_series,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "ci_period_closed_form",
     "compare_series",
     "constant_term_series",
-    "constant_term_series_naive",
     "contains_origin_interior",
     "dual_polytope",
     "ehrhart_counts",

@@ -4,9 +4,8 @@ Operators are polynomials in t and the Euler operator D = t d/dt:
 L = sum c_{l,j} t^l D^j.  Acting on a series s, the t^i coefficient of L s
 is sum_{l,j} c_{l,j} s_{i-l} (i-l)^j, with terms for i < l dropped and the
 convention 0^0 = 1.  Finding an annihilator up to given order and t-degree
-is exact linear algebra over the rationals; the matrix is integral, so the
-elimination is fraction-free (Bareiss), keeping every intermediate integer
-the size of a minor of the input matrix.
+is exact linear algebra over the rationals; the matrix is integral, so its
+nullspace comes from the fraction-free elimination in `linalg`.
 """
 
 from __future__ import annotations
@@ -16,6 +15,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
+from .linalg import nullspace
 from .series import IntegerSeries
 
 
@@ -111,52 +111,6 @@ def _strip_content(row: list[int]) -> list[int]:
     return row
 
 
-def _integer_nullspace(rows: list[list[int]], ncols: int) -> list[list[Fraction]]:
-    """Basis of the rational nullspace of an integer matrix.
-
-    Fraction-free forward elimination in the Bareiss style: every remaining
-    row is updated at every pivot step and divided exactly by the previous
-    pivot, which keeps entries the size of minors of the input instead of
-    doubling in length per step.  Content stripping is applied to the input
-    rows only; stripping mid-elimination would break the exact division.
-    Back substitution then produces one basis vector per free column, in
-    free-column order.
-    """
-    work = [_strip_content(list(r)) for r in rows if any(r)]
-    pivots: list[tuple[int, int]] = []  # (row, col)
-    row = 0
-    prev = 1
-    for col in range(ncols):
-        pivot = None
-        for r in range(row, len(work)):
-            if work[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        work[row], work[pivot] = work[pivot], work[row]
-        pv = work[row][col]
-        for r in range(row + 1, len(work)):
-            factor = work[r][col]
-            work[r] = [(pv * a - factor * b) // prev for a, b in zip(work[r], work[row])]
-        prev = pv
-        pivots.append((row, col))
-        row += 1
-        if row == len(work):
-            break
-    pivot_cols = {c for _, c in pivots}
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
-    basis = []
-    for fc in free_cols:
-        x: list[Fraction] = [Fraction(0)] * ncols
-        x[fc] = Fraction(1)
-        for r, c in reversed(pivots):
-            s = sum((work[r][k] * x[k] for k in range(c + 1, ncols)), Fraction(0))
-            x[c] = -s / work[r][c]
-        basis.append(x)
-    return basis
-
-
 def find_annihilator(
     s: IntegerSeries,
     order: int,
@@ -187,7 +141,9 @@ def find_annihilator(
             else:
                 row.append(s[i - l] * (i - l) ** j)
         rows.append(row)
-    basis = _integer_nullspace(rows, len(cols))
+    # content stripping is applied to the input rows only: stripping
+    # mid-elimination would break Bareiss's exact divisions
+    basis = nullspace([_strip_content(row) for row in rows if any(row)], len(cols))
     ops = []
     for vec in basis:
         coeffs = {cols[k]: v for k, v in enumerate(vec) if v != 0}

@@ -32,6 +32,11 @@ from .laurent import LaurentPolynomial, is_probable_prime
 # Fixed public prime 2^61 - 1 (Mersenne), used by random_equal.
 IDENTITY_PRIME = (1 << 61) - 1
 
+# Deepest nesting of parentheses and unary minus signs parse accepts: the
+# parser recurses about four interpreter frames per level, well inside the
+# default recursion limit of 1000 frames.
+MAX_NESTING = 100
+
 
 class ParseError(ValueError):
     """Syntax error, carrying the byte offset of the offending character."""
@@ -97,6 +102,7 @@ class _Tokenizer:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.nesting = 0  # open parentheses and unary minus signs
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -192,19 +198,21 @@ def _parse_atom(tok: _Tokenizer) -> Expr:
     ch = tok.peek()
     if ch == "":
         raise ParseError("unexpected end of input", tok.pos)
-    if ch == "(":
+    if ch in "(-":
+        if tok.nesting == MAX_NESTING:
+            raise ParseError(f"expression nested too deeply (the limit is {MAX_NESTING} levels)", tok.pos)
+        tok.nesting += 1
         tok.take()
-        node = _parse_expr(tok)
-        if tok.peek() != ")":
-            raise ParseError("expected ')'", tok.pos)
-        tok.take()
+        if ch == "(":
+            node = _parse_expr(tok)
+            if tok.peek() != ")":
+                raise ParseError("expected ')'", tok.pos)
+            tok.take()
+        else:
+            inner = _parse_atom(tok)
+            node = Const(-inner.value) if isinstance(inner, Const) else Prod((Const(-1), inner))
+        tok.nesting -= 1
         return node
-    if ch == "-":
-        tok.take()
-        inner = _parse_atom(tok)
-        if isinstance(inner, Const):
-            return Const(-inner.value)
-        return Prod((Const(-1), inner))
     if ch.isdigit():
         return Const(tok.integer())
     if ch.isalpha():

@@ -14,6 +14,8 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
+from .linalg import det
+
 ExponentVector = tuple[int, ...]
 
 # Witness bases making Miller-Rabin deterministic for all n < 3.3e24.
@@ -45,32 +47,6 @@ def is_probable_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def integer_determinant(matrix: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
-    n = len(matrix)
-    m = [list(row) for row in matrix]
-    for row in m:
-        if len(row) != n:
-            raise ValueError("matrix is not square")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 class LaurentPolynomial:
@@ -253,7 +229,7 @@ class LaurentPolynomial:
         m = [tuple(row) for row in matrix]
         if len(m) != n or any(len(row) != n for row in m):
             raise ValueError(f"matrix must be {n}x{n}")
-        if abs(integer_determinant(m)) != 1:
+        if abs(det(m)) != 1:
             raise ValueError("matrix is not unimodular (|det| != 1)")
         out: dict[ExponentVector, int] = {}
         for exps, coeff in self._terms.items():

@@ -1,10 +1,11 @@
-"""Exact lattice and rational polytope geometry in ambient dimension <= 3.
+"""Exact lattice and rational polytope geometry in any ambient dimension.
 
 Everything runs over exact integers and Fractions: convex hulls by
 beneath-beyond insertion (Edelsbrunner, Algorithms in Combinatorial
-Geometry), dual polytopes read off the facets, volumes by fan triangulation
-from an interior point, Ehrhart counts by integer intervals of the last
-coordinate over the columns of the other coordinates.
+Geometry) on points scaled to integers, with hyperplane normals from integer
+cofactors, dual polytopes read off the facets, volumes by coning the hull's
+boundary triangulation from a vertex, Ehrhart counts by integer intervals of
+the last coordinate over the columns of the other coordinates.
 Numerical hull libraries are avoided deliberately; a vertex reported at
 (1/3, 1/3, 1/3) has to mean exactly that.
 """
@@ -14,15 +15,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key, lru_cache
+from functools import lru_cache
 from itertools import combinations, product
 from typing import Sequence
 
 from .laurent import LaurentPolynomial
+from .linalg import det, echelon, nullspace, rank
 
 Coord = Fraction | int
 Point = tuple[Coord, ...]
 Facet = tuple[tuple[int, ...], Fraction]  # halfspace <normal, x> <= offset
+IntPoint = tuple[int, ...]
+Halfspace = tuple[Sequence[int], int]  # <normal, x> <= offset in integers
+
+# Beneath-beyond creates faces without bound on hostile input: a cyclic
+# polytope on N points in dimension n has on the order of N^(n/2) facets.
+# The ladder polynomials of the constructors, up to G(3,7) in 12 variables,
+# and their duals stay below this.
+MAX_HULL_FACES = 5_000
 
 
 @dataclass(frozen=True)
@@ -108,100 +118,74 @@ def _canon(c: Fraction) -> Coord:
     return int(c) if c.denominator == 1 else c
 
 
-def _primitive(vec: Sequence[Coord]) -> tuple[int, ...]:
-    """Scale a nonzero rational vector to a primitive integer vector, keeping direction."""
-    fracs = [Fraction(c) for c in vec]
-    scale = math.lcm(*(f.denominator for f in fracs))
-    ints = [int(f * scale) for f in fracs]
-    g = math.gcd(*(abs(i) for i in ints))
-    if g == 0:
-        raise ValueError("zero vector has no primitive form")
-    return tuple(i // g for i in ints)
+def _canon_point(p: Sequence[Coord]) -> Point:
+    return tuple(_canon(Fraction(c)) for c in p)
 
 
-def _cross(u: Sequence[Coord], v: Sequence[Coord]) -> tuple[Coord, Coord, Coord]:
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
+def _scaled(points: Sequence[Point]) -> tuple[list[IntPoint], int]:
+    """The points times the lcm of their coordinates' denominators, and that lcm."""
+    exact = [[Fraction(c) for c in p] for p in points]
+    scale = math.lcm(*(c.denominator for p in exact for c in p))
+    return [tuple(int(c * scale) for c in p) for p in exact], scale
 
 
-def _affine_rank(points: Sequence[Point]) -> int:
-    if len(points) <= 1:
-        return 0
-    base = points[0]
-    rows = [[Fraction(p[i] - base[i]) for i in range(len(base))] for p in points[1:]]
-    rank = 0
-    ncols = len(base)
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pr = rows[rank]
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col] != 0:
-                factor = rows[r][col] / pr[col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], pr)]
-        rank += 1
-    return rank
+def _differences(points: Sequence[IntPoint], base: IntPoint) -> list[list[int]]:
+    return [[a - b for a, b in zip(p, base)] for p in points]
 
 
-def _hyperplane_normal(face: Sequence[Point]) -> tuple[Coord, ...]:
-    """A normal of the hyperplane through n points in dimension n = 2 or 3."""
-    base = face[0]
-    u = tuple(b - a for a, b in zip(base, face[1]))
-    if len(base) == 2:
-        return (u[1], -u[0])
-    return _cross(u, tuple(b - a for a, b in zip(base, face[2])))
+def _hull(points: list[IntPoint]) -> tuple[dict[tuple[int, ...], Halfspace], list[Halfspace]]:
+    """Boundary of the hull of distinct, affinely spanning integer points by
+    beneath-beyond insertion.
 
-
-def _full_dim_hull(points: list[Point], n: int) -> tuple[tuple[Point, ...], tuple[Facet, ...]]:
-    """Hull of a full-dimensional point set by beneath-beyond insertion.
-
-    The boundary is kept as faces, each an n-tuple of point indices with an
-    outward hyperplane.  A point strictly beyond some faces replaces them by
-    the cone from the point over their horizon: the ridges that lie in
-    exactly one of the replaced faces.  A point on a face's hyperplane is
-    never beyond it, so the faces stay a triangulation of the boundary and
-    the facets are their hyperplanes, merged by primitive normal.
+    Returns the faces, n-tuples of point indices triangulating the boundary,
+    each with an outward (normal, offset), and the facets: the faces'
+    hyperplanes merged by primitive normal, sorted, with integer offsets.
+    A point strictly beyond some faces replaces them by the cone from the
+    point over their horizon: the ridges that lie in exactly one of the
+    replaced faces.  A point on a face's hyperplane is never beyond it, so
+    the faces stay a triangulation of the boundary.  At most MAX_HULL_FACES
+    faces are created.  Normals are made primitive only where faces merge.
     """
-    if n == 1:
-        lo = min(points)[0]
-        hi = max(points)[0]
-        vertices = ((_canon(Fraction(lo)),), (_canon(Fraction(hi)),))
-        facets = (((1,), Fraction(hi)), ((-1,), Fraction(-lo)))
-        return vertices, facets
-
-    simplex = [0]
-    for i in range(1, len(points)):
-        if _affine_rank([points[j] for j in simplex] + [points[i]]) == len(simplex):
+    n = len(points[0])
+    # farthest from the centroid first: the farthest point is a vertex, and
+    # points inside the hull of the vertices inserted so far create no faces
+    m = len(points)
+    total = [sum(c) for c in zip(*points)]
+    order = sorted(range(m), key=lambda i: -sum((m * c - t) ** 2 for c, t in zip(points[i], total)))
+    simplex = order[:1]
+    for i in order[1:]:
+        if rank(_differences([points[j] for j in simplex[1:]] + [points[i]], points[simplex[0]])) == len(simplex):
             simplex.append(i)
             if len(simplex) == n + 1:
                 break
-    # strictly inside every hull built from the start simplex onwards
-    inside = tuple(sum(Fraction(points[i][c]) for i in simplex) / (n + 1) for c in range(n))
+    # (n+1) times the simplex centroid, strictly inside every hull built from
+    # the start simplex onwards
+    inside = [sum(c) for c in zip(*(points[i] for i in simplex))]
 
-    faces: dict[tuple[int, ...], tuple[tuple[Coord, ...], Coord]] = {}
+    faces: dict[tuple[int, ...], Halfspace] = {}
+    created = 0
 
     def add_face(face: tuple[int, ...]) -> None:
-        normal = _hyperplane_normal([points[i] for i in face])
+        nonlocal created
+        created += 1
+        if created > MAX_HULL_FACES:
+            raise ValueError(f"convex hull needs more than {MAX_HULL_FACES} boundary faces (the limit)")
+        # the face's n points are affinely independent, so the nullspace of
+        # their differences is a line, spanned by their integer cofactors
+        (normal,) = nullspace(_differences([points[i] for i in face[1:]], points[face[0]]), n)
         offset = _dot(normal, points[face[0]])
-        if _dot(normal, inside) > offset:
-            normal, offset = tuple(-c for c in normal), -offset
+        if _dot(normal, inside) > (n + 1) * offset:
+            normal, offset = [-c for c in normal], -offset
         faces[face] = (normal, offset)
 
-    for face in combinations(simplex, n):
+    # faces and ridges are sorted index tuples, so a shared ridge matches
+    for face in combinations(sorted(simplex), n):
         add_face(face)
     in_simplex = set(simplex)
-    for q, point in enumerate(points):
+    for q in order:
         if q in in_simplex:
             continue
+        point = points[q]
         visible = [face for face, (normal, offset) in faces.items() if _dot(normal, point) > offset]
         ridges: dict[tuple[int, ...], int] = {}
         for face in visible:
@@ -212,79 +196,47 @@ def _full_dim_hull(points: list[Point], n: int) -> tuple[tuple[Point, ...], tupl
             if seen == 1:
                 add_face(tuple(sorted(ridge + (q,))))
 
-    facet_set = set()
-    for face, (normal, _) in faces.items():
-        prim = _primitive(normal)
-        facet_set.add((prim, Fraction(_dot(prim, points[face[0]]))))
-    facet_list = sorted(facet_set)
-    vertices = []
-    for p in points:
-        incident = sum(1 for normal, offset in facet_list if _dot(normal, p) == offset)
-        if incident >= n:
-            vertices.append(tuple(_canon(Fraction(c)) for c in p))
-    return tuple(sorted(vertices)), tuple(facet_list)
-
-
-def _extreme_points_low_rank(points: list[Point], n: int, rank: int) -> tuple[Point, ...]:
-    """Extreme points of a point set of affine dimension rank < n."""
-    if rank == 0:
-        return (tuple(_canon(Fraction(c)) for c in points[0]),)
-    base = points[0]
-    if rank == 1:
-        direction = None
-        for p in points[1:]:
-            d = tuple(Fraction(a - b) for a, b in zip(p, base))
-            if any(c != 0 for c in d):
-                direction = d
-                break
-        axis = next(i for i, c in enumerate(direction) if c != 0)
-        params = [(Fraction(p[axis] - base[axis]) / direction[axis], p) for p in points]
-        lo = min(params, key=lambda t: t[0])[1]
-        hi = max(params, key=lambda t: t[0])[1]
-        out = {tuple(_canon(Fraction(c)) for c in lo), tuple(_canon(Fraction(c)) for c in hi)}
-        return tuple(sorted(out))
-    # rank 2 inside ambient dimension 3: project out a coordinate the plane
-    # normal sees, take the planar hull, and lift the chosen points back.
-    diffs = [tuple(Fraction(a - b) for a, b in zip(p, base)) for p in points[1:]]
-    normal = None
-    for u, v in combinations(diffs, 2):
-        c = _cross(u, v)
-        if any(x != 0 for x in c):
-            normal = c
-            break
-    drop = next(i for i, c in enumerate(normal) if c != 0)
-    shadow = [tuple(c for i, c in enumerate(p) if i != drop) for p in points]
-    verts2d, _ = _full_dim_hull(shadow, 2)
-    chosen = set(verts2d)
-    out = sorted(
-        {
-            tuple(_canon(Fraction(c)) for c in p)
-            for p, s in zip(points, shadow)
-            if tuple(_canon(Fraction(c)) for c in s) in chosen
-        }
-    )
-    return tuple(out)
+    facets = set()
+    for normal, offset in faces.values():
+        g = math.gcd(*normal)
+        facets.add((tuple(c // g for c in normal), offset // g))
+    return faces, sorted(facets)
 
 
 def from_points(points: Sequence[Sequence[Coord]], dim: int | None = None) -> Polytope:
-    """Convex hull of finitely many exact points (ambient dimension <= 3)."""
+    """Convex hull of finitely many exact points in any ambient dimension.
+
+    The points are scaled to integers by the lcm of their denominators.  A
+    set spanning less than the ambient space is projected onto the pivot
+    columns of its difference matrix, where it is full-dimensional and the
+    projection is injective, hulled there and lifted back.  A vertex is a
+    point on at least as many facets as the dimension it is hulled in.
+    """
     pts = [tuple(p) for p in points]
     if not pts:
         raise ValueError("need at least one point")
     n = dim if dim is not None else len(pts[0])
     if n < 1:
         raise ValueError("ambient dimension must be >= 1")
-    if n > 3:
-        raise ValueError("ambient dimension above 3 is not supported")
     if any(len(p) != n for p in pts):
         raise ValueError("points have inconsistent dimension")
     pts = sorted(set(pts))
-    rank = _affine_rank(pts)
-    if rank < n:
-        vertices = _extreme_points_low_rank(pts, n, rank)
+    if len(pts) == 1:
+        return Polytope(dim=n, vertices=(_canon_point(pts[0]),), facets=())
+    ints, scale = _scaled(pts)
+    pivots = echelon(_differences(ints[1:], ints[0]))[1]
+    if len(pivots) < n:
+        ints = [tuple(p[c] for c in pivots) for p in ints]
+    _, facets = _hull(ints)
+    vertices = tuple(sorted(
+        _canon_point(p) for p, q in zip(pts, ints)
+        if sum(1 for normal, offset in facets if _dot(normal, q) == offset) >= len(pivots)
+    ))
+    if len(pivots) < n:
+        # the projection's facets bound nothing in the ambient space
         return Polytope(dim=n, vertices=vertices, facets=())
-    vertices, facets = _full_dim_hull(pts, n)
-    return Polytope(dim=n, vertices=vertices, facets=facets)
+    facets = [(normal, Fraction(offset, scale)) for normal, offset in facets]
+    return Polytope(dim=n, vertices=vertices, facets=tuple(facets))
 
 
 @lru_cache(maxsize=128)
@@ -315,115 +267,34 @@ def dual_polytope(p: Polytope) -> Polytope:
     dual_vertices = sorted(
         tuple(_canon(-Fraction(c) / offset) for c in normal) for normal, offset in p.facets
     )
-    verts = [tuple(Fraction(c) for c in v) for v in p.vertices]
     facets = []
-    for v in verts:
-        prim = _primitive(tuple(-c for c in v))
-        # <-v, y> <= 1 scaled by the positive factor that made -v primitive
-        scale = next(pc / (-vc) for pc, vc in zip(prim, v) if vc != 0)
-        facets.append((prim, Fraction(scale)))
+    for v in p.vertices:
+        (w,), scale = _scaled([v])
+        g = math.gcd(*w)
+        # <-v, y> <= 1 times scale/g, the positive factor that makes -v primitive
+        facets.append((tuple(-c // g for c in w), Fraction(scale, g)))
     return Polytope(dim=n, vertices=tuple(dual_vertices), facets=tuple(sorted(facets)))
 
 
-def _facet_vertices(p: Polytope, facet: Facet) -> list[tuple[Fraction, ...]]:
-    normal, offset = facet
-    return [
-        tuple(Fraction(c) for c in v)
-        for v in p.vertices
-        if _dot(normal, v) == offset
-    ]
-
-
-def _fan_triangles(face: list[tuple[Fraction, ...]], normal: Sequence[int]) -> list[tuple]:
-    """Triangulate a convex facet polygon by fanning from its first vertex.
-
-    Vertices are angularly sorted around the facet centroid first; the sort
-    is exact (half-plane split plus cross-product comparisons).
-    """
-    m = len(face)
-    centroid = tuple(sum(v[i] for v in face) / m for i in range(3))
-    u = tuple(a - b for a, b in zip(face[0], centroid))
-    w = _cross(normal, u)
-
-    def planar(pnt: tuple[Fraction, ...]) -> tuple[Fraction, Fraction]:
-        d = tuple(a - b for a, b in zip(pnt, centroid))
-        return _dot(d, u), _dot(d, w)
-
-    coords = {v: planar(v) for v in face}
-
-    def half(v) -> int:
-        alpha, beta = coords[v]
-        return 0 if (beta > 0 or (beta == 0 and alpha > 0)) else 1
-
-    def compare(a, b) -> int:
-        ha, hb = half(a), half(b)
-        if ha != hb:
-            return -1 if ha < hb else 1
-        aa, ab = coords[a]
-        ba, bb = coords[b]
-        cross = aa * bb - ab * ba
-        if cross == 0:
-            return 0
-        return -1 if cross > 0 else 1
-
-    ring = sorted(face, key=cmp_to_key(compare))
-    return [(ring[0], ring[i], ring[i + 1]) for i in range(1, m - 1)]
-
-
 def normalized_volume(p: Polytope) -> Fraction:
-    """n! times the Euclidean volume, computed exactly by a facet fan.
+    """n! times the Euclidean volume, computed exactly.
 
-    The polytope must be full-dimensional.  Volumes are taken with respect
-    to the standard lattice Z^n, so a lattice polytope always yields a
-    nonnegative integer value.
+    The boundary triangulation of the hull is coned from one vertex: each
+    boundary simplex contributes |det| of its vertices minus the apex, in the
+    integer coordinates the hull runs in, divided by scale^n.  The polytope
+    must be full-dimensional.  Volumes are taken with respect to the standard
+    lattice Z^n, so a lattice polytope always yields a nonnegative integer
+    value.
     """
     if not p.is_full_dimensional:
         raise ValueError("normalized volume needs a full-dimensional polytope")
-    n = p.dim
-    verts = [tuple(Fraction(c) for c in v) for v in p.vertices]
-    if n == 1:
-        return Fraction(max(verts)[0] - min(verts)[0])
-    centroid = tuple(sum(v[i] for v in verts) / len(verts) for i in range(n))
-    total = Fraction(0)
-    for facet in p.facets:
-        face = _facet_vertices(p, facet)
-        if n == 2:
-            a, b = face
-            d1 = (a[0] - centroid[0], a[1] - centroid[1])
-            d2 = (b[0] - centroid[0], b[1] - centroid[1])
-            total += abs(d1[0] * d2[1] - d1[1] * d2[0])
-        else:
-            for t0, t1, t2 in _fan_triangles(face, facet[0]):
-                d1 = tuple(a - b for a, b in zip(t0, centroid))
-                d2 = tuple(a - b for a, b in zip(t1, centroid))
-                d3 = tuple(a - b for a, b in zip(t2, centroid))
-                det = _dot(d1, _cross(d2, d3))
-                total += abs(det)
-    return total
-
-
-def _interpolate(values: Sequence[int]) -> tuple[Fraction, ...]:
-    """Coefficients (ascending) of the polynomial through (i, values[i])."""
-    m = len(values)
-    coeffs = [Fraction(0)] * m
-    for j in range(m):
-        basis = [Fraction(1)]
-        for i in range(m):
-            if i == j:
-                continue
-            nxt = [Fraction(0)] * (len(basis) + 1)
-            for d, c in enumerate(basis):
-                nxt[d + 1] += c
-                nxt[d] -= c * i
-            basis = nxt
-        denom = 1
-        for i in range(m):
-            if i != j:
-                denom *= j - i
-        scale = Fraction(values[j], denom)
-        for d, c in enumerate(basis):
-            coeffs[d] += c * scale
-    return tuple(coeffs)
+    points, scale = _scaled(p.vertices)
+    faces, _ = _hull(points)
+    apex = points[0]
+    total = sum(
+        abs(det(_differences([points[i] for i in face], apex))) for face in faces if 0 not in face
+    )
+    return Fraction(total, scale ** p.dim)
 
 
 def ehrhart_counts(p: Polytope, kmax: int, budget: int = 10**8) -> EhrhartResult:
@@ -480,7 +351,12 @@ def ehrhart_counts(p: Polytope, kmax: int, budget: int = 10**8) -> EhrhartResult
             if zhi >= zlo:
                 count += zhi - zlo + 1
         counts.append(count)
-    poly = _interpolate(counts[: n + 1])
+    # the polynomial's coefficients c solve sum_d c_d k^d = counts[k] for
+    # k = 0..n; that Vandermonde system, augmented by -counts, has a
+    # one-dimensional nullspace
+    vandermonde = [[k**d for d in range(n + 1)] + [-counts[k]] for k in range(n + 1)]
+    (solution,) = nullspace(vandermonde, n + 2)
+    poly = tuple(Fraction(c, solution[-1]) for c in solution[:-1])
     return EhrhartResult(counts=tuple(counts), polynomial=poly)
 
 

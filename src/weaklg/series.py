@@ -142,13 +142,6 @@ def constant_term_series(f: LaurentPolynomial, terms: int = 20) -> IntegerSeries
     return IntegerSeries(tuple(out))
 
 
-def constant_term_series_naive(f: LaurentPolynomial, terms: int = 20) -> IntegerSeries:
-    """Reference implementation: full powers by repeated squaring, no pruning."""
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
-    return IntegerSeries(tuple((f ** i).constant_term() for i in range(terms + 1)))
-
-
 def ci_period_closed_form(ambient_dim: int, degrees: Sequence[int], terms: int = 20) -> IntegerSeries:
     """Period series of a Fano complete intersection of the given multidegree
     in projective space P^N, N = ambient_dim.

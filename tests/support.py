@@ -44,6 +44,19 @@ def coefficient_in_power(terms: dict[tuple[int, ...], int], exponent: int, targe
     return term_power(terms, exponent, len(target)).get(target, 0)
 
 
+def constant_term_series_naive(f, terms: int) -> tuple[int, ...]:
+    """The series oracle: phi(0), ..., phi(terms) of a LaurentPolynomial f,
+    the constant terms of its full powers by straight dict convolution, with
+    no pruning."""
+    origin = (0,) * f.nvars
+    power = {origin: 1}
+    out = [1]
+    for _ in range(terms):
+        power = convolve_terms(power, dict(f.terms))
+        out.append(power.get(origin, 0))
+    return tuple(out)
+
+
 def evaluate_exactly(e: Expr, env: dict[str, Fraction]) -> Fraction:
     if isinstance(e, Const):
         return Fraction(e.value)
@@ -97,13 +110,62 @@ def determinant(rows: list[list[Fraction]]) -> Fraction:
     )
 
 
+def fraction_echelon(rows: list[list]) -> tuple[list[list[Fraction]], list[int], Fraction]:
+    """Reduced row echelon form by plain Gaussian elimination over Fractions.
+
+    Returns (rows, pivot columns, product of the pivots times the sign of
+    the row swaps); the product is the determinant of a square matrix of
+    full rank."""
+    work = [[Fraction(c) for c in row] for row in rows]
+    ncols = len(work[0]) if work else 0
+    pivots: list[int] = []
+    pivot_product = Fraction(1)
+    for col in range(ncols):
+        r = len(pivots)
+        found = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
+        if found is None:
+            continue
+        if found != r:
+            work[r], work[found] = work[found], work[r]
+            pivot_product = -pivot_product
+        pv = work[r][col]
+        pivot_product *= pv
+        work[r] = [c / pv for c in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][col] != 0:
+                factor = work[i][col]
+                work[i] = [a - factor * b for a, b in zip(work[i], work[r])]
+        pivots.append(col)
+    return work, pivots, pivot_product
+
+
+def oracle_rank(rows: list[list]) -> int:
+    return len(fraction_echelon(rows)[1])
+
+
+def oracle_det(rows: list[list]) -> Fraction:
+    _, pivots, pivot_product = fraction_echelon(rows)
+    return pivot_product if len(pivots) == len(rows) else Fraction(0)
+
+
+def oracle_nullspace(rows: list[list], ncols: int) -> list[list[Fraction]]:
+    """One basis vector per free column, in column order: 1 in its own free
+    column, 0 in the other free columns."""
+    work, pivots, _ = fraction_echelon(rows)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        x = [Fraction(0)] * ncols
+        x[free] = Fraction(1)
+        for r, c in enumerate(pivots):
+            x[c] = -work[r][free]
+        basis.append(x)
+    return basis
+
+
 def is_full_dimensional(points: list[tuple], n: int) -> bool:
-    """True iff some n+1 of the points span an n-simplex."""
+    """True iff the differences of the points span dimension n."""
     pts = sorted(set(points))
-    return any(
-        determinant([[Fraction(a - b) for a, b in zip(p, s[0])] for p in s[1:]]) != 0
-        for s in combinations(pts, n + 1)
-    )
+    return oracle_rank([[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]) == n
 
 
 def _dot(a, b):
@@ -147,26 +209,19 @@ def _classify(points, normal, offset) -> int:
 
 
 def hull_oracle(points: list[tuple], n: int) -> tuple[tuple, tuple]:
-    """(vertices, facets) of a full-dimensional point set in dimension n <= 3,
+    """(vertices, facets) of a full-dimensional point set in any dimension n,
     in the layout of `Polytope`, by exhaustive supporting-hyperplane search:
-    every n-subset that spans a hyperplane is tested against every point, so
-    the cost is O(N^(n+1)).  A vertex is a point on at least n facets."""
+    every n-subset whose differences leave a one-dimensional nullspace spans
+    a hyperplane, which is tested against every point, so the cost is
+    O(N^(n+1)).  A vertex is a point on at least n facets."""
     pts = sorted(set(points))
-    if n == 1:
-        lo, hi = min(pts)[0], max(pts)[0]
-        return ((_canon(lo),), (_canon(hi),)), (((1,), Fraction(hi)), ((-1,), Fraction(-lo)))
     facets: dict[tuple[tuple[int, ...], Fraction], None] = {}
     tested: set[tuple[tuple[int, ...], Fraction]] = set()
     for subset in combinations(pts, n):
-        u = tuple(b - a for a, b in zip(subset[0], subset[1]))
-        if n == 2:
-            normal = (u[1], -u[0])
-        else:
-            v = tuple(b - a for a, b in zip(subset[0], subset[2]))
-            normal = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
-        if all(c == 0 for c in normal):
+        normals = oracle_nullspace([[b - a for a, b in zip(subset[0], p)] for p in subset[1:]], n)
+        if len(normals) != 1:
             continue
-        prim = _primitive(normal)
+        prim = _primitive(normals[0])
         offset = Fraction(_dot(prim, subset[0]))
         key = (prim, offset) if _sign_key(prim) > 0 else (tuple(-c for c in prim), -offset)
         if key in tested:

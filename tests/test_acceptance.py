@@ -13,7 +13,7 @@ import random
 import time
 from fractions import Fraction
 
-from support import determinant_3x3, random_unimodular
+from support import constant_term_series_naive, determinant_3x3, random_unimodular
 from weaklg.annihilator import DifferentialOperator, apply_operator, find_annihilator
 from weaklg.constructors import (
     eliminate,
@@ -33,7 +33,6 @@ from weaklg.series import (
     IntegerSeries,
     ci_period_closed_form,
     constant_term_series,
-    constant_term_series_naive,
 )
 
 PUBLISHED_V14 = (1, 4, 48, 760, 13840, 273504, 5703096)
@@ -74,7 +73,7 @@ def test_criterion_2_complete_intersection_closed_form() -> None:
         # oracle: brute-force expansion of the generator at e <= 2
         brute = constant_term_series_naive(hori_vafa_ci(ambient, degrees), 2 * step)
         closed = ci_period_closed_form(ambient, degrees, 12)
-        assert brute.coeffs == closed.coeffs[: 2 * step + 1], f"row {row_id} oracle"
+        assert brute == closed.coeffs[: 2 * step + 1], f"row {row_id} oracle"
         table = constant_term_series(entry.laurent(), 12)
         checked.append(table == closed)
     elapsed = time.monotonic() - start
@@ -182,7 +181,7 @@ def test_criterion_9_property_suites() -> None:
     for entry in entries:
         f = entry.laurent()
         pruning_ok = pruning_ok and (
-            constant_term_series(f, 5) == constant_term_series_naive(f, 5)
+            constant_term_series(f, 5).coeffs == constant_term_series_naive(f, 5)
         )
 
     elapsed = time.monotonic() - start

@@ -134,6 +134,32 @@ def test_ehrhart_total_budget_refuses_huge_kmax_up_front() -> None:
     assert "in total" in err and "budget of 100000000" in err
 
 
+def test_hull_face_budget_refuses_high_dimensional_moment_curve() -> None:
+    # 30 points on the moment curve (t, t^2, ..., t^8): a cyclic polytope,
+    # whose facet count grows like N^4 in 8 dimensions
+    names = [f"x{i}" for i in range(1, 9)]
+    poly = " + ".join("*".join(f"{v}^{t ** (i + 1)}" for i, v in enumerate(names)) for t in range(1, 31))
+    start = time.perf_counter()
+    code, out, err = run("polytope", "--poly", poly)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "5000 boundary faces" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("series", "--poly", "(" * 5000 + "x" + ")" * 5000),
+        ("identity", "--left", "(" * 3000 + "x" + ")" * 3000, "--right", "x"),
+        ("series", "--poly=" + "-" * 5000 + "x"),
+    ],
+)
+def test_deeply_nested_input_exits_two(argv: tuple[str, ...]) -> None:
+    code, out, err = run(*argv)
+    assert code == 2 and out == ""
+    assert "nested too deeply" in err
+
+
 def test_pfop_finds_operator_at_given_bidegree() -> None:
     code, out, _ = run(
         "pfop", "--entry", "17", "--order", "3", "--degree", "4",

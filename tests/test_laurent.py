@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from support import coefficient_in_power, determinant_3x3, random_unimodular
-from weaklg.laurent import LaurentPolynomial, integer_determinant, is_probable_prime
+from weaklg.laurent import LaurentPolynomial, is_probable_prime
 
 import random
 
@@ -206,15 +206,3 @@ def test_is_probable_prime_small_cases() -> None:
     assert is_probable_prime(2**61 - 1)
     assert not is_probable_prime(1)
     assert not is_probable_prime(2**61 + 1)
-
-
-def test_integer_determinant_examples() -> None:
-    assert integer_determinant(((2, 0), (0, 3))) == 6
-    assert integer_determinant(((0, 1), (1, 0))) == -1
-    assert integer_determinant(((1, 2), (2, 4))) == 0
-
-
-@given(st.integers(min_value=0, max_value=2**32))
-def test_integer_determinant_matches_cofactor_expansion(seed: int) -> None:
-    m = random_unimodular(random.Random(seed), ops=8)
-    assert integer_determinant(m) == determinant_3x3(m)

@@ -16,6 +16,7 @@ from support import (
     is_full_dimensional,
     random_unimodular,
 )
+from weaklg.constructors import grassmannian_polynomial
 from weaklg.corpus import load_corpus
 from weaklg.laurent import LaurentPolynomial
 from weaklg.polytopes import (
@@ -206,6 +207,27 @@ def test_semiweak_check_degenerate_polytope() -> None:
     assert r.reason
 
 
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_semiweak_of_simplex_generator_in_higher_dimension(n: int) -> None:
+    # x_1 + ... + x_n + 1/(x_1...x_n): the dual is a simplex of volume (n+1)^n
+    f = LaurentPolynomial(n, {**{tuple(int(i == j) for j in range(n)): 1 for i in range(n)}, (-1,) * n: 1})
+    r = semiweak_check(f, (n + 1) ** n)
+    assert r.ok and r.dual_volume == (n + 1) ** n
+
+
+def test_semiweak_of_grassmannian_ladder_g25() -> None:
+    # G(2,5) has dimension 6, index 5 and degree 5, so (-K)^6 = 5^6 * 5
+    r = semiweak_check(grassmannian_polynomial(2, 5), 5**7)
+    assert r.ok and r.dual_volume == 78125
+
+
+def test_ehrhart_of_4d_reflexive_simplex() -> None:
+    f = LaurentPolynomial(4, {(1, 0, 0, 0): 1, (0, 1, 0, 0): 1, (0, 0, 1, 0): 1, (0, 0, 0, 1): 1, (-1, -1, -1, -1): 1})
+    e = ehrhart_counts(newton_polytope(f), 4)
+    assert e.counts == tuple(sum(math.comb(k + 4 - i, 4) for i in range(5)) for k in range(5))
+    assert e.counts == (1, 6, 21, 56, 126)
+
+
 def test_semiweak_across_whole_corpus() -> None:
     # every bundled polynomial hits its anticanonical degree on the nose
     for entry in load_corpus():
@@ -253,7 +275,7 @@ def _types(p) -> list:
 
 
 @settings(deadline=None, max_examples=200)
-@given(point_sets())
+@given(point_sets(dims=(1, 2, 3, 4)))
 def test_hull_matches_exhaustive_oracle(case: tuple[int, list[tuple]]) -> None:
     n, pts = case
     p = from_points(pts)
@@ -267,20 +289,27 @@ def test_hull_matches_exhaustive_oracle(case: tuple[int, list[tuple]]) -> None:
     assert [(_types(a), type(b)) for a, b in p.facets] == [(_types(a), type(b)) for a, b in facets]
 
 
-@settings(deadline=None, max_examples=60)
-@given(point_sets(dims=(2,)), st.integers(min_value=-2, max_value=2), st.integers(min_value=-2, max_value=2))
-def test_planar_hull_in_space_matches_oracle(case: tuple[int, list[tuple]], a: int, b: int) -> None:
-    # a plane z = a*x + b*y + 1 in 3D takes the planar hull's route
-    _, pts = case
-    if not is_full_dimensional(pts, 2):
+@settings(deadline=None, max_examples=80)
+@given(
+    point_sets(),
+    st.integers(min_value=-2, max_value=2),
+    st.integers(min_value=-2, max_value=2),
+    st.integers(min_value=0, max_value=3),
+)
+def test_planar_hull_in_space_matches_oracle(case: tuple[int, list[tuple]], a: int, b: int, at: int) -> None:
+    # a new coordinate a*x_1 + b*x_n + 1, inserted at position `at`, puts the
+    # points in a hyperplane of one more dimension: the low-rank route
+    # projects them, hulls them and lifts them back
+    n, pts = case
+    if not is_full_dimensional(pts, n):
         return
 
     def lift(q: tuple) -> tuple:
-        return (q[0], q[1], a * q[0] + b * q[1] + 1)
+        return q[:at] + (a * q[0] + b * q[-1] + 1,) + q[at:]
 
     p = from_points([lift(q) for q in pts])
     assert not p.is_full_dimensional
-    vertices, _ = hull_oracle(pts, 2)
+    vertices, _ = hull_oracle(pts, n)
     assert p.vertices == tuple(sorted(lift(v) for v in vertices))
 
 

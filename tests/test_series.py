@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from support import constant_term_series_naive
 from weaklg.expr import parse, to_laurent
 from weaklg.laurent import LaurentPolynomial
 from weaklg.series import (
@@ -14,7 +15,6 @@ from weaklg.series import (
     ci_period_closed_form,
     compare_series,
     constant_term_series,
-    constant_term_series_naive,
     normalize_shift,
     shifted_series,
 )
@@ -86,7 +86,7 @@ def test_terms_must_be_positive() -> None:
 @settings(deadline=None, max_examples=40)
 @given(small_polys(), st.integers(min_value=1, max_value=6))
 def test_pruned_agrees_with_naive(f: LaurentPolynomial, terms: int) -> None:
-    assert constant_term_series(f, terms) == constant_term_series_naive(f, terms)
+    assert constant_term_series(f, terms).coeffs == constant_term_series_naive(f, terms)
 
 
 @st.composite
@@ -105,7 +105,7 @@ def skewed_polys(draw: st.DrawFn) -> LaurentPolynomial:
 @settings(deadline=None, max_examples=150)
 @given(skewed_polys(), st.integers(min_value=1, max_value=8))
 def test_packed_keys_agree_with_naive_on_skewed_supports(f: LaurentPolynomial, terms: int) -> None:
-    assert constant_term_series(f, terms) == constant_term_series_naive(f, terms)
+    assert constant_term_series(f, terms).coeffs == constant_term_series_naive(f, terms)
 
 
 def test_coordinate_with_zero_step_both_ways() -> None:
@@ -113,9 +113,9 @@ def test_coordinate_with_zero_step_both_ways() -> None:
     f = LaurentPolynomial(3, {(1, 0, 0): 1, (-1, 0, 0): 1})
     g = LaurentPolynomial(3, {(2, 0, 0): 1, (-1, 0, 0): 1, (0, 0, 0): -1})
     one_variable = LaurentPolynomial(1, {(1,): 1, (-1,): 1})
-    assert constant_term_series(f, 10) == constant_term_series_naive(f, 10)
+    assert constant_term_series(f, 10).coeffs == constant_term_series_naive(f, 10)
     assert constant_term_series(f, 10).coeffs == constant_term_series(one_variable, 10).coeffs
-    assert constant_term_series(g, 9) == constant_term_series_naive(g, 9)
+    assert constant_term_series(g, 9).coeffs == constant_term_series_naive(g, 9)
 
 
 def test_single_monomial() -> None:
@@ -133,7 +133,7 @@ def test_signed_coefficients_and_cancellation() -> None:
     g = LaurentPolynomial(1, {(0,): 2, (-1,): 1, (1,): -2})
     s = constant_term_series(g, 10)
     assert s.coeffs[2] == 0
-    assert s == constant_term_series_naive(g, 10)
+    assert s.coeffs == constant_term_series_naive(g, 10)
 
 
 def test_five_variable_cross() -> None:
@@ -152,7 +152,7 @@ def test_five_variable_cross() -> None:
         )
 
     assert constant_term_series(f, terms).coeffs == tuple(expected(i) for i in range(terms + 1))
-    assert constant_term_series(f, 6) == constant_term_series_naive(f, 6)
+    assert constant_term_series(f, 6).coeffs == constant_term_series_naive(f, 6)
 
 
 def test_closed_form_small_cases() -> None:
