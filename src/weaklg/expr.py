@@ -19,6 +19,14 @@ F_p with p = 2^61 - 1.  For expressions whose numerator and denominator
 degrees are below D, a single agreeing evaluation is wrong with probability
 at most D/(p - 1); twenty agreeing trials push that below 2^-800 for every
 polynomial appearing in the bundled corpus.
+
+random_equal(), variables() and to_laurent() share one compiled form: an
+iterative walk lists each distinct subexpression once, operands first, and
+an evaluator runs down that list, dropping each value after its last use.
+The identity test evaluates a whole batch of points per step, as a
+numerator and a denominator vector mod p, and compares the two sides by
+cross-multiplying, so it computes no modular inverse.  render() and
+substitute() still recurse once per level of the tree.
 """
 
 from __future__ import annotations
@@ -264,30 +272,101 @@ def _render(e: Expr, min_prec: int) -> str:
     return body
 
 
+# ---------------------------------------------------------------------------
+# compiled programs
+
+_EMIT = object()
+
+
+class _Program:
+    """The subexpressions under some roots as one program, operands first.
+
+    nodes[i] is computed from the values of the slots operands[i]; last[j]
+    is the step that reads slot j last, where an evaluator can drop it, or
+    -1 for a root; roots[k] is the slot of the k-th root.
+    Equal subtrees share a slot: a step is numbered by its kind, its leaf
+    value or exponent and its operands' slots, so a subtree that substitute
+    shares, or that the text repeats (x^-1 in every term), is computed once.
+    An n-ary sum or product becomes a chain of binary steps, each taken as
+    soon as its operand is ready, so no step holds more than two values.
+    The walk is iterative, so a chain such as x-x-...-x needs no recursion.
+    """
+
+    __slots__ = ("nodes", "operands", "last", "roots")
+
+    def __init__(self, *roots: Expr):
+        slot: dict[int, int] = {}  # id(node) -> slot, for every node placed
+        slot_of = slot.__getitem__
+        number: dict = {}  # name, value or (kind, [exponent,] reads) -> slot
+        nodes: list[Expr] = []
+        operands: list[list[int]] = []
+        last: list[int] = []
+        # A node with operands is pushed back as (operands, node, _EMIT)
+        # under them and placed when the marker comes back up.  Reads are
+        # lists: tuple(map(...)) starts at ten slots and shrinks, so every
+        # call moves a block into the small-tuple free lists, which fill up
+        # (2,000 blocks per size) and stay full.
+        stack: list = list(reversed(roots))
+        pop = stack.pop
+        while stack:
+            node = pop()
+            if node is _EMIT:
+                node = pop()
+                reads = [*map(slot_of, map(id, pop()))]
+                kind = type(node)
+                key = (kind, node.exponent, *reads) if kind is Pow else (kind, *reads)
+            elif id(node) in slot:
+                continue
+            else:
+                kind = type(node)
+                if kind is Var:
+                    reads, key = [], node.name
+                elif kind is Const:
+                    reads, key = [], node.value
+                else:
+                    if kind is Sum:
+                        kids = node.terms
+                    elif kind is Prod:
+                        kids = node.factors
+                    elif kind is Pow:
+                        kids = (node.base,)
+                    elif kind is Diff:
+                        kids = (node.left, node.right)
+                    elif kind is Quot:
+                        kids = (node.numerator, node.denominator)
+                    else:
+                        raise TypeError(f"not an expression node: {node!r}")
+                    if len(kids) > 2:
+                        # Each further operand of a sum or product is folded
+                        # into the partial result, placed under id(node).
+                        for k in kids[:1:-1]:
+                            stack += ((node, k), node, _EMIT, k)
+                        kids = kids[:2]
+                    stack += (kids, node, _EMIT)
+                    stack += reversed(kids)
+                    continue
+            here = number.setdefault(key, len(nodes))
+            if here == len(nodes):
+                for j in reads:
+                    last[j] = here
+                nodes.append(node)
+                operands.append(reads)
+                last.append(-1)
+            slot[id(node)] = here
+        self.nodes = nodes
+        self.operands = operands
+        self.roots = [slot[id(root)] for root in roots]
+        for j in self.roots:
+            last[j] = -1
+        self.last = last
+
+    def variables(self) -> list[str]:
+        return sorted({node.name for node in self.nodes if type(node) is Var})
+
+
 def variables(e: Expr) -> tuple[str, ...]:
     """Free variable names, sorted."""
-    seen: set[str] = set()
-    _collect_vars(e, seen)
-    return tuple(sorted(seen))
-
-
-def _collect_vars(e: Expr, out: set[str]) -> None:
-    if isinstance(e, Var):
-        out.add(e.name)
-    elif isinstance(e, Sum):
-        for t in e.terms:
-            _collect_vars(t, out)
-    elif isinstance(e, Prod):
-        for f in e.factors:
-            _collect_vars(f, out)
-    elif isinstance(e, Diff):
-        _collect_vars(e.left, out)
-        _collect_vars(e.right, out)
-    elif isinstance(e, Quot):
-        _collect_vars(e.numerator, out)
-        _collect_vars(e.denominator, out)
-    elif isinstance(e, Pow):
-        _collect_vars(e.base, out)
+    return tuple(_Program(e).variables())
 
 
 # ---------------------------------------------------------------------------
@@ -308,38 +387,44 @@ def to_laurent(e: Expr, variable_order: Sequence[str]) -> LaurentPolynomial:
     if n < 1:
         raise ValueError("variable_order must name at least one variable")
 
-    def walk(node: Expr) -> LaurentPolynomial:
-        if isinstance(node, Const):
-            return LaurentPolynomial.constant(n, node.value)
-        if isinstance(node, Var):
-            if node.name not in index:
+    program = _Program(e)
+    # Leaves are immutable, so each distinct one is built once and shared.
+    generators = {name: LaurentPolynomial.variable(n, i) for name, i in index.items()}
+    constants: dict[int, LaurentPolynomial] = {}
+    values: list[LaurentPolynomial | None] = [None] * len(program.nodes)
+    last = program.last
+    for i, node in enumerate(program.nodes):
+        reads = program.operands[i]
+        kind = type(node)
+        if kind is Const:
+            value = constants.get(node.value)
+            if value is None:
+                value = constants[node.value] = LaurentPolynomial.constant(n, node.value)
+        elif kind is Var:
+            value = generators.get(node.name)
+            if value is None:
                 raise NotLaurentError(f"unknown variable {node.name!r}")
-            return LaurentPolynomial.variable(n, index[node.name])
-        if isinstance(node, Sum):
-            total = walk(node.terms[0])
-            for t in node.terms[1:]:
-                total = total + walk(t)
-            return total
-        if isinstance(node, Diff):
-            return walk(node.left) - walk(node.right)
-        if isinstance(node, Prod):
-            total = walk(node.factors[0])
-            for f in node.factors[1:]:
-                total = total * walk(f)
-            return total
-        if isinstance(node, Quot):
-            num = walk(node.numerator)
-            den = walk(node.denominator)
-            return _divide_by_monomial(num, den, node.denominator)
-        if isinstance(node, Pow):
-            base = walk(node.base)
-            if node.exponent >= 0:
-                return base ** node.exponent
-            inv = _invert_monomial(base, node.base)
-            return inv ** (-node.exponent)
-        raise TypeError(f"not an expression node: {node!r}")
-
-    return walk(e)
+        elif kind is Sum:
+            value = values[reads[0]]
+            for j in reads[1:]:
+                value = value + values[j]
+        elif kind is Diff:
+            value = values[reads[0]] - values[reads[1]]
+        elif kind is Prod:
+            value = values[reads[0]]
+            for j in reads[1:]:
+                value = value * values[j]
+        elif kind is Quot:
+            value = _divide_by_monomial(values[reads[0]], values[reads[1]], node.denominator)
+        elif node.exponent >= 0:
+            value = values[reads[0]] ** node.exponent
+        else:
+            value = _invert_monomial(values[reads[0]], node.base) ** (-node.exponent)
+        values[i] = value
+        for j in reads:
+            if last[j] == i:
+                values[j] = None
+    return values[-1]
 
 
 def _divide_by_monomial(num: LaurentPolynomial, den: LaurentPolynomial, source: Expr) -> LaurentPolynomial:
@@ -434,35 +519,89 @@ class IdentityResult:
         return self.equal
 
 
-class _UndefinedPoint(Exception):
-    pass
+# A step's value over a batch of points is a pair (numerators, denominators)
+# of vectors mod p, one entry per point, with None for all-one denominators.
+# Nothing is inverted: the two sides agree at a point where ln*rd == rn*ld.
+# A denominator is 0 exactly where the step, or a step below it, divides by
+# 0, and such points are redrawn: the quotient of a/b by c/d is
+# (a*d*d)/(b*c*d), keeping d where c/d would cancel it, and a power of a/b
+# with exponent k <= 0 keeps b, as b/b or b^(1-k)/(a^-k*b).
+
+_Vector = list[int]
+_Pair = tuple[_Vector, Union[_Vector, None]]
 
 
-def _eval_mod(e: Expr, env: Mapping[str, int], p: int) -> int:
-    if isinstance(e, Const):
-        return e.value % p
-    if isinstance(e, Var):
-        return env[e.name]
-    if isinstance(e, Sum):
-        return sum(_eval_mod(t, env, p) for t in e.terms) % p
-    if isinstance(e, Diff):
-        return (_eval_mod(e.left, env, p) - _eval_mod(e.right, env, p)) % p
-    if isinstance(e, Prod):
-        value = 1
-        for f in e.factors:
-            value = value * _eval_mod(f, env, p) % p
-        return value
-    if isinstance(e, Quot):
-        den = _eval_mod(e.denominator, env, p)
-        if den == 0:
-            raise _UndefinedPoint
-        return _eval_mod(e.numerator, env, p) * pow(den, p - 2, p) % p
-    if isinstance(e, Pow):
-        base = _eval_mod(e.base, env, p)
-        if base == 0 and e.exponent < 0:
-            raise _UndefinedPoint
-        return pow(base, e.exponent, p)
-    raise TypeError(f"not an expression node: {e!r}")
+def _mul(a: _Vector, b: _Vector, p: int) -> list[int]:
+    return [x * y % p for x, y in zip(a, b)]
+
+
+def _mul_opt(a: _Vector | None, b: _Vector | None, p: int) -> _Vector | None:
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return _mul(a, b, p)
+
+
+def _power(a: _Vector, k: int, p: int) -> _Vector:
+    return a if k == 1 else [pow(x, k, p) for x in a]
+
+
+def _add(x: _Pair, y: _Pair, sign: int, p: int) -> _Pair:
+    """x + sign*y, sign = 1 or -1."""
+    (a, b), (c, d) = x, y
+    if b is None and d is None:
+        return [(s + sign * t) % p for s, t in zip(a, c)], None
+    if b is None:
+        return [(s * v + sign * t) % p for s, t, v in zip(a, c, d)], d
+    if d is None:
+        return [(s + sign * t * u) % p for s, t, u in zip(a, c, b)], b
+    return [(s * v + sign * t * u) % p for s, t, u, v in zip(a, c, b, d)], _mul(b, d, p)
+
+
+def _evaluate_mod(program: _Program, coords: Mapping[str, _Vector], count: int, p: int) -> list[_Pair]:
+    """Each root's value at count points; coords maps a name to its coordinates."""
+    values: list[_Pair | None] = [None] * len(program.nodes)
+    value_of = values.__getitem__
+    last = program.last
+    for i, node in enumerate(program.nodes):
+        reads = program.operands[i]
+        args = [*map(value_of, reads)]
+        kind = type(node)
+        if kind is Const:
+            value = [node.value % p] * count, None
+        elif kind is Var:
+            value = coords[node.name], None
+        elif kind is Sum:
+            value = args[0]
+            for term in args[1:]:
+                value = _add(value, term, 1, p)
+        elif kind is Diff:
+            value = _add(args[0], args[1], -1, p)
+        elif kind is Prod:
+            num, den = args[0]
+            for a, b in args[1:]:
+                num, den = _mul(num, a, p), _mul_opt(den, b, p)
+            value = num, den
+        elif kind is Quot:
+            (a, b), (c, d) = args
+            if d is None:
+                value = a, _mul_opt(b, c, p)
+            else:
+                value = _mul(_mul(a, d, p), d, p), _mul(_mul_opt(b, c, p), d, p)
+        else:
+            (a, b), k = args[0], node.exponent
+            if k > 0:
+                value = _power(a, k, p), None if b is None else _power(b, k, p)
+            elif b is None:
+                value = [1] * count, None if k == 0 else _power(a, -k, p)
+            else:
+                value = (b, b) if k == 0 else (_power(b, 1 - k, p), _mul(_power(a, -k, p), b, p))
+        values[i] = value
+        for j in reads:
+            if last[j] == i:
+                values[j] = None
+    return [values[j] for j in program.roots]
 
 
 def random_equal(
@@ -478,27 +617,39 @@ def random_equal(
     seeded generator.  Points where either side hits a zero denominator are
     discarded and redrawn; the retry budget is 8*trials + 16 total draws.
     Returns a verdict plus the witness point when a disagreement is found.
+
+    Both sides are compiled into one program and evaluated a batch of
+    points at a time, each batch being the points still needed, drawn in
+    the order one point at a time would draw them; so the batching changes
+    neither the verdict nor trials nor the witness.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if prime < 3 or not is_probable_prime(prime):
         raise ValueError(f"modulus {prime} is not an odd prime")
-    names = sorted(set(variables(left)) | set(variables(right)))
+    program = _Program(left, right)
+    names = program.variables()
     rng = random.Random(seed)
     budget = 8 * trials + 16
-    done = 0
-    for _ in range(budget):
-        point = {name: rng.randrange(1, prime) for name in names}
-        try:
-            lv = _eval_mod(left, point, prime)
-            rv = _eval_mod(right, point, prime)
-        except _UndefinedPoint:
-            continue
-        if lv != rv:
-            return IdentityResult(equal=False, trials=done + 1, witness=point)
-        done += 1
-        if done == trials:
-            return IdentityResult(equal=True, trials=done, witness=None)
+    drawn = done = 0
+    while drawn < budget:
+        # The points still needed if all are defined, drawn in the order a
+        # point-at-a-time loop would draw them.
+        count = min(trials - done, budget - drawn)
+        points = [[rng.randrange(1, prime) for _ in names] for _ in range(count)]
+        drawn += count
+        coords = {name: [point[k] for point in points] for k, name in enumerate(names)}
+        (ln, ld), (rn, rd) = _evaluate_mod(program, coords, count, prime)
+        for j, point in enumerate(points):
+            lden = 1 if ld is None else ld[j]
+            rden = 1 if rd is None else rd[j]
+            if lden == 0 or rden == 0:
+                continue
+            if ln[j] * rden % prime != rn[j] * lden % prime:
+                return IdentityResult(equal=False, trials=done + 1, witness=dict(zip(names, point)))
+            done += 1
+            if done == trials:
+                return IdentityResult(equal=True, trials=done, witness=None)
     raise IdentityTestError(
         f"exhausted {budget} draws with only {done}/{trials} defined evaluations"
     )

@@ -11,6 +11,7 @@ All values are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -22,8 +23,12 @@ ExponentVector = tuple[int, ...]
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+@lru_cache(maxsize=128)
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin primality test with fixed witness bases."""
+    """Miller-Rabin primality test with fixed witness bases.
+
+    Cached, because every random_equal and evaluate_mod call asks again
+    about the same modulus; bounded, because a caller may try many."""
     if n < 2:
         return False
     for q in _MR_BASES:

@@ -2,8 +2,10 @@
 
 Everything here is deliberately independent of the package internals:
 expansion oracles use plain dict convolution, expression evaluation uses
-Fractions, the unimodular sampler certifies its own determinant, and the
-polytope oracles search exhaustively where the package is clever.
+Fractions, the identity-test oracle evaluates one point at a time by
+recursion with a modular inverse per division, the unimodular sampler
+certifies its own determinant, and the polytope oracles search
+exhaustively where the package is clever.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 
-from weaklg.expr import Const, Diff, Expr, Pow, Prod, Quot, Sum, Var
+from weaklg.expr import Const, Diff, Expr, IdentityResult, IdentityTestError, Pow, Prod, Quot, Sum, Var
 
 Term = tuple[tuple[int, ...], int]
 
@@ -76,6 +78,85 @@ def evaluate_exactly(e: Expr, env: dict[str, Fraction]) -> Fraction:
     if isinstance(e, Pow):
         return evaluate_exactly(e.base, env) ** e.exponent
     raise TypeError(f"not an expression node: {e!r}")
+
+
+class _UndefinedPoint(Exception):
+    pass
+
+
+def _names(e: Expr, out: set[str]) -> None:
+    if isinstance(e, Var):
+        out.add(e.name)
+    elif isinstance(e, Sum):
+        for t in e.terms:
+            _names(t, out)
+    elif isinstance(e, Prod):
+        for f in e.factors:
+            _names(f, out)
+    elif isinstance(e, Diff):
+        _names(e.left, out)
+        _names(e.right, out)
+    elif isinstance(e, Quot):
+        _names(e.numerator, out)
+        _names(e.denominator, out)
+    elif isinstance(e, Pow):
+        _names(e.base, out)
+
+
+def _eval_mod(e: Expr, env: dict[str, int], p: int) -> int:
+    if isinstance(e, Const):
+        return e.value % p
+    if isinstance(e, Var):
+        return env[e.name]
+    if isinstance(e, Sum):
+        return sum(_eval_mod(t, env, p) for t in e.terms) % p
+    if isinstance(e, Diff):
+        return (_eval_mod(e.left, env, p) - _eval_mod(e.right, env, p)) % p
+    if isinstance(e, Prod):
+        value = 1
+        for f in e.factors:
+            value = value * _eval_mod(f, env, p) % p
+        return value
+    if isinstance(e, Quot):
+        den = _eval_mod(e.denominator, env, p)
+        if den == 0:
+            raise _UndefinedPoint
+        return _eval_mod(e.numerator, env, p) * pow(den, p - 2, p) % p
+    if isinstance(e, Pow):
+        base = _eval_mod(e.base, env, p)
+        if base == 0 and e.exponent < 0:
+            raise _UndefinedPoint
+        return pow(base, e.exponent, p)
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def random_equal_oracle(left: Expr, right: Expr, trials: int = 20, seed: int = 0,
+                        prime: int = (1 << 61) - 1) -> IdentityResult:
+    """The identity-test oracle: one point at a time, each side evaluated by
+    recursion with a Fermat inverse per division; a point where either side
+    divides by zero is redrawn, within 8*trials + 16 draws."""
+    seen: set[str] = set()
+    _names(left, seen)
+    _names(right, seen)
+    names = sorted(seen)
+    rng = random.Random(seed)
+    budget = 8 * trials + 16
+    done = 0
+    for _ in range(budget):
+        point = {name: rng.randrange(1, prime) for name in names}
+        try:
+            lv = _eval_mod(left, point, prime)
+            rv = _eval_mod(right, point, prime)
+        except _UndefinedPoint:
+            continue
+        if lv != rv:
+            return IdentityResult(equal=False, trials=done + 1, witness=point)
+        done += 1
+        if done == trials:
+            return IdentityResult(equal=True, trials=done, witness=None)
+    raise IdentityTestError(
+        f"exhausted {budget} draws with only {done}/{trials} defined evaluations"
+    )
 
 
 def random_unimodular(rng: random.Random, n: int = 3, ops: int = 6) -> tuple[tuple[int, ...], ...]:

@@ -160,6 +160,23 @@ def test_deeply_nested_input_exits_two(argv: tuple[str, ...]) -> None:
     assert "nested too deeply" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("series", "--poly", "-".join(["x"] * 5000), "--terms", "4"),
+        ("identity", "--left", "-".join(["x"] * 5000), "--right=-4998*x"),
+        ("identity", "--left", "/".join(["x"] * 5000), "--right", "x"),
+    ],
+)
+def test_long_left_nested_chains_run_without_recursion(argv: tuple[str, ...]) -> None:
+    # the parser builds a-b-c-... and a/b/c/... as chains 5000 levels deep
+    start = time.perf_counter()
+    code, out, err = run(*argv)
+    assert time.perf_counter() - start < 1.0
+    assert code in (0, 1) and err == ""
+    assert out
+
+
 def test_pfop_finds_operator_at_given_bidegree() -> None:
     code, out, _ = run(
         "pfop", "--entry", "17", "--order", "3", "--degree", "4",

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import evaluate_exactly
+from support import evaluate_exactly, random_equal_oracle
 from weaklg.expr import (
+    IDENTITY_PRIME,
     Const,
     Diff,
     IdentityTestError,
@@ -242,3 +243,81 @@ def test_random_equal_is_reflexive_when_defined(tree) -> None:
     except IdentityTestError:
         return
     assert r.equal
+
+
+def _outcome(test, left, right, **kwargs):
+    """(equal, trials, witness), or the message of IdentityTestError."""
+    try:
+        r = test(left, right, **kwargs)
+    except IdentityTestError as err:
+        return str(err)
+    return (r.equal, r.trials, r.witness)
+
+
+@st.composite
+def shared_dags(draw):
+    # substitute shares each bound subtree among every occurrence of its name
+    tree = draw(expr_trees())
+    bindings = draw(st.dictionaries(st.sampled_from(("x", "y")), expr_trees(), max_size=2))
+    return substitute(tree, bindings)
+
+
+# Small primes make points where some denominator vanishes common.
+IDENTITY_PRIMES = st.sampled_from((5, 7, 11, 13, IDENTITY_PRIME))
+
+
+@settings(deadline=None)
+@given(st.one_of(expr_trees(), shared_dags()), st.one_of(expr_trees(), shared_dags()),
+       IDENTITY_PRIMES, st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**16))
+def test_random_equal_matches_the_pointwise_oracle(left, right, prime, trials, seed) -> None:
+    kwargs = {"trials": trials, "seed": seed, "prime": prime}
+    assert _outcome(random_equal, left, right, **kwargs) == _outcome(random_equal_oracle, left, right, **kwargs)
+
+
+@settings(deadline=None)
+@given(st.one_of(expr_trees(), shared_dags()), IDENTITY_PRIMES, st.integers(min_value=0, max_value=2**16))
+def test_random_equal_matches_the_oracle_on_perturbed_sides(tree, prime, seed) -> None:
+    # x - x + tree is tree with a different shape; tree + x usually is not
+    for other in (Sum((Diff(Var("x"), Var("x")), tree)), Sum((tree, Var("x")))):
+        kwargs = {"trials": 5, "seed": seed, "prime": prime}
+        assert _outcome(random_equal, tree, other, **kwargs) == _outcome(random_equal_oracle, tree, other, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        ("1/(1/(x-x))", "0"),
+        ("(1/(x-x))^0", "1"),
+        ("(1/(x-x))^-1", "0"),
+        ("x/(1/(y-y))", "0"),
+    ],
+)
+def test_random_equal_sees_poles_that_the_value_hides(left, right) -> None:
+    # each left side is undefined everywhere although an outer operation
+    # would cancel the inner zero denominator
+    with pytest.raises(IdentityTestError):
+        random_equal(parse(left), parse(right))
+    with pytest.raises(IdentityTestError):
+        random_equal_oracle(parse(left), parse(right))
+
+
+def test_random_equal_witness_matches_the_oracle() -> None:
+    left, right = parse("x/(y-1) + z"), parse("x/(y-1) + z + 1/(x*y*z)")
+    for seed in range(5):
+        assert random_equal(left, right, seed=seed) == random_equal_oracle(left, right, seed=seed)
+
+
+def test_dags_built_by_substitute_work_like_trees() -> None:
+    square = parse("(x+1)^2")
+    shared = substitute(parse("a*a + a"), {"a": square})
+    assert shared.terms[0].factors[0] is shared.terms[1]
+    assert random_equal(shared, parse("(x+1)^4 + (x+1)^2")).equal
+    assert to_laurent(shared, ("x",)) == to_laurent(parse("(x+1)^4 + (x+1)^2"), ("x",))
+    assert variables(shared) == ("x",)
+
+
+def test_long_chains_need_no_recursion() -> None:
+    chain = parse("-".join(["x"] * 5000) + "+y")
+    assert variables(chain) == ("x", "y")
+    assert to_laurent(chain, ("x", "y")) == LaurentPolynomial(2, {(1, 0): -4998, (0, 1): 1})
+    assert random_equal(chain, parse("-4998*x + y")).equal
