@@ -48,7 +48,16 @@ class ConstrainedModel:
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "ConstrainedModel":
+    def from_json_dict(cls, data: object) -> "ConstrainedModel":
+        """Read the layout to_json_dict writes; ValueError names what is missing or mistyped."""
+        if not isinstance(data, dict):
+            raise ValueError("a model must be a JSON object")
+        for key, kind in (("variables", list), ("constraints", list), ("potential", str)):
+            if not isinstance(data.get(key), kind):
+                raise ValueError(f"a model needs a {key!r} field holding a JSON {'array' if kind is list else 'string'}")
+        for key in ("variables", "constraints"):
+            if not all(isinstance(item, str) for item in data[key]):
+                raise ValueError(f"model field {key!r} must list strings")
         return cls(
             variables=tuple(data["variables"]),
             constraints=tuple(ex.parse(c) for c in data["constraints"]),

@@ -45,6 +45,12 @@ IDENTITY_PRIME = (1 << 61) - 1
 # default recursion limit of 1000 frames.
 MAX_NESTING = 100
 
+# Most terms a power in to_laurent may expand to, bounded before expanding:
+# (x+y+z+1)^37, with 9,880, is the highest power of x+y+z+1 allowed.
+# Repeated squaring multiplies smaller powers of the base, so this also
+# bounds the term products a power forms.
+MAX_POWER_TERMS = 10_000
+
 
 class ParseError(ValueError):
     """Syntax error, carrying the byte offset of the offending character."""
@@ -417,7 +423,13 @@ def to_laurent(e: Expr, variable_order: Sequence[str]) -> LaurentPolynomial:
         elif kind is Quot:
             value = _divide_by_monomial(values[reads[0]], values[reads[1]], node.denominator)
         elif node.exponent >= 0:
-            value = values[reads[0]] ** node.exponent
+            value = values[reads[0]]
+            if _power_terms_bound(value, node.exponent) > MAX_POWER_TERMS:
+                raise ValueError(
+                    f"a power with exponent {node.exponent} of {len(value)} terms may expand to more than"
+                    f" {MAX_POWER_TERMS} terms (the limit MAX_POWER_TERMS)"
+                )
+            value = value ** node.exponent
         else:
             value = _invert_monomial(values[reads[0]], node.base) ** (-node.exponent)
         values[i] = value
@@ -425,6 +437,27 @@ def to_laurent(e: Expr, variable_order: Sequence[str]) -> LaurentPolynomial:
             if last[j] == i:
                 values[j] = None
     return values[-1]
+
+
+def _power_terms_bound(base: LaurentPolynomial, k: int) -> int:
+    """An upper bound on the terms of base**k, or a number past
+    MAX_POWER_TERMS: the C(k+m-1, m-1) multisets of k of its m terms,
+    counted up only until they pass the limit, and past it the lesser of
+    that and the lattice points in k times the bounding box of base's
+    exponents."""
+    m = len(base)
+    multisets = 1
+    for j in range(1, min(k, m - 1) + 1):
+        multisets = multisets * (k + m - j) // j
+        if multisets > MAX_POWER_TERMS:
+            break
+    else:
+        return multisets
+    exps = list(base.terms)
+    box = 1
+    for c in range(base.nvars):
+        box *= k * (max(e[c] for e in exps) - min(e[c] for e in exps)) + 1
+    return min(box, multisets)
 
 
 def _divide_by_monomial(num: LaurentPolynomial, den: LaurentPolynomial, source: Expr) -> LaurentPolynomial:

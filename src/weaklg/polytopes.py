@@ -13,7 +13,7 @@ Numerical hull libraries are avoided deliberately; a vertex reported at
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -48,6 +48,10 @@ class Polytope:
     dim: int
     vertices: tuple[Point, ...]
     facets: tuple[Facet, ...]
+    # (scale, boundary simplices of the hull that built the polytope, in
+    # coordinates times scale), kept for the volume; None when no hull built
+    # it.  Equality, hashing and JSON ignore it.
+    _boundary: tuple[int, tuple[tuple[IntPoint, ...], ...]] | None = field(default=None, compare=False, repr=False)
 
     @property
     def is_full_dimensional(self) -> bool:
@@ -227,7 +231,7 @@ def from_points(points: Sequence[Sequence[Coord]], dim: int | None = None) -> Po
     pivots = echelon(_differences(ints[1:], ints[0]))[1]
     if len(pivots) < n:
         ints = [tuple(p[c] for c in pivots) for p in ints]
-    _, facets = _hull(ints)
+    faces, facets = _hull(ints)
     vertices = tuple(sorted(
         _canon_point(p) for p, q in zip(pts, ints)
         if sum(1 for normal, offset in facets if _dot(normal, q) == offset) >= len(pivots)
@@ -236,7 +240,8 @@ def from_points(points: Sequence[Sequence[Coord]], dim: int | None = None) -> Po
         # the projection's facets bound nothing in the ambient space
         return Polytope(dim=n, vertices=vertices, facets=())
     facets = [(normal, Fraction(offset, scale)) for normal, offset in facets]
-    return Polytope(dim=n, vertices=vertices, facets=tuple(facets))
+    boundary = tuple(tuple(ints[i] for i in face) for face in faces)
+    return Polytope(dim=n, vertices=vertices, facets=tuple(facets), _boundary=(scale, boundary))
 
 
 @lru_cache(maxsize=128)
@@ -279,21 +284,25 @@ def dual_polytope(p: Polytope) -> Polytope:
 def normalized_volume(p: Polytope) -> Fraction:
     """n! times the Euclidean volume, computed exactly.
 
-    The boundary triangulation of the hull is coned from one vertex: each
-    boundary simplex contributes |det| of its vertices minus the apex, in the
-    integer coordinates the hull runs in, divided by scale^n.  The polytope
-    must be full-dimensional.  Volumes are taken with respect to the standard
-    lattice Z^n, so a lattice polytope always yields a nonnegative integer
-    value.
+    The boundary triangulation of the hull is coned from one of its points:
+    each boundary simplex contributes |det| of its vertices minus the apex,
+    in the integer coordinates the hull runs in, divided by scale^n.  A
+    polytope from from_points keeps the triangulation of the hull that built
+    it; one given by its facets, such as a dual, is hulled here from its
+    vertices.  The polytope must be full-dimensional.  Volumes are taken
+    with respect to the standard lattice Z^n, so a lattice polytope always
+    yields a nonnegative integer value.
     """
     if not p.is_full_dimensional:
         raise ValueError("normalized volume needs a full-dimensional polytope")
-    points, scale = _scaled(p.vertices)
-    faces, _ = _hull(points)
-    apex = points[0]
-    total = sum(
-        abs(det(_differences([points[i] for i in face], apex))) for face in faces if 0 not in face
-    )
+    if p._boundary is None:
+        points, scale = _scaled(p.vertices)
+        faces, _ = _hull(points)
+        boundary = [[points[i] for i in face] for face in faces]
+    else:
+        scale, boundary = p._boundary
+    apex = boundary[0][0]
+    total = sum(abs(det(_differences(simplex, apex))) for simplex in boundary if apex not in simplex)
     return Fraction(total, scale ** p.dim)
 
 

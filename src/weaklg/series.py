@@ -9,10 +9,15 @@ exactly and with a pruning strategy that provably loses nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Sequence
 
 from .laurent import LaurentPolynomial
+
+# The kernel forms sum_a |f^a| * |f| term products, one dict update each.
+# Entry 1 of the corpus at T = 36 (83 terms after its shift) is bounded by
+# 5.9e7 of them and forms 3.6e7.
+MAX_SERIES_WORK = 10**8
 
 
 @dataclass(frozen=True)
@@ -66,46 +71,74 @@ class MatchReport:
 
 
 def constant_term_series(f: LaurentPolynomial, terms: int = 20) -> IntegerSeries:
-    """phi_f(0..terms), maintaining f^i incrementally with lossless pruning.
+    """phi_f(0..terms) from the powers f^a, a <= ceil(terms/2), with lossless
+    pruning.
+
+    Meet in the middle.  Write T = terms and H = ceil(T/2).  For any split
+    i = a + b, phi_f(i) = [f^a f^b]_0 = sum_e [f^a]_e [f^b]_(-e).  So as soon
+    as f^a is built (a = 1..H),
+
+        phi(2a-1) = sum_e [f^a]_e [f^(a-1)]_(-e),
+        phi(2a)   = sum_e [f^a]_e [f^a]_(-e)      (when 2a <= T),
+
+    and only f^(a-1) and f^a are alive at any time.
 
     Pruning.  Per coordinate c let s_plus[c] / s_minus[c] be the largest
-    positive / negative step available in the support of f.  After the i-th
+    positive / negative step available in the support of f.  After the a-th
     product a monomial with exponent e can still reach the origin within the
-    remaining terms - i factors only if -e[c] <= (terms-i)*s_plus[c] and
-    e[c] <= (terms-i)*s_minus[c] for every c; anything else is dropped.
-    Dropped monomials cannot contribute to phi(j) for any j <= terms, so the
-    reported coefficients equal the ones from full expansion.
+    remaining T - a factors only if -e[c] <= (T-a)*s_plus[c] and
+    e[c] <= (T-a)*s_minus[c] for every c; anything else is dropped.  A
+    dropped monomial of f^(a-1) times a term of f lands outside the next
+    box, so the kept part of f^a is exactly f^a restricted to its box.  No
+    sum above loses a term: if [f^a]_e [f^b]_(-e) != 0 with a + b <= T,
+    then -e is a sum of b terms of f, so -b*s_minus[c] <= -e[c] <=
+    b*s_plus[c], and b <= T - a puts e in f^a's box; symmetrically, e is a
+    sum of a terms and a <= T - b puts -e in f^b's box.
 
     Packing.  Each monomial is keyed by one int, so multiplying two
-    monomials is one integer addition.  Write T = terms, sp = s_plus[c],
-    sm = s_minus[c].  Every monomial of g = f^(i-1) survived the previous
-    prune (for i = 1, g is the constant 1), so its e[c] lies in
-    [-(T-i+1)*sp, (T-i+1)*sm]; a term of f moves e[c] by a step d[c] in
-    [-sm, sp], and T-i+1 <= T, so every product has e[c] + d[c] in
-    [-(T*sp+sm), T*sm+sp].  With the offset O[c] = T*sp + sm and the width
-    W[c] = (T+1)*(sp+sm) + 1, the digit e[c] + d[c] + O[c] of every product
-    therefore lies in [0, W[c]).  g is keyed by sum_c (e[c] + O[c]) * R[c]
-    with radix R[c] = prod_{j<c} W[j], and f by sum_c d[c] * R[c] (which
-    may be negative), so the key of a product, the sum of the two keys, is
-    sum_c (e[c] + d[c] + O[c]) * R[c]: a mixed-radix numeral whose digits
-    all lie in [0, W[c]).  No digit carries into the next, the key
-    determines e + d uniquely, and divmod by W[0], W[1], ... recovers it.
-    The origin is keyed sum_c O[c] * R[c].
+    monomials is one integer addition and reflecting one is one integer
+    subtraction.  With the symmetric offset O[c] = H * max(s_plus[c],
+    s_minus[c]) and the width W[c] = 2*O[c] + 1, a monomial e with
+    |e[c]| <= O[c] for every c is keyed by sum_c (e[c] + O[c]) * R[c], with
+    radix R[c] = prod_(j<c) W[j]: a mixed-radix numeral whose digits all lie
+    in [0, W[c]), so the key determines e and divmod by W[0], W[1], ...
+    recovers it.  The origin is keyed sum_c O[c] * R[c].  Every monomial
+    the loop keys is of this kind:
+      - a product of a kept monomial e of f^(a-1) and a term d of f is a sum
+        of a <= H terms of f, so -a*s_minus[c] <= e[c] + d[c] <=
+        a*s_plus[c]; its key is the sum of e's key and sum_c d[c] * R[c]
+        (which may be negative), with no digit carrying into the next;
+      - the reflection -e of a kept monomial e of f^a or f^(a-1) is minus
+        a sum of at most H terms of f, so |e[c]| <= O[c] as well, and since
+        the offsets are symmetric, its key is 2*origin - key(e).
+    (Offsets that only cover products, H*s_minus[c] below and H*s_plus[c]
+    above, leave the reflection of a kept monomial outside the digit range
+    on a lopsided support, where its key borrows from the next digit.)
 
     The box is tested when a key is first inserted in a step, on its
     decoded digits; a coefficient that cancels to zero keeps its (boxed)
     key until the step ends, and zero coefficients are dropped then.
+
+    Budget.  The number of term products, sum_(a<H) |f^a| * |f|, is bounded
+    before any is formed: |f^a| is at most the number C(a+|f|-1, |f|-1) of
+    multisets of a terms, and at most the number of lattice points in f^a's
+    box that lie within a steps of the origin on every coordinate.  Past
+    MAX_SERIES_WORK a ValueError names the limit.
     """
     if terms < 1:
         raise ValueError("terms must be >= 1")
     support = list(f.terms.items())
     if not support:
         return IntegerSeries(tuple([1] + [0] * terms))
-    n = f.nvars
-    s_plus = [max(0, max(e[c] for e, _ in support)) for c in range(n)]
-    s_minus = [max(0, -min(e[c] for e, _ in support)) for c in range(n)]
-    offsets = [terms * sp + sm for sp, sm in zip(s_plus, s_minus)]
-    widths = [(terms + 1) * (sp + sm) + 1 for sp, sm in zip(s_plus, s_minus)]
+    s_plus, s_minus = _reach(f)
+    if _work_bound(f, terms) > MAX_SERIES_WORK:
+        raise ValueError(
+            f"the series to t^{terms} may need more than {MAX_SERIES_WORK} term products"
+            f" (the limit MAX_SERIES_WORK)"
+        )
+    half = (terms + 1) // 2
+    offsets = [half * max(sp, sm) for sp, sm in zip(s_plus, s_minus)]
+    widths = [2 * o + 1 for o in offsets]
     radices = []
     radix = 1
     for w in widths:
@@ -113,10 +146,11 @@ def constant_term_series(f: LaurentPolynomial, terms: int = 20) -> IntegerSeries
         radix *= w
     steps = [(sum(a * r for a, r in zip(e, radices)), cf) for e, cf in support]
     origin = sum(o * r for o, r in zip(offsets, radices))
-    out = [1]
+    mirror = 2 * origin
+    out = [1] + [0] * terms
     g = {origin: 1}
-    for i in range(1, terms + 1):
-        rem = terms - i
+    for a in range(1, half + 1):
+        rem = terms - a
         # (width, lowest digit, highest digit) per coordinate after this step
         box = [(w, o - rem * sp, o + rem * sm) for w, o, sp, sm in zip(widths, offsets, s_plus, s_minus)]
         nxt: dict[int, int] = {}
@@ -137,9 +171,39 @@ def constant_term_series(f: LaurentPolynomial, terms: int = 20) -> IntegerSeries
                         nxt[key] = cg * cf
         for key in [key for key, c in nxt.items() if not c]:
             del nxt[key]
+        # g = f^(a-1), the smaller power, drives the odd sum
+        out[2 * a - 1] = sum(cg * get(mirror - kg, 0) for kg, cg in g.items())
+        if 2 * a <= terms:
+            out[2 * a] = sum(c * get(mirror - key, 0) for key, c in nxt.items())
         g = nxt
-        out.append(g.get(origin, 0))
     return IntegerSeries(tuple(out))
+
+
+def _reach(f: LaurentPolynomial) -> tuple[list[int], list[int]]:
+    """s_plus and s_minus of a nonzero f: per coordinate, the largest
+    positive and the largest negative step in its support (0 if none)."""
+    exps = list(f.terms)
+    s_plus = [max(0, max(e[c] for e in exps)) for c in range(f.nvars)]
+    s_minus = [max(0, -min(e[c] for e in exps)) for c in range(f.nvars)]
+    return s_plus, s_minus
+
+
+def _work_bound(f: LaurentPolynomial, terms: int) -> int:
+    """An upper bound on the term products constant_term_series(f, terms)
+    forms for a nonzero f, or a number past MAX_SERIES_WORK once the bound
+    passes it."""
+    s_plus, s_minus = _reach(f)
+    m = len(f)
+    half = (terms + 1) // 2
+    # every power adds at least |f| to the bound
+    work = half * m
+    for a in range(half):
+        if work > MAX_SERIES_WORK:
+            break
+        rem = terms - a
+        points = prod(min(a * sp, rem * sm) + min(a * sm, rem * sp) + 1 for sp, sm in zip(s_plus, s_minus))
+        work += m * (min(points, comb(a + m - 1, m - 1)) - 1)
+    return work
 
 
 def ci_period_closed_form(ambient_dim: int, degrees: Sequence[int], terms: int = 20) -> IntegerSeries:

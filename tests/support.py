@@ -11,6 +11,7 @@ exhaustively where the package is clever.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -22,9 +23,10 @@ Term = tuple[tuple[int, ...], int]
 
 def convolve_terms(left: dict[tuple[int, ...], int], right: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
     out: dict[tuple[int, ...], int] = {}
+    add = operator.add
     for ea, ca in left.items():
         for eb, cb in right.items():
-            key = tuple(a + b for a, b in zip(ea, eb))
+            key = tuple(map(add, ea, eb))
             val = out.get(key, 0) + ca * cb
             if val:
                 out[key] = val
@@ -49,13 +51,15 @@ def coefficient_in_power(terms: dict[tuple[int, ...], int], exponent: int, targe
 def constant_term_series_naive(f, terms: int) -> tuple[int, ...]:
     """The series oracle: phi(0), ..., phi(terms) of a LaurentPolynomial f,
     the constant terms of its full powers by straight dict convolution, with
-    no pruning."""
+    no pruning.  The last power is needed only at the origin, where
+    f^terms = f^(terms-1) * f has sum_d f_d [f^(terms-1)]_(-d)."""
     origin = (0,) * f.nvars
     power = {origin: 1}
     out = [1]
-    for _ in range(terms):
+    for _ in range(terms - 1):
         power = convolve_terms(power, dict(f.terms))
         out.append(power.get(origin, 0))
+    out.append(sum(c * power.get(tuple(-x for x in d), 0) for d, c in f.terms.items()))
     return tuple(out)
 
 

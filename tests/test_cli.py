@@ -147,6 +147,21 @@ def test_hull_face_budget_refuses_high_dimensional_moment_curve() -> None:
 
 
 @pytest.mark.parametrize(
+    ("argv", "limit"),
+    [
+        (("series", "--poly", "(x+y+z+1)^100000"), "10000 terms (the limit MAX_POWER_TERMS)"),
+        (("series", "--entry", "17", "--terms", "100000"), "100000000 term products (the limit MAX_SERIES_WORK)"),
+    ],
+)
+def test_series_budgets_refuse_up_front(argv: tuple[str, ...], limit: str) -> None:
+    start = time.perf_counter()
+    code, out, err = run(*argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert limit in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("series", "--poly", "(" * 5000 + "x" + ")" * 5000),
@@ -249,6 +264,21 @@ def test_eliminate_round_trip_through_model_file(tmp_path: Path) -> None:
         "--right", "5 + (x+y+z+1)^2/x + (x+y+z+1)*(y+z+1)*(z+1)^2/(x*y*z)",
     )
     assert code == 0
+
+
+def test_eliminate_rejects_a_file_that_is_not_a_model(tmp_path: Path) -> None:
+    code, out, _ = run("construct", "ci", "--n", "4", "--degrees", "4", "--format", "json")
+    assert code == 0
+    not_a_model = tmp_path / "ci.json"
+    not_a_model.write_text(out)
+    code, out, err = run("eliminate", "--model", str(not_a_model), "--plan", "0:x11")
+    assert code == 2 and out == ""
+    assert "'constraints'" in err and "Traceback" not in err
+    for bad in ("[1]", '{"variables": "x", "constraints": [], "potential": "x"}',
+                '{"variables": ["x", "y"], "constraints": [1], "potential": "x"}',
+                '{"variables": ["x", "y"], "constraints": []}'):
+        not_a_model.write_text(bad)
+        assert run("eliminate", "--model", str(not_a_model), "--plan", "0:x")[0] == 2
 
 
 def test_identity_disagreement_exits_one_with_witness() -> None:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from support import evaluate_exactly, random_equal_oracle
 from weaklg.expr import (
     IDENTITY_PRIME,
+    MAX_POWER_TERMS,
     Const,
     Diff,
     IdentityTestError,
@@ -24,6 +25,7 @@ from weaklg.expr import (
     random_equal,
     render,
     substitute,
+    _power_terms_bound,
     to_laurent,
     variables,
 )
@@ -154,6 +156,29 @@ def test_to_laurent_rejects_non_monomial_denominator() -> None:
     assert "x + 1" in str(err.value)
     with pytest.raises(NotLaurentError):
         to_laurent(parse("(x+y)^-1"), ("x", "y"))
+
+
+def test_power_budget_is_checked_before_expanding() -> None:
+    xyz = ("x", "y", "z")
+    # C(40, 3) = 9880 terms pass the bound, C(41, 3) = 10660 do not
+    assert _power_terms_bound(to_laurent(parse("x+y+z+1"), xyz), 37) <= MAX_POWER_TERMS
+    with pytest.raises(ValueError, match="MAX_POWER_TERMS"):
+        to_laurent(parse("1 + (x+y+z+1)^38"), xyz)
+    with pytest.raises(ValueError, match="MAX_POWER_TERMS"):
+        to_laurent(parse("(x+y)^" + "1" + "0" * 30), xyz)
+    # a sparse base with a wide box: the multiset count C(23, 3) = 1771 bounds it
+    assert len(to_laurent(parse("(x^100+y^100+z^100+1)^20"), xyz)) == 1771
+    assert len(to_laurent(parse("(x*y^5)^100000"), xyz)) == 1
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), st.integers(-2, 2).filter(bool), max_size=5),
+    st.integers(0, 5),
+)
+def test_power_terms_bound_covers_the_expansion(terms: dict, k: int) -> None:
+    base = LaurentPolynomial(2, terms)
+    assert len(base**k) <= _power_terms_bound(base, k)
 
 
 def test_to_laurent_rejects_undeclared_variable() -> None:

@@ -16,10 +16,12 @@ from support import (
     is_full_dimensional,
     random_unimodular,
 )
+from weaklg import polytopes
 from weaklg.constructors import grassmannian_polynomial
 from weaklg.corpus import load_corpus
 from weaklg.laurent import LaurentPolynomial
 from weaklg.polytopes import (
+    Polytope,
     contains_origin_interior,
     dual_polytope,
     ehrhart_counts,
@@ -135,6 +137,26 @@ def test_normalized_volume_examples() -> None:
     assert normalized_volume(dual_polytope(newton_polytope(SIMPLEX))) == 64
     assert normalized_volume(from_points([(-1,), (1,)])) == 2
     assert normalized_volume(from_points([(0, 0), (1, 0), (0, 1)])) == 1
+
+
+def test_volume_cones_the_triangulation_kept_from_the_hull(monkeypatch: pytest.MonkeyPatch) -> None:
+    # A polytope from from_points keeps its hull's boundary triangulation; a
+    # copy given by vertices and facets alone is equal, hashes and prints the
+    # same, and its volume, from a fresh hull, is the same number.
+    rational = [tuple(Fraction(c, 3) for c in v) for v in SYMMETRIC_CUBE] + [(Fraction(1, 6), 0, 0)]
+    built = [from_points(pts) for pts in (UNIT_CUBE, rational)]
+    built += [newton_polytope(entry.laurent()) for entry in load_corpus()]
+    copies = [Polytope(p.dim, p.vertices, p.facets) for p in built]
+    for p, q in zip(built, copies):
+        assert p == q and hash(p) == hash(q) and p.to_json_dict() == q.to_json_dict()
+    volumes = [normalized_volume(q) for q in copies]
+    assert volumes[:2] == [6, Fraction(48, 27)]
+
+    def no_hull(points: object) -> object:
+        raise AssertionError("the volume of a hulled polytope built a second hull")
+
+    monkeypatch.setattr(polytopes, "_hull", no_hull)
+    assert [normalized_volume(p) for p in built] == volumes
 
 
 def test_normalized_volume_rejects_lower_dimensional_input() -> None:

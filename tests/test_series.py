@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import constant_term_series_naive
+from support import constant_term_series_naive, term_power
+from weaklg.corpus import get_entry, load_corpus
 from weaklg.expr import parse, to_laurent
 from weaklg.laurent import LaurentPolynomial
 from weaklg.series import (
+    MAX_SERIES_WORK,
     IntegerSeries,
+    _work_bound,
     ci_period_closed_form,
     compare_series,
     constant_term_series,
@@ -106,6 +109,67 @@ def skewed_polys(draw: st.DrawFn) -> LaurentPolynomial:
 @given(skewed_polys(), st.integers(min_value=1, max_value=8))
 def test_packed_keys_agree_with_naive_on_skewed_supports(f: LaurentPolynomial, terms: int) -> None:
     assert constant_term_series(f, terms).coeffs == constant_term_series_naive(f, terms)
+
+
+@st.composite
+def lopsided_polys(draw: st.DrawFn) -> LaurentPolynomial:
+    # Each coordinate reaches up to 8 one way and at most 1 (often 0) the
+    # other: the reflection -e of a kept monomial then reaches further than
+    # any product does, so offsets that only covered products would let its
+    # key borrow from the next digit.
+    n = draw(st.integers(1, 4))
+    ranges = []
+    for _ in range(n):
+        far, near = draw(st.integers(0, 8)), draw(st.integers(0, 1))
+        ranges.append((-near, far) if draw(st.booleans()) else (-far, near))
+    exps = st.tuples(*(st.integers(lo, hi) for lo, hi in ranges))
+    terms = draw(st.dictionaries(exps, st.integers(-3, 3).filter(bool), min_size=1, max_size=7))
+    return LaurentPolynomial(n, terms)
+
+
+@settings(deadline=None, max_examples=200)
+@given(lopsided_polys(), st.integers(min_value=1, max_value=9))
+def test_reflected_keys_agree_with_naive_on_lopsided_supports(f: LaurentPolynomial, terms: int) -> None:
+    assert constant_term_series(f, terms).coeffs == constant_term_series_naive(f, terms)
+
+
+@pytest.mark.parametrize("terms", [1, 2, 3, 4])
+def test_shortest_series_on_odd_and_even_truncations(terms: int) -> None:
+    f = LaurentPolynomial(2, {(5, 0): 1, (-1, 1): 2, (0, -1): -1, (0, 0): 3, (-1, 0): 1})
+    assert constant_term_series(f, terms).coeffs == constant_term_series_naive(f, terms)
+
+
+def test_every_corpus_polynomial_matches_naive_expansion() -> None:
+    for entry in load_corpus():
+        for f in (entry.laurent(), *entry.alternate_laurents()):
+            assert constant_term_series(f, 8).coeffs == constant_term_series_naive(f, 8), entry.id
+
+
+@settings(deadline=None, max_examples=60)
+@given(lopsided_polys(), st.integers(min_value=1, max_value=7))
+def test_work_bound_covers_the_pruned_powers(f: LaurentPolynomial, terms: int) -> None:
+    # sum over a < ceil(T/2) of |f^a restricted to its pruning box| * |f|
+    n = f.nvars
+    s_plus = [max(0, *(e[c] for e in f.terms)) for c in range(n)]
+    s_minus = [max(0, *(-e[c] for e in f.terms)) for c in range(n)]
+    work = 0
+    for a in range((terms + 1) // 2):
+        rem = terms - a
+        kept = [
+            e for e in term_power(dict(f.terms), a, n)
+            if all(-rem * sp <= x <= rem * sm for x, sp, sm in zip(e, s_plus, s_minus))
+        ]
+        work += len(kept) * len(f.terms)
+    assert work <= _work_bound(f, terms)
+
+
+def test_work_budget_admits_the_corpus_at_thirty_terms_and_entry_one_at_thirty_six() -> None:
+    for entry in load_corpus():
+        for f in (entry.laurent(), *entry.alternate_laurents()):
+            assert _work_bound(f - f.constant_term(), 30) <= MAX_SERIES_WORK, entry.id
+    f = get_entry(1).laurent()
+    assert _work_bound(f - f.constant_term(), 36) <= MAX_SERIES_WORK
+    assert _work_bound(f - f.constant_term(), 60) > MAX_SERIES_WORK
 
 
 def test_coordinate_with_zero_step_both_ways() -> None:
