@@ -51,6 +51,12 @@ MAX_NESTING = 100
 # bounds the term products a power forms.
 MAX_POWER_TERMS = 10_000
 
+# Most term products |A|*|B| one product in to_laurent may form, bounded
+# before forming it.  The corpus, the constructors' models and the tests
+# form at most 30; the squaring (x+y+z+1)^16 * (x+y+z+1)^16 inside an allowed
+# power forms 938,961, so a product written out is allowed as many.
+MAX_TERM_PRODUCTS = 1_000_000
+
 
 class ParseError(ValueError):
     """Syntax error, carrying the byte offset of the offending character."""
@@ -398,6 +404,20 @@ def to_laurent(e: Expr, variable_order: Sequence[str]) -> LaurentPolynomial:
     generators = {name: LaurentPolynomial.variable(n, i) for name, i in index.items()}
     constants: dict[int, LaurentPolynomial] = {}
     values: list[LaurentPolynomial | None] = [None] * len(program.nodes)
+    # A power is expanded when a step reads it, so that a product can bound
+    # its term products by the power's term bound first: slot -> (base,
+    # exponent, term bound) of each power not yet expanded.
+    powers: dict[int, tuple[LaurentPolynomial, int, int]] = {}
+
+    def read(j: int) -> LaurentPolynomial:
+        if j in powers:
+            base, exponent, _ = powers.pop(j)
+            values[j] = base ** exponent
+        return values[j]
+
+    def size(j: int) -> int:
+        return powers[j][2] if j in powers else len(values[j])
+
     last = program.last
     for i, node in enumerate(program.nodes):
         reads = program.operands[i]
@@ -411,32 +431,40 @@ def to_laurent(e: Expr, variable_order: Sequence[str]) -> LaurentPolynomial:
             if value is None:
                 raise NotLaurentError(f"unknown variable {node.name!r}")
         elif kind is Sum:
-            value = values[reads[0]]
+            value = read(reads[0])
             for j in reads[1:]:
-                value = value + values[j]
+                value = value + read(j)
         elif kind is Diff:
-            value = values[reads[0]] - values[reads[1]]
+            value = read(reads[0]) - read(reads[1])
         elif kind is Prod:
-            value = values[reads[0]]
-            for j in reads[1:]:
-                value = value * values[j]
-        elif kind is Quot:
-            value = _divide_by_monomial(values[reads[0]], values[reads[1]], node.denominator)
-        elif node.exponent >= 0:
-            value = values[reads[0]]
-            if _power_terms_bound(value, node.exponent) > MAX_POWER_TERMS:
+            # the program's product steps have two operands (or one)
+            if len(reads) == 2 and size(reads[0]) * size(reads[1]) > MAX_TERM_PRODUCTS:
                 raise ValueError(
-                    f"a power with exponent {node.exponent} of {len(value)} terms may expand to more than"
+                    f"a product of {size(reads[0])} and {size(reads[1])} terms may form more than"
+                    f" {MAX_TERM_PRODUCTS} term products (the limit MAX_TERM_PRODUCTS)"
+                )
+            value = read(reads[0])
+            for j in reads[1:]:
+                value = value * read(j)
+        elif kind is Quot:
+            value = _divide_by_monomial(read(reads[0]), read(reads[1]), node.denominator)
+        elif node.exponent >= 0:
+            base = read(reads[0])
+            bound = _power_terms_bound(base, node.exponent)
+            if bound > MAX_POWER_TERMS:
+                raise ValueError(
+                    f"a power with exponent {node.exponent} of {len(base)} terms may expand to more than"
                     f" {MAX_POWER_TERMS} terms (the limit MAX_POWER_TERMS)"
                 )
-            value = value ** node.exponent
+            powers[i] = (base, node.exponent, bound)
+            value = None
         else:
-            value = _invert_monomial(values[reads[0]], node.base) ** (-node.exponent)
+            value = _invert_monomial(read(reads[0]), node.base) ** (-node.exponent)
         values[i] = value
         for j in reads:
             if last[j] == i:
                 values[j] = None
-    return values[-1]
+    return read(len(values) - 1)
 
 
 def _power_terms_bound(base: LaurentPolynomial, k: int) -> int:

@@ -5,7 +5,7 @@ beneath-beyond insertion (Edelsbrunner, Algorithms in Combinatorial
 Geometry) on points scaled to integers, with hyperplane normals from integer
 cofactors, dual polytopes read off the facets, volumes by coning the hull's
 boundary triangulation from a vertex, Ehrhart counts by integer intervals of
-the last coordinate over the columns of the other coordinates.
+the last coordinate along rows of the next-to-last.
 Numerical hull libraries are avoided deliberately; a vertex reported at
 (1/3, 1/3, 1/3) has to mean exactly that.
 """
@@ -16,7 +16,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
+from operator import sub
 from typing import Sequence
 
 from .laurent import LaurentPolynomial
@@ -310,25 +311,31 @@ def ehrhart_counts(p: Polytope, kmax: int, budget: int = 10**8) -> EhrhartResult
     """Lattice point counts of k*p for k = 0..kmax, plus the degree-<=n
     polynomial interpolating the first n+1 counts.
 
-    Counting is exact and goes by columns: for each integer point of the
-    bounding box of k*p in the first n-1 coordinates, every facet cuts the
-    box's range of the last coordinate to an integer interval, whose length
-    is added.  `budget` bounds the total number of bounding-box points over
-    all dilations k = 1..kmax; it is checked before anything is counted.
+    Counting is exact and goes by rows.  A row is the segment of integer
+    points of the bounding box of k*p that fixes the first n-2 coordinates
+    and runs along coordinate n-2; a 1-D polytope is counted with a zero
+    coordinate put in front.  The facets parallel to the last coordinate,
+    and the combinations of two others that eliminate it (Fourier-Motzkin),
+    cut the row to the integer points of the shadow of k*p.  Every other
+    facet bounds the last coordinate from above or below along the row,
+    one list of floors or ceilings per facet, folded into the least upper
+    and the greatest lower bounds; the row adds the lengths of the integer
+    intervals between them, none negative on the shadow.  `budget` bounds
+    the total number of bounding-box points over all dilations k = 1..kmax;
+    it is checked before anything is counted.
     """
     if not p.is_full_dimensional:
         raise ValueError("Ehrhart counting needs a full-dimensional polytope")
     n = p.dim
     if kmax < n:
         raise ValueError(f"kmax must be at least the dimension ({n})")
-    bounds = [
-        (min(Fraction(v[c]) for v in p.vertices), max(Fraction(v[c]) for v in p.vertices))
-        for c in range(n)
-    ]
+    # per coordinate, the least and the greatest vertex coordinate as
+    # lo/lo_den and hi/hi_den: k*p spans ceil(k*lo/lo_den) .. floor(k*hi/hi_den)
+    bounds = [(*min(c).as_integer_ratio(), *max(c).as_integer_ratio()) for c in zip(*p.vertices)]
     boxes = []
     total = 0
     for k in range(1, kmax + 1):
-        box = [range(math.ceil(lo * k), math.floor(hi * k) + 1) for lo, hi in bounds]
+        box = [range(-(-k * lo // lo_den), k * hi // hi_den + 1) for lo, lo_den, hi, hi_den in bounds]
         total += math.prod(len(r) for r in box)
         if total > budget:
             raise ValueError(
@@ -336,29 +343,69 @@ def ehrhart_counts(p: Polytope, kmax: int, budget: int = 10**8) -> EhrhartResult
                 f" in total, over the budget of {budget}"
             )
         boxes.append(box)
-    # integer facet form: den * <normal, x> <= k * num, split as the first
-    # n-1 coordinates plus a * z for the last one
-    facet_ints = [
-        (normal[:-1], normal[-1], Fraction(offset).numerator, Fraction(offset).denominator)
-        for normal, offset in p.facets
+    # integer facet form: den * <normal, x> <= k * num.  A 1-D polytope gets
+    # a zero coordinate in front, so that there is a row coordinate y, next
+    # to last, and a last coordinate z.  Times den, a facet reads
+    # <head, x> + b * y + a * z <= k * num over the coordinates x before y.
+    # It is a wall of the row if a = 0, a roof over z if a > 0 and a floor
+    # under z if a < 0.  A bounded p has a roof and a floor.
+    pad = (0,) * max(0, 2 - n)
+    walls, roofs, floors = [], [], []
+    for normal, offset in p.facets:
+        num, den = Fraction(offset).as_integer_ratio()
+        *head, b, a = (den * c for c in (*pad, *normal))
+        (walls if a == 0 else roofs if a > 0 else floors).append((head, b, a, num))
+    # A roof and a floor, times -a_floor and a_roof and added, give a wall
+    # free of z (Fourier-Motzkin elimination).  With these walls the row is
+    # cut to the rational shadow of k*p, where no roof lies below a floor,
+    # so no z-interval of the row has negative integer length and the box
+    # need not bound z.
+    walls += [
+        ([-af * cr + ar * cf for cr, cf in zip(hr, hf)], -af * br + ar * bf, 0, -af * nr + ar * nf)
+        for hr, br, ar, nr in roofs
+        for hf, bf, af, nf in floors
     ]
     counts = [1]
     for k, box in enumerate(boxes, start=1):
-        z_range = box[-1]
+        *prefix, y_range, _ = [range(1)] * len(pad) + box
+        # rests[i] = k * num - <head, x> at the i-th prefix point x
+        k_walls = [(_rests(k * num, head, prefix), b) for head, b, _, num in walls]
+        roof, *k_roofs = [(_rests(k * num, head, prefix), b, a) for head, b, a, num in roofs]
+        floor, *k_floors = [(_rests(k * num, head, prefix), b, -a) for head, b, a, num in floors]
         count = 0
-        for x in product(*box[:-1]):
-            zlo, zhi = z_range.start, z_range.stop - 1
-            for head, a, num, den in facet_ints:
-                rest = k * num - den * _dot(head, x)
-                if a > 0:
-                    zhi = min(zhi, rest // (den * a))
-                elif a < 0:
-                    zlo = max(zlo, -(rest // (-den * a)))
-                elif rest < 0:
-                    zhi = zlo - 1
-                    break
-            if zhi >= zlo:
-                count += zhi - zlo + 1
+        for i in range(math.prod(map(len, prefix))):
+            y_lo, y_hi = y_range.start, y_range.stop - 1
+            for rests, b in k_walls:
+                if b > 0:
+                    u = rests[i] // b
+                    if u < y_hi:
+                        y_hi = u
+                elif b < 0:
+                    u = -(rests[i] // -b)
+                    if u > y_lo:
+                        y_lo = u
+                elif rests[i] < 0:
+                    y_hi = y_lo - 1
+            if y_hi < y_lo:
+                continue
+            row = range(y_lo, y_hi + 1)
+            # z <= floor(rest_y / a) under a roof and z >= ceil(rest_y / a)
+            # over a floor, where rest_y = k * num - <head, x> - b * y: one
+            # list along the row for the first roof (floor), and each further
+            # one folded into the least upper (greatest lower) bounds so far
+            rests, b, a = roof
+            rest = rests[i]
+            top = [(rest - b * y) // a for y in row]
+            for rests, b, a in k_roofs:
+                rest = rests[i]
+                top = [t if t <= (u := (rest - b * y) // a) else u for t, y in zip(top, row)]
+            rests, b, minus_a = floor
+            rest = rests[i]
+            bottom = [-((rest - b * y) // minus_a) for y in row]
+            for rests, b, minus_a in k_floors:
+                rest = rests[i]
+                bottom = [t if t >= (u := -((rest - b * y) // minus_a)) else u for t, y in zip(bottom, row)]
+            count += len(row) + sum(map(sub, top, bottom))
         counts.append(count)
     # the polynomial's coefficients c solve sum_d c_d k^d = counts[k] for
     # k = 0..n; that Vandermonde system, augmented by -counts, has a
@@ -367,6 +414,15 @@ def ehrhart_counts(p: Polytope, kmax: int, budget: int = 10**8) -> EhrhartResult
     (solution,) = nullspace(vandermonde, n + 2)
     poly = tuple(Fraction(c, solution[-1]) for c in solution[:-1])
     return EhrhartResult(counts=tuple(counts), polynomial=poly)
+
+
+def _rests(bound: int, head: Sequence[int], axes: Sequence[range]) -> list[int]:
+    """bound - <head, x> for every point x of the grid product(*axes), in
+    the order product yields them."""
+    rests = [bound]
+    for h, axis in zip(head, axes):
+        rests = [r - h * v for r in rests for v in axis]
+    return rests
 
 
 def semiweak_check(f: LaurentPolynomial, expected_degree: int) -> SemiweakReport:

@@ -151,6 +151,12 @@ def test_hull_face_budget_refuses_high_dimensional_moment_curve() -> None:
     [
         (("series", "--poly", "(x+y+z+1)^100000"), "10000 terms (the limit MAX_POWER_TERMS)"),
         (("series", "--entry", "17", "--terms", "100000"), "100000000 term products (the limit MAX_SERIES_WORK)"),
+        # few term products, but 10^8 power steps and 2*10^8 coefficients
+        (("series", "--poly", "x", "--terms", "200000000"), "100000000 term products (the limit MAX_SERIES_WORK)"),
+        (("series", "--poly", "0", "--terms", "200000000"), "100000000 term products (the limit MAX_SERIES_WORK)"),
+        # each power is allowed; their product is refused before either is expanded
+        (("series", "--poly", "(x+y+z+1)^37*(x+y+z+1)^37", "--terms", "1"),
+         "1000000 term products (the limit MAX_TERM_PRODUCTS)"),
     ],
 )
 def test_series_budgets_refuse_up_front(argv: tuple[str, ...], limit: str) -> None:

@@ -10,6 +10,7 @@ from support import evaluate_exactly, random_equal_oracle
 from weaklg.expr import (
     IDENTITY_PRIME,
     MAX_POWER_TERMS,
+    MAX_TERM_PRODUCTS,
     Const,
     Diff,
     IdentityTestError,
@@ -169,6 +170,17 @@ def test_power_budget_is_checked_before_expanding() -> None:
     # a sparse base with a wide box: the multiset count C(23, 3) = 1771 bounds it
     assert len(to_laurent(parse("(x^100+y^100+z^100+1)^20"), xyz)) == 1771
     assert len(to_laurent(parse("(x*y^5)^100000"), xyz)) == 1
+
+
+def test_product_budget_is_checked_before_expanding() -> None:
+    xyz = ("x", "y", "z")
+    # (x+y+z+1)^16 has C(19, 3) = 969 terms and (x+y+z+1)^20 has 1771: two of
+    # the first may be multiplied, two of the second may not
+    for text in ("(x+y+z+1)^20*(x+y+z+1)^20", "(x+y+z+1)^37*(x+y+z+1)^37", "x*(x+y+z+1)^20*(x+y+z+1)^20"):
+        with pytest.raises(ValueError, match="MAX_TERM_PRODUCTS"):
+            to_laurent(parse(text), xyz)
+    assert 969 * 969 <= MAX_TERM_PRODUCTS < 1771 * 1771
+    assert to_laurent(parse("(x+y+1)^3*(x-y)^3"), xyz) == to_laurent(parse("((x+y+1)*(x-y))^3"), xyz)
 
 
 @settings(deadline=None, max_examples=60)

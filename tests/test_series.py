@@ -12,7 +12,9 @@ from weaklg.corpus import get_entry, load_corpus
 from weaklg.expr import parse, to_laurent
 from weaklg.laurent import LaurentPolynomial
 from weaklg.series import (
+    COEFFICIENT_WORK,
     MAX_SERIES_WORK,
+    STEP_WORK,
     IntegerSeries,
     _work_bound,
     ci_period_closed_form,
@@ -170,6 +172,19 @@ def test_work_budget_admits_the_corpus_at_thirty_terms_and_entry_one_at_thirty_s
     f = get_entry(1).laurent()
     assert _work_bound(f - f.constant_term(), 36) <= MAX_SERIES_WORK
     assert _work_bound(f - f.constant_term(), 60) > MAX_SERIES_WORK
+    for entry_id in (15, 16, 17):
+        assert _work_bound(get_entry(entry_id).laurent(), 40) <= MAX_SERIES_WORK, entry_id
+
+
+def test_work_bound_counts_steps_and_coefficients_of_every_polynomial() -> None:
+    zero, x = LaurentPolynomial(1, {}), LaurentPolynomial(1, {(1,): 1})
+    for f in (zero, x):
+        # ceil(T/2) steps and T+1 coefficients, at their cost in term products
+        assert _work_bound(f, 9) >= 5 * STEP_WORK + 10 * COEFFICIENT_WORK
+        assert _work_bound(f, 10**6) <= MAX_SERIES_WORK
+        assert constant_term_series(f, 3).coeffs == (1, 0, 0, 0)
+        with pytest.raises(ValueError, match="MAX_SERIES_WORK"):
+            constant_term_series(f, 2 * 10**8)
 
 
 def test_coordinate_with_zero_step_both_ways() -> None:
