@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from . import expr as ex
 from .annihilator import find_annihilator, find_minimal_annihilator
@@ -38,10 +39,10 @@ from .polytopes import (
     normalized_volume,
     semiweak_check,
 )
-from .series import constant_term_series
+from .series import check_series_budget, constant_term_series
 
 
-def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> None:
+def _emit(args: argparse.Namespace, payload: dict, text_lines: Iterable[str]) -> None:
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
@@ -123,10 +124,23 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 def _cmd_series(args: argparse.Namespace) -> int:
     f, _ = _input_polynomial(args)
+    check_series_budget(f, args.terms)
+    # Python refuses to print an int of more digits than the limit (0: no
+    # limit), and |phi(i)| <= norm^i; norm^T >= 2^((bits - 1) * T), and
+    # 2^(4 * limit) > 10^limit
+    limit = sys.get_int_max_str_digits()
+    norm = sum(abs(c) for c in f.terms.values())
+    wide = (norm.bit_length() - 1) * args.terms >= 4 * limit
+    if limit and norm > 1 and (wide or norm**args.terms >= 10**limit):
+        raise ValueError(
+            f"the series to t^{args.terms} may have coefficients of more than {limit} digits"
+            f" (the limit sys.get_int_max_str_digits() on printing an integer)"
+        )
     s = constant_term_series(f, args.terms)
-    payload = {"terms": args.terms, "series": s.to_json()}
-    lines = [f"phi({i}) = {c}" for i, c in enumerate(s.coeffs)]
-    _emit(args, payload, lines)
+    if args.format == "json":
+        _emit(args, {"terms": args.terms, "series": s.to_json()}, [])
+    else:
+        _emit(args, {}, (f"phi({i}) = {c}" for i, c in enumerate(s.coeffs)))
     return 0
 
 

@@ -47,14 +47,12 @@ MAX_NESTING = 100
 
 # Most terms a power in to_laurent may expand to, bounded before expanding:
 # (x+y+z+1)^37, with 9,880, is the highest power of x+y+z+1 allowed.
-# Repeated squaring multiplies smaller powers of the base, so this also
-# bounds the term products a power forms.
 MAX_POWER_TERMS = 10_000
 
-# Most term products |A|*|B| one product in to_laurent may form, bounded
-# before forming it.  The corpus, the constructors' models and the tests
-# form at most 30; the squaring (x+y+z+1)^16 * (x+y+z+1)^16 inside an allowed
-# power forms 938,961, so a product written out is allowed as many.
+# Most term products one product |A|*|B|, or one power, in to_laurent may
+# form, bounded before forming them.  The corpus, the constructors' models
+# and the tests form at most 30 in a product; f^k multiplies f^j by f for
+# j < k, and (x+y+z+1)^37 forms at most 4*C(40, 4) = 365,560.
 MAX_TERM_PRODUCTS = 1_000_000
 
 
@@ -456,6 +454,11 @@ def to_laurent(e: Expr, variable_order: Sequence[str]) -> LaurentPolynomial:
                     f"a power with exponent {node.exponent} of {len(base)} terms may expand to more than"
                     f" {MAX_POWER_TERMS} terms (the limit MAX_POWER_TERMS)"
                 )
+            if _power_work_bound(base, node.exponent) > MAX_TERM_PRODUCTS:
+                raise ValueError(
+                    f"a power with exponent {node.exponent} of {len(base)} terms may form more than"
+                    f" {MAX_TERM_PRODUCTS} term products (the limit MAX_TERM_PRODUCTS)"
+                )
             powers[i] = (base, node.exponent, bound)
             value = None
         else:
@@ -486,6 +489,23 @@ def _power_terms_bound(base: LaurentPolynomial, k: int) -> int:
     for c in range(base.nvars):
         box *= k * (max(e[c] for e in exps) - min(e[c] for e in exps)) + 1
     return min(box, multisets)
+
+
+def _power_work_bound(base: LaurentPolynomial, k: int) -> int:
+    """An upper bound on the term products of base**k, or a number past
+    MAX_TERM_PRODUCTS: |base| * sum_(j<k) _power_terms_bound(base, j),
+    summed only until it passes the limit, for the k - 1 multiplications
+    of base^j by base.  A base of fewer than two terms is raised without
+    forming any."""
+    m = len(base)
+    if m < 2:
+        return 0
+    work = 0
+    for j in range(k):
+        work += m * _power_terms_bound(base, j)
+        if work > MAX_TERM_PRODUCTS:
+            break
+    return work
 
 
 def _divide_by_monomial(num: LaurentPolynomial, den: LaurentPolynomial, source: Expr) -> LaurentPolynomial:

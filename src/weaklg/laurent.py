@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .linalg import det
 
@@ -52,6 +52,24 @@ def is_probable_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _mixed_radix(widths: Sequence[int]) -> Callable[[Sequence[int]], int]:
+    """The packing of exponent vectors into ints for digit widths W: e is
+    keyed sum_c e[c] * R[c] with radix R[c] = prod_(i<c) W[i].
+
+    Keys add as the vectors do.  Two vectors that differ by less than W[c]
+    in every coordinate c get different keys: in a nonzero difference d
+    the highest nonzero digit d[t] outweighs the rest, since
+    sum_(c<t) (W[c] - 1) * R[c] = R[t] - 1.  So a vector whose digits lie
+    in [0, W[c]) is recovered from its key by divmod by W[0], W[1], ...
+    """
+    radices = []
+    radix = 1
+    for w in widths:
+        radices.append(radix)
+        radix *= w
+    return lambda e: sum(a * r for a, r in zip(e, radices))
 
 
 class LaurentPolynomial:
@@ -208,21 +226,61 @@ class LaurentPolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "LaurentPolynomial":
-        """f**d for d >= 0 by repeated squaring; f**0 == 1."""
+        """f**k for k >= 0 by k - 1 multiplications by f on packed keys;
+        f**0 == 1, and a one-term base c*x^e gives c^k * x^(k*e) directly.
+
+        Multiplying f^j by f for j = 1..k-1 forms sum_j |f^j| * |f| term
+        products, fewer than squaring forms when f is sparse (Fateman, "On
+        the computation of powers of sparse polynomials", 1974).
+
+        Packing.  Per coordinate c let lo[c] and hi[c] be the least and the
+        greatest exponent in f's support, low[c] = k*lo[c] and the width
+        W[c] = k*(hi[c] - lo[c]) + 1.  A term e of f is keyed by the
+        mixed-radix numeral sum_c (e[c] - lo[c]) * R[c], R[c] = prod_(i<c)
+        W[i].  A monomial E of f^j, j <= k, is a sum of j terms of f, so
+        E[c] - j*lo[c] lies in [0, j*(hi[c] - lo[c])], inside [0, W[c]):
+        the sum of the keys of those j terms, sum_c (E[c] - j*lo[c]) *
+        R[c], is a numeral whose digits are all in range, so it determines
+        E and no digit carries into the next.  Multiplying two monomials is
+        then one integer addition, and each key of f^k is decoded once at
+        the end by divmod by W[0], W[1], ..., adding low[c].
+        """
         if not isinstance(exponent, int):
             raise TypeError("exponent must be an integer")
         if exponent < 0:
             raise ValueError("negative powers of a general Laurent polynomial are not defined")
-        result = LaurentPolynomial.one(self._nvars)
-        base = self
-        d = exponent
-        while d:
-            if d & 1:
-                result = result * base
-            d >>= 1
-            if d:
-                base = base * base
-        return result
+        n = self._nvars
+        if exponent == 0:
+            return LaurentPolynomial.one(n)
+        if len(self._terms) < 2:
+            return LaurentPolynomial._raw(
+                n, {tuple(exponent * a for a in e): c**exponent for e, c in self._terms.items()}
+            )
+        exps = list(self._terms)
+        lo = [min(e[c] for e in exps) for c in range(n)]
+        widths = [exponent * (max(e[c] for e in exps) - m) + 1 for c, m in enumerate(lo)]
+        pack = _mixed_radix(widths)
+        steps = [(pack([a - m for a, m in zip(e, lo)]), cf) for e, cf in self._terms.items()]
+        g = dict(steps)
+        for _ in range(exponent - 1):
+            nxt: dict[int, int] = {}
+            get = nxt.get
+            for kg, cg in g.items():
+                for kf, cf in steps:
+                    k = kg + kf
+                    nxt[k] = get(k, 0) + cg * cf
+            for k in [k for k, c in nxt.items() if not c]:
+                del nxt[k]
+            g = nxt
+        low = [exponent * m for m in lo]
+        out: dict[ExponentVector, int] = {}
+        for k, c in g.items():
+            e = []
+            for w, m in zip(widths, low):
+                k, digit = divmod(k, w)
+                e.append(digit + m)
+            out[tuple(e)] = c
+        return LaurentPolynomial._raw(n, out)
 
     def substitute_monomial(self, matrix: Sequence[Sequence[int]]) -> "LaurentPolynomial":
         """Monomial change of variables sending exponent e to M @ e.

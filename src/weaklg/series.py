@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import comb, factorial, prod
 from typing import Sequence
 
-from .laurent import LaurentPolynomial
+from .laurent import LaurentPolynomial, _mixed_radix
 
 # The kernel forms sum_a |f^a| * |f| term products, one dict update each.
 # Entry 1 of the corpus at T = 36 (83 terms after its shift) is bounded by
@@ -135,14 +135,7 @@ def constant_term_series(f: LaurentPolynomial, terms: int = 20) -> IntegerSeries
     lattice points in f^a's box that lie within a steps of the origin on
     every coordinate.  Past MAX_SERIES_WORK a ValueError names the limit.
     """
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
-    if _work_bound(f, terms) > MAX_SERIES_WORK:
-        raise ValueError(
-            f"the series to t^{terms} may need more than {MAX_SERIES_WORK} term products"
-            f" (the limit MAX_SERIES_WORK), counting each power step as {STEP_WORK}"
-            f" and each coefficient as {COEFFICIENT_WORK}"
-        )
+    check_series_budget(f, terms)
     support = list(f.terms.items())
     if not support:
         return IntegerSeries(tuple([1] + [0] * terms))
@@ -150,13 +143,9 @@ def constant_term_series(f: LaurentPolynomial, terms: int = 20) -> IntegerSeries
     half = (terms + 1) // 2
     offsets = [half * max(sp, sm) for sp, sm in zip(s_plus, s_minus)]
     widths = [2 * o + 1 for o in offsets]
-    radices = []
-    radix = 1
-    for w in widths:
-        radices.append(radix)
-        radix *= w
-    steps = [(sum(a * r for a, r in zip(e, radices)), cf) for e, cf in support]
-    origin = sum(o * r for o, r in zip(offsets, radices))
+    pack = _mixed_radix(widths)
+    steps = [(pack(e), cf) for e, cf in support]
+    origin = pack(offsets)
     mirror = 2 * origin
     out = [1] + [0] * terms
     g = {origin: 1}
@@ -188,6 +177,19 @@ def constant_term_series(f: LaurentPolynomial, terms: int = 20) -> IntegerSeries
             out[2 * a] = sum(c * get(mirror - key, 0) for key, c in nxt.items())
         g = nxt
     return IntegerSeries(tuple(out))
+
+
+def check_series_budget(f: LaurentPolynomial, terms: int) -> None:
+    """Raise ValueError if constant_term_series(f, terms) would be refused:
+    terms < 1, or work past MAX_SERIES_WORK."""
+    if terms < 1:
+        raise ValueError("terms must be >= 1")
+    if _work_bound(f, terms) > MAX_SERIES_WORK:
+        raise ValueError(
+            f"the series to t^{terms} may need more than {MAX_SERIES_WORK} term products"
+            f" (the limit MAX_SERIES_WORK), counting each power step as {STEP_WORK}"
+            f" and each coefficient as {COEFFICIENT_WORK}"
+        )
 
 
 def _reach(f: LaurentPolynomial) -> tuple[list[int], list[int]]:

@@ -157,6 +157,10 @@ def test_hull_face_budget_refuses_high_dimensional_moment_curve() -> None:
         # each power is allowed; their product is refused before either is expanded
         (("series", "--poly", "(x+y+z+1)^37*(x+y+z+1)^37", "--terms", "1"),
          "1000000 term products (the limit MAX_TERM_PRODUCTS)"),
+        # 10,000 terms at most, but about 10^8 term products to build them
+        (("series", "--poly", "(x+1)^9999", "--terms", "1"), "1000000 term products (the limit MAX_TERM_PRODUCTS)"),
+        # few term products, but 3^10000 has 4772 digits
+        (("series", "--poly", "3", "--terms", "10000"), "digits (the limit sys.get_int_max_str_digits()"),
     ],
 )
 def test_series_budgets_refuse_up_front(argv: tuple[str, ...], limit: str) -> None:
@@ -165,6 +169,21 @@ def test_series_budgets_refuse_up_front(argv: tuple[str, ...], limit: str) -> No
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert limit in err
+
+
+def test_series_just_inside_the_digit_limit_prints() -> None:
+    # 3^9000 has 4295 digits, under the default limit of 4300
+    code, out, err = run("series", "--poly", "3", "--terms", "9000")
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1] == f"phi(9000) = {3**9000}"
+
+
+def test_one_term_power_is_raised_directly() -> None:
+    start = time.perf_counter()
+    code, out, err = run("series", "--poly", "x^100000000", "--terms", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and err == ""
+    assert out.splitlines() == ["phi(0) = 1", "phi(1) = 0"]
 
 
 @pytest.mark.parametrize(

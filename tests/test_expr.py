@@ -27,6 +27,7 @@ from weaklg.expr import (
     render,
     substitute,
     _power_terms_bound,
+    _power_work_bound,
     to_laurent,
     variables,
 )
@@ -170,6 +171,18 @@ def test_power_budget_is_checked_before_expanding() -> None:
     # a sparse base with a wide box: the multiset count C(23, 3) = 1771 bounds it
     assert len(to_laurent(parse("(x^100+y^100+z^100+1)^20"), xyz)) == 1771
     assert len(to_laurent(parse("(x*y^5)^100000"), xyz)) == 1
+
+
+def test_power_work_budget_is_checked_before_expanding() -> None:
+    xyz = ("x", "y", "z")
+    # f^k multiplies f^j by f for j < k: 4 * C(40, 4) = 365,560 term
+    # products for (x+y+z+1)^37, and 2 * (1 + 2 + ... + 1000) for (x+1)^1000
+    assert _power_work_bound(to_laurent(parse("x+y+z+1"), xyz), 37) == 4 * 91390
+    assert len(to_laurent(parse("(x+1)^999"), xyz)) == 1000
+    for text in ("(x+1)^1000", "(x+1)^9999"):
+        with pytest.raises(ValueError, match="MAX_TERM_PRODUCTS"):
+            to_laurent(parse(text), xyz)
+    assert _power_work_bound(to_laurent(parse("2*x*y"), xyz), 10**30) == 0
 
 
 def test_product_budget_is_checked_before_expanding() -> None:

@@ -78,13 +78,40 @@ def test_additive_inverse(f: LaurentPolynomial) -> None:
     assert f + (-f) == f - f
 
 
-@settings(deadline=None)
-@given(laurent_polys(2), st.integers(min_value=0, max_value=6))
+@settings(deadline=None, max_examples=150)
+@given(st.integers(min_value=1, max_value=4).flatmap(laurent_polys), st.integers(min_value=0, max_value=12))
 def test_power_matches_repeated_multiplication(f: LaurentPolynomial, d: int) -> None:
-    expected = LaurentPolynomial(2, {(0, 0): 1})
+    # exponents in [-3, 3] in 1-4 variables, so bases with negative and
+    # lopsided exponent ranges; __mul__ keys monomials by tuples
+    expected = LaurentPolynomial.one(f.nvars)
     for _ in range(d):
         expected = expected * f
     assert f**d == expected
+
+
+@pytest.mark.parametrize("k", [14, 30])
+def test_power_coefficients_are_multinomials(k: int) -> None:
+    f = LaurentPolynomial(3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1, (0, 0, 0): 1})
+    power = f**k
+    assert len(power) == math.comb(k + 3, 3)
+    fact = math.factorial
+    for a in range(k + 1):
+        for b in range(k + 1 - a):
+            for c in range(k + 1 - a - b):
+                expected = fact(k) // (fact(a) * fact(b) * fact(c) * fact(k - a - b - c))
+                assert power.coefficient((a, b, c)) == expected
+
+
+def test_powers_of_zero_and_of_one_term() -> None:
+    zero = LaurentPolynomial.zero(2)
+    assert zero**0 == LaurentPolynomial.one(2)
+    assert zero**5 == zero
+    assert LaurentPolynomial.one(2) ** 7 == LaurentPolynomial.one(2)
+    f = LaurentPolynomial(2, {(-2, 1): -3})
+    assert f**7 == LaurentPolynomial(2, {(-14, 7): (-3) ** 7})
+    assert f**0 == LaurentPolynomial.one(2)
+    x = LaurentPolynomial.variable(2, 0)
+    assert (x**100_000_000).support() == ((100_000_000, 0),)
 
 
 def test_negative_power_rejected() -> None:
