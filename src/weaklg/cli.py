@@ -138,7 +138,15 @@ def _cmd_series(args: argparse.Namespace) -> int:
         )
     s = constant_term_series(f, args.terms)
     if args.format == "json":
-        _emit(args, {"terms": args.terms, "series": s.to_json()}, [])
+        # the bytes _emit prints for {"terms": T, "series": s.to_json()},
+        # written a coefficient at a time instead of as one document
+        write = sys.stdout.write
+        sep = '\n    '
+        write('{\n  "series": [')
+        for c in s.coeffs:
+            write(f'{sep}"{c}"')
+            sep = ',\n    '
+        write(f'\n  ],\n  "terms": {args.terms}\n}}\n')
     else:
         _emit(args, {}, (f"phi({i}) = {c}" for i, c in enumerate(s.coeffs)))
     return 0

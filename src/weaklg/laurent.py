@@ -12,6 +12,7 @@ All values are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import mul
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -69,7 +70,7 @@ def _mixed_radix(widths: Sequence[int]) -> Callable[[Sequence[int]], int]:
     for w in widths:
         radices.append(radix)
         radix *= w
-    return lambda e: sum(a * r for a, r in zip(e, radices))
+    return lambda e: sum(map(mul, e, radices))
 
 
 class LaurentPolynomial:

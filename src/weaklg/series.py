@@ -14,10 +14,22 @@ from typing import Sequence
 
 from .laurent import LaurentPolynomial, _mixed_radix
 
-# The kernel forms sum_a |f^a| * |f| term products, one dict update each.
-# Entry 1 of the corpus at T = 36 (83 terms after its shift) is bounded by
-# 5.9e7 of them and forms 3.6e7.
+# The plain kernel forms sum_a |f^a| * |f| term products, one dict update
+# each.  Entry 1 of the corpus at T = 36 (83 terms after its shift) is
+# bounded by 5.9e7 of them and forms 3.6e7.  The bound holds for the orbit
+# kernel as well: it forms a subset of those products, and folds or reflects
+# only keys that a product formed.
 MAX_SERIES_WORK = 10**8
+
+# The kernel keeps one key per orbit of the coordinate swaps that fix f when
+# |f| * (|G| - 1), the term products a full orbit of G saves, is at least
+# this, because folding each key a step forms into its orbit's costs more
+# than a small orbit saves.  On a 2-vCPU Linux host with Python 3.11.7, at
+# T = 12, orbit sums ran the corpus entries with S3 symmetry and 15 to 83
+# terms (savings 75 to 415) 1.9 to 3.5 times as fast.  Forced on the other
+# symmetric entries (S3 with 4 or 7 terms, savings 20 and 35; one swap with
+# 5 to 29 terms, savings 5 to 29), they ran 0.4 to 1.2 times as fast.
+ORBIT_MIN_SAVING = 60
 
 # The work of a power step and of an output coefficient, in term products.
 # On a 2-vCPU Linux host with Python 3.11.7 a term product took 0.28-0.39 us
@@ -80,7 +92,7 @@ class MatchReport:
 
 def constant_term_series(f: LaurentPolynomial, terms: int = 20) -> IntegerSeries:
     """phi_f(0..terms) from the powers f^a, a <= ceil(terms/2), with lossless
-    pruning.
+    pruning, one key per orbit of the coordinate swaps that fix f.
 
     Meet in the middle.  Write T = terms and H = ceil(T/2).  For any split
     i = a + b, phi_f(i) = [f^a f^b]_0 = sum_e [f^a]_e [f^b]_(-e).  So as soon
@@ -90,6 +102,26 @@ def constant_term_series(f: LaurentPolynomial, terms: int = 20) -> IntegerSeries
         phi(2a)   = sum_e [f^a]_e [f^a]_(-e)      (when 2a <= T),
 
     and only f^(a-1) and f^a are alive at any time.
+
+    Orbit sums.  Coordinates i and j are in one block when swapping them
+    fixes f, coefficients included.  This is an equivalence, transitive since
+    (i k) = (i j)(j k)(i j), and G, the product of the symmetric groups of
+    the blocks, fixes f and so every f^a.  With the orbit sum
+    F_e = |orbit(e)| * [f^a]_e kept at one canonical e per orbit,
+      - a step needs no weights: for s in G, x^(s e) f = s(x^e f) has the
+        same sum over every orbit as x^e f, so the orbit sum F'_v of
+        f^(a+1) is the sum over u in orbit(v) of h_u, where
+        h = sum_(canonical e) F_e x^e f;
+      - the sums above read phi(2a) = sum_(canonical e) F_e F'_(canon(-e)) /
+        |orbit(e)|, since -e has an orbit of the same size, and each division
+        is exact because F'_(canon(-e)) is a multiple of that size; likewise
+        phi(2a-1).
+    An orbit of |G| keys costs |f| products where the plain kernel forms
+    |f| * |G|, but every key a step forms is then folded into its orbit's.
+    So G is used only when |f| * (|G| - 1), the products a full orbit saves,
+    is at least ORBIT_MIN_SAVING, and only when the search for G, at most
+    n(n-1)|f| lookups for n variables, fits in the work bound below; else G
+    is trivial, every key is canonical, and the kernel is the plain one.
 
     Pruning.  Per coordinate c let s_plus[c] / s_minus[c] be the largest
     positive / negative step available in the support of f.  After the a-th
@@ -101,7 +133,9 @@ def constant_term_series(f: LaurentPolynomial, terms: int = 20) -> IntegerSeries
     sum above loses a term: if [f^a]_e [f^b]_(-e) != 0 with a + b <= T,
     then -e is a sum of b terms of f, so -b*s_minus[c] <= -e[c] <=
     b*s_plus[c], and b <= T - a puts e in f^a's box; symmetrically, e is a
-    sum of a terms and a <= T - b puts -e in f^b's box.
+    sum of a terms and a <= T - b puts -e in f^b's box.  A swap of two
+    coordinates of a block fixes s_plus and s_minus, so the box is a union
+    of orbits and pruning keeps or drops whole orbits.
 
     Packing.  Each monomial is keyed by one int, so multiplying two
     monomials is one integer addition and reflecting one is one integer
@@ -118,14 +152,21 @@ def constant_term_series(f: LaurentPolynomial, terms: int = 20) -> IntegerSeries
         (which may be negative), with no digit carrying into the next;
       - the reflection -e of a kept monomial e of f^a or f^(a-1) is minus
         a sum of at most H terms of f, so |e[c]| <= O[c] as well, and since
-        the offsets are symmetric, its key is 2*origin - key(e).
+        the offsets are symmetric, its key is 2*origin - key(e);
+      - within a block s_plus, s_minus, the offsets and the widths are all
+        equal, so permuting a key's digits within each block (to sort them,
+        which names the orbit's canonical key) keeps every digit in its
+        range [0, W[c]); the blocks' coordinates are numbered consecutively,
+        so each block is a run of digits.  Reflection takes a digit d to
+        W[c] - 1 - d, which turns a sorted run around, so canon(-e) is the
+        reflected key with each run reversed.
     (Offsets that only cover products, H*s_minus[c] below and H*s_plus[c]
     above, leave the reflection of a kept monomial outside the digit range
     on a lopsided support, where its key borrows from the next digit.)
 
     The box is tested when a key is first inserted in a step, on its
-    decoded digits; a coefficient that cancels to zero keeps its (boxed)
-    key until the step ends, and zero coefficients are dropped then.
+    decoded digits; then each key is folded into its orbit's, and zero
+    coefficients, cancelled inside the step, are dropped.
 
     Budget.  The work, in term products, is bounded before any is done, for
     every f including 0: the H power steps at STEP_WORK each, the T+1
@@ -135,18 +176,46 @@ def constant_term_series(f: LaurentPolynomial, terms: int = 20) -> IntegerSeries
     lattice points in f^a's box that lie within a steps of the origin on
     every coordinate.  Past MAX_SERIES_WORK a ValueError names the limit.
     """
-    check_series_budget(f, terms)
-    support = list(f.terms.items())
-    if not support:
+    work = check_series_budget(f, terms)
+    if not f.terms:
         return IntegerSeries(tuple([1] + [0] * terms))
     s_plus, s_minus = _reach(f)
+    order, runs = _orbit_runs(f, work, list(zip(s_plus, s_minus)))
+    s_plus, s_minus = [s_plus[c] for c in order], [s_minus[c] for c in order]
     half = (terms + 1) // 2
     offsets = [half * max(sp, sm) for sp, sm in zip(s_plus, s_minus)]
     widths = [2 * o + 1 for o in offsets]
     pack = _mixed_radix(widths)
-    steps = [(pack(e), cf) for e, cf in support]
+    steps = [(pack([e[c] for c in order]), cf) for e, cf in f.terms.items()]
     origin = pack(offsets)
     mirror = 2 * origin
+
+    orbit_of: dict[int, int] = {}  # a key's canonical key
+    twins = {origin: (origin, 1)}  # canonical key: (that of -e, |orbit(e)|)
+
+    def canonical(key: int) -> int:
+        # the key with its digits sorted within each run; the first time a
+        # canonical key is met, its twin is recorded too
+        digits = []
+        for w in widths:
+            key, digit = divmod(key, w)
+            digits.append(digit)
+        for lo, hi in runs:
+            digits[lo:hi] = sorted(digits[lo:hi])
+        k = pack(digits)
+        if k not in twins:
+            size = 1
+            for lo, hi in runs:
+                run = digits[lo:hi]
+                size *= factorial(hi - lo) // prod(factorial(run.count(x)) for x in set(run))
+                digits[lo:hi] = run[::-1]
+            # 2*O[c] - d[c] = W[c] - 1 - d[c] sorts each reversed run again
+            twins[k] = (mirror - pack(digits), size)
+        return k
+
+    def orbit_dot(left: dict[int, int], right: dict[int, int]) -> int:
+        return sum(c * (right.get(kt, 0) // n) for key, c in left.items() for kt, n in (twins[key],))
+
     out = [1] + [0] * terms
     g = {origin: 1}
     for a in range(1, half + 1):
@@ -169,27 +238,106 @@ def constant_term_series(f: LaurentPolynomial, terms: int = 20) -> IntegerSeries
                             break
                     else:
                         nxt[key] = cg * cf
+        if runs:
+            for key in list(nxt):
+                k = orbit_of.get(key)
+                if k is None:
+                    k = orbit_of[key] = canonical(key)
+                if k != key:
+                    nxt[k] = get(k, 0) + nxt.pop(key)
         for key in [key for key, c in nxt.items() if not c]:
             del nxt[key]
         # g = f^(a-1), the smaller power, drives the odd sum
-        out[2 * a - 1] = sum(cg * get(mirror - kg, 0) for kg, cg in g.items())
-        if 2 * a <= terms:
-            out[2 * a] = sum(c * get(mirror - key, 0) for key, c in nxt.items())
+        if runs:
+            out[2 * a - 1] = orbit_dot(g, nxt)
+            if 2 * a <= terms:
+                out[2 * a] = orbit_dot(nxt, nxt)
+        else:
+            out[2 * a - 1] = sum(cg * get(mirror - kg, 0) for kg, cg in g.items())
+            if 2 * a <= terms:
+                out[2 * a] = sum(c * get(mirror - key, 0) for key, c in nxt.items())
         g = nxt
     return IntegerSeries(tuple(out))
 
 
-def check_series_budget(f: LaurentPolynomial, terms: int) -> None:
+def check_series_budget(f: LaurentPolynomial, terms: int) -> int:
     """Raise ValueError if constant_term_series(f, terms) would be refused:
-    terms < 1, or work past MAX_SERIES_WORK."""
+    terms < 1, or work past MAX_SERIES_WORK.  Return the bound on its work
+    otherwise."""
     if terms < 1:
         raise ValueError("terms must be >= 1")
-    if _work_bound(f, terms) > MAX_SERIES_WORK:
+    work = _work_bound(f, terms)
+    if work > MAX_SERIES_WORK:
         raise ValueError(
             f"the series to t^{terms} may need more than {MAX_SERIES_WORK} term products"
             f" (the limit MAX_SERIES_WORK), counting each power step as {STEP_WORK}"
             f" and each coefficient as {COEFFICIENT_WORK}"
         )
+    return work
+
+
+def _orbit_runs(
+    f: LaurentPolynomial, work: int, reach: list[tuple[int, int]]
+) -> tuple[list[int], list[tuple[int, int]]]:
+    """The coordinates of a nonzero f in the kernel's order, the blocks of G
+    one after another, and each block of two or more as a run (first,
+    last + 1) of positions in that order.  G is trivial, with no runs, when
+    |f| * (|G| - 1) < ORBIT_MIN_SAVING, and when the search for G could
+    look up more than `work`, the bound on the kernel's work, allows.
+    `reach` is (s_plus[c], s_minus[c]) per coordinate c."""
+    n = f.nvars
+    blocks = [[c] for c in range(n)]
+    # a swap that fixes f fixes the reach, so |G| is at most the product of
+    # k! over the k coordinates of each reach; no search where that fails
+    # the rule
+    most = prod(factorial(reach.count(r)) for r in set(reach))
+    if len(f) * (most - 1) >= ORBIT_MIN_SAVING and n * (n - 1) * len(f) <= work:
+        symmetric = _symmetric_blocks(f)
+        if len(f) * (prod(factorial(len(b)) for b in symmetric) - 1) >= ORBIT_MIN_SAVING:
+            blocks = symmetric
+    order = [c for b in blocks for c in b]
+    runs = []
+    first = 0
+    for b in blocks:
+        if len(b) > 1:
+            runs.append((first, first + len(b)))
+        first += len(b)
+    return order, runs
+
+
+def _symmetric_blocks(f: LaurentPolynomial) -> list[list[int]]:
+    """The classes of coordinates i, j whose swap fixes f, coefficients
+    included, in order of their first coordinate.
+
+    Each coordinate is compared with the first coordinate of every block so
+    far, which is enough since the relation is transitive.  A comparison
+    looks up the swapped image of each term that moves either coordinate
+    (the swap fixes the others) by its packed key, one addition away from
+    the term's: at most n(n-1)/2 * 2|f| lookups in all."""
+    terms = f.terms
+    base = 2 * max((abs(x) for e in terms for x in e), default=0) + 1
+    pack = _mixed_radix([base] * f.nvars)
+    radices = [base**c for c in range(f.nvars)]
+    keyed = {pack(e): cf for e, cf in terms.items()}
+    moved: list[list[tuple[int, tuple[int, ...], int]]] = [[] for _ in range(f.nvars)]
+    for key, (e, cf) in zip(keyed, terms.items()):
+        for c, x in enumerate(e):
+            if x:
+                moved[c].append((key, e, cf))
+
+    def swap_fixes(i: int, j: int) -> bool:
+        shift = radices[i] - radices[j]
+        return all(keyed.get(key + (e[j] - e[i]) * shift) == cf for key, e, cf in moved[i] + moved[j])
+
+    blocks: list[list[int]] = []
+    for c in range(f.nvars):
+        for block in blocks:
+            if swap_fixes(block[0], c):
+                block.append(c)
+                break
+        else:
+            blocks.append([c])
+    return blocks
 
 
 def _reach(f: LaurentPolynomial) -> tuple[list[int], list[int]]:

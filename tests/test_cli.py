@@ -1,7 +1,7 @@
 from __future__ import annotations
 
-import io
 import contextlib
+import io
 import json
 import os
 import subprocess
@@ -40,6 +40,50 @@ def test_series_json_output_is_decimal_strings() -> None:
     doc = json.loads(out)
     assert doc["series"] == ["1", "0", "0", "0", "24", "0", "0", "0", "2520"]
     assert doc["terms"] == 8
+
+
+@pytest.mark.parametrize(
+    "source, terms",
+    [(("--poly", "0"), 5), (("--entry", "17"), 12), (("--poly", "x+1/x"), 1), (("--poly", "2*x-3+1/x"), 7)],
+)
+def test_series_json_is_written_as_one_document_would_be(source: tuple[str, str], terms: int) -> None:
+    code, out, err = run("series", *source, "--terms", str(terms), "--format", "json")
+    assert code == 0 and err == ""
+    _, text, _ = run("series", *source, "--terms", str(terms))
+    payload = {"series": [line.split(" = ")[1] for line in text.splitlines()], "terms": terms}
+    assert len(payload["series"]) == terms + 1
+    assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def peak_rss_kb(*argv: str) -> int:
+    """ru_maxrss of a fresh interpreter that runs cli.main(argv), output
+    discarded."""
+    package_root = str(Path(weaklg.__file__).resolve().parent.parent)
+    script = (
+        "import resource, sys\n"
+        "from weaklg.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "sys.stdout.flush()\n"
+        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": package_root},
+    )
+    code, peak = proc.stderr.split()
+    assert code == "0"
+    return int(peak)
+
+
+def test_series_json_peak_memory_is_close_to_text() -> None:
+    # 10^6 coefficients: held as one JSON document they took about 150 MB
+    # more than the text output
+    argv = ("series", "--poly", "0", "--terms", "1000000")
+    text, as_json = peak_rss_kb(*argv), peak_rss_kb(*argv, "--format", "json")
+    assert as_json <= text * 1.1 + 4096
 
 
 def test_series_requires_exactly_one_source() -> None:

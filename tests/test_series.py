@@ -4,7 +4,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from support import constant_term_series_naive, term_power
@@ -14,8 +14,12 @@ from weaklg.laurent import LaurentPolynomial
 from weaklg.series import (
     COEFFICIENT_WORK,
     MAX_SERIES_WORK,
+    ORBIT_MIN_SAVING,
     STEP_WORK,
     IntegerSeries,
+    _orbit_runs,
+    _reach,
+    _symmetric_blocks,
     _work_bound,
     ci_period_closed_form,
     compare_series,
@@ -133,6 +137,139 @@ def lopsided_polys(draw: st.DrawFn) -> LaurentPolynomial:
 @given(lopsided_polys(), st.integers(min_value=1, max_value=9))
 def test_reflected_keys_agree_with_naive_on_lopsided_supports(f: LaurentPolynomial, terms: int) -> None:
     assert constant_term_series(f, terms).coeffs == constant_term_series_naive(f, terms)
+
+
+def block_orbit(e: tuple[int, ...], blocks: list[list[int]]) -> set[tuple[int, ...]]:
+    """Every exponent vector that permuting e within the blocks gives."""
+    out = set()
+    for perms in itertools.product(*(itertools.permutations(b) for b in blocks)):
+        image = list(e)
+        for b, p in zip(blocks, perms):
+            for src, dst in zip(b, p):
+                image[dst] = e[src]
+        out.add(tuple(image))
+    return out
+
+
+@st.composite
+def block_symmetric_polys(draw: st.DrawFn) -> tuple[LaurentPolynomial, list[list[int]]]:
+    # 1-5 variables cut into random blocks; each drawn term is spread over
+    # its orbit with one coefficient, so every swap within a block fixes f
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, n))
+    labels = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    blocks = [[c for c in range(n) if labels[c] == b] for b in sorted(set(labels))]
+    reach = 2 if n <= 3 else 1
+    seeds = draw(st.dictionaries(
+        st.tuples(*(st.integers(-reach, reach) for _ in range(n))), st.integers(-3, 3).filter(bool),
+        min_size=1, max_size=6,
+    ))
+    terms: dict[tuple[int, ...], int] = {}
+    for e, cf in seeds.items():
+        if e not in terms:
+            terms.update(dict.fromkeys(block_orbit(e, blocks), cf))
+    return LaurentPolynomial(n, terms), blocks
+
+
+def reach(f: LaurentPolynomial) -> list[tuple[int, int]]:
+    return list(zip(*_reach(f)))
+
+
+def saving(f: LaurentPolynomial, blocks: list[list[int]]) -> int:
+    return len(f) * (math.prod(math.factorial(len(b)) for b in blocks) - 1)
+
+
+def short_terms(f: LaurentPolynomial) -> st.SearchStrategy[int]:
+    # the oracle forms |f^(T-1)| * |f| products for its last power, and
+    # |f^(T-1)| is at most the box of exponents (T-1) steps reach: keep the
+    # products near 10^5.  At T <= 2 the kernel does not look for G (one
+    # power step costs less than the search)
+    m = max(abs(x) for e in f.terms for x in e)
+    most = 1
+    while most < 7 and min(len(f) ** most, (2 * most * m + 1) ** f.nvars) * len(f) <= 10**5:
+        most += 1
+    return st.integers(min(3, most), most)
+
+
+@settings(deadline=None, max_examples=500)
+@given(st.data())
+def test_orbit_sums_agree_with_naive_on_block_symmetric_supports(data: st.DataObject) -> None:
+    f, blocks = data.draw(block_symmetric_polys())
+    terms = data.draw(short_terms(f))
+    # the search finds these blocks or coarser ones
+    found = _symmetric_blocks(f)
+    assert all(any(set(b) <= set(c) for c in found) for b in blocks)
+    work = _work_bound(f, terms)
+    compressed = bool(_orbit_runs(f, work, reach(f))[1])
+    searched = f.nvars * (f.nvars - 1) * len(f) <= work
+    assert compressed == (searched and saving(f, found) >= ORBIT_MIN_SAVING)
+    event(f"orbit sums: {compressed}")
+    assert constant_term_series(f, terms).coeffs == constant_term_series_naive(f, terms)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_swap_that_fixes_only_the_support_is_not_used(data: st.DataObject) -> None:
+    f, blocks = data.draw(block_symmetric_polys())
+    terms = dict(f.terms)
+    # a term that some swap within a block moves gets a new coefficient
+    moved = [e for e in terms for b in blocks for i, j in itertools.combinations(b, 2) if e[i] != e[j]]
+    assume(moved)
+    e = data.draw(st.sampled_from(moved))
+    terms[e] += data.draw(st.sampled_from([-1, 1]))
+    assume(terms[e])
+    g = LaurentPolynomial(f.nvars, terms)
+    found = _symmetric_blocks(g)
+    for b in found:
+        for i, j in itertools.combinations(b, 2):
+            swapped = {tuple(x[j] if c == i else x[i] if c == j else x[c] for c in range(g.nvars)): cf
+                       for x, cf in terms.items()}
+            assert swapped == terms
+    t = data.draw(short_terms(g))
+    event(f"orbit sums: {bool(_orbit_runs(g, _work_bound(g, t), reach(g))[1])}")
+    assert constant_term_series(g, t).coeffs == constant_term_series_naive(g, t)
+
+
+def test_detected_groups_of_the_corpus() -> None:
+    s3, yz, xy, trivial = [[0, 1, 2]], [[0], [1, 2]], [[0, 1], [2]], [[0], [1], [2]]
+    expected = {1: s3, 2: s3, 4: s3, 5: s3, 8: s3, 9: s3, 15: s3, 17: s3, 3: yz, 16: yz,
+                10: xy, 12: xy, 13: xy, 14: xy, 6: trivial, 7: trivial, 11: trivial}
+    for entry in load_corpus():
+        f = entry.laurent()
+        f = f - f.constant_term()
+        assert _symmetric_blocks(f) == expected[entry.id], entry.id
+        # the rule: orbit sums for the S3 entries of 15 terms or more only
+        assert bool(_orbit_runs(f, MAX_SERIES_WORK, reach(f))[1]) == (entry.id in (1, 2, 4, 5, 8, 9)), entry.id
+
+
+def test_group_search_on_cyclic_and_fully_symmetric_supports() -> None:
+    n = 6
+    unit = [tuple(int(c == k) for c in range(n)) for k in range(n)]
+    # x1*x2^2 + x2*x3^2 + ... + x6*x1^2: every coordinate has the same
+    # reach, but only the cyclic shifts fix f, and no swap does
+    cyclic = LaurentPolynomial(n, {tuple(u + 2 * v for u, v in zip(unit[k], unit[(k + 1) % n])): 1 for k in range(n)})
+    assert _symmetric_blocks(cyclic) == [[c] for c in range(n)]
+    assert constant_term_series(cyclic, 6).coeffs == constant_term_series_naive(cyclic, 6)
+    # x1 + ... + x6 + 1/(x1*...*x6): S6, searched only when its n(n-1)|f|
+    # lookups are within the kernel's work bound
+    f = LaurentPolynomial(n, {**dict.fromkeys(unit, 1), (-1,) * n: 1})
+    assert _symmetric_blocks(f) == [list(range(n))]
+    assert _orbit_runs(f, n * (n - 1) * len(f), reach(f)) == (list(range(n)), [(0, n)])
+    assert _orbit_runs(f, n * (n - 1) * len(f) - 1, reach(f)) == (list(range(n)), [])
+    assert constant_term_series(f, 14).coeffs == constant_term_series_naive(f, 14)
+
+
+def test_orbit_sums_on_interleaved_blocks_of_two_and_three() -> None:
+    # (x1+x3+1/x1+1/x3)(x2+x4+x5+1/x2+1/x4+1/x5) + 2/(x1*...*x5): G = S2 x S3
+    # of order 12, whose blocks the kernel numbers consecutively
+    pair = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+    triple = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1)]
+    terms = {(p[0], t[0], p[1], t[1], t[2]): 1 for p in pair for t in triple}
+    terms[(-1, -1, -1, -1, -1)] = 2
+    f = LaurentPolynomial(5, terms)
+    assert _symmetric_blocks(f) == [[0, 2], [1, 3, 4]]
+    assert _orbit_runs(f, MAX_SERIES_WORK, reach(f)) == ([0, 2, 1, 3, 4], [(0, 2), (2, 5)])
+    assert constant_term_series(f, 5).coeffs == constant_term_series_naive(f, 5)
 
 
 @pytest.mark.parametrize("terms", [1, 2, 3, 4])
