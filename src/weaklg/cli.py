@@ -125,13 +125,9 @@ def _cmd_list(args: argparse.Namespace) -> int:
 def _cmd_series(args: argparse.Namespace) -> int:
     f, _ = _input_polynomial(args)
     check_series_budget(f, args.terms)
-    # Python refuses to print an int of more digits than the limit (0: no
-    # limit), and |phi(i)| <= norm^i; norm^T >= 2^((bits - 1) * T), and
-    # 2^(4 * limit) > 10^limit
-    limit = sys.get_int_max_str_digits()
-    norm = sum(abs(c) for c in f.terms.values())
-    wide = (norm.bit_length() - 1) * args.terms >= 4 * limit
-    if limit and norm > 1 and (wide or norm**args.terms >= 10**limit):
+    # Python refuses to print an int past the digit limit; |phi(i)| <= norm^i
+    limit = ex.past_digit_limit(sum(abs(c) for c in f.terms.values()), args.terms)
+    if limit:
         raise ValueError(
             f"the series to t^{args.terms} may have coefficients of more than {limit} digits"
             f" (the limit sys.get_int_max_str_digits() on printing an integer)"
@@ -153,24 +149,17 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
 
 def _report_lines(report) -> list[str]:
-    def mark(ok: bool) -> str:
-        return "ok" if ok else "MISMATCH"
+    def check(label: str, m) -> str:
+        return f"  {label}: ok" if m.matched else f"  {label}: MISMATCH at t^{m.first_mismatch}: {m.left} != {m.right}"
 
     lines = [f"entry {report.entry_id}: shift {report.shift}"]
     lines.append("  series " + ", ".join(str(c) for c in report.series[: min(8, len(report.series))])
                  + (", ..." if len(report.series) > 8 else ""))
     if report.reference is not None:
-        lines.append(f"  reference: {mark(report.reference.matched)}"
-                     + ("" if report.reference.matched else
-                        f" at t^{report.reference.first_mismatch}: {report.reference.left} != {report.reference.right}"))
+        lines.append(check("reference", report.reference))
     if report.ci is not None:
-        lines.append(f"  closed form: {mark(report.ci.matched)}"
-                     + ("" if report.ci.matched else
-                        f" at t^{report.ci.first_mismatch}: {report.ci.left} != {report.ci.right}"))
-    for i, alt in enumerate(report.alternates):
-        lines.append(f"  alternate {i}: {mark(alt.matched)}"
-                     + ("" if alt.matched else
-                        f" at t^{alt.first_mismatch}: {alt.left} != {alt.right}"))
+        lines.append(check("closed form", report.ci))
+    lines += [check(f"alternate {i}", alt) for i, alt in enumerate(report.alternates)]
     lines.append(f"  origin interior: {report.origin_interior}")
     sw = report.semiweak
     detail = f"dual volume {sw.dual_volume} vs degree {sw.expected}" if sw.dual_volume is not None else (sw.reason or "")
@@ -253,28 +242,17 @@ def _cmd_pfop(args: argparse.Namespace) -> int:
     if (args.order is None) != (args.degree is None):
         raise ValueError("--order and --degree must be given together")
     if args.order is not None:
-        basis = find_annihilator(s, args.order, args.degree)
-        payload = {
-            "order": args.order,
-            "degree": args.degree,
-            "operators": [op.to_json_dict() for op in basis],
-        }
+        order, degree, basis = args.order, args.degree, find_annihilator(s, args.order, args.degree)
         lines = [op.pretty() for op in basis] or ["no annihilator at these bounds"]
-        _emit(args, payload, lines)
-        return 0 if basis else 1
-    found = find_minimal_annihilator(s)
-    if found is None:
-        _emit(args, {"operators": []}, ["no annihilator found in the sweep"])
-        return 1
-    order, degree, basis = found
-    payload = {
-        "order": order,
-        "degree": degree,
-        "operators": [op.to_json_dict() for op in basis],
-    }
-    lines = [f"minimal bounds: order {order}, degree {degree}"] + [op.pretty() for op in basis]
-    _emit(args, payload, lines)
-    return 0
+    else:
+        found = find_minimal_annihilator(s)
+        if found is None:
+            _emit(args, {"operators": []}, ["no annihilator found in the sweep"])
+            return 1
+        order, degree, basis = found
+        lines = [f"minimal bounds: order {order}, degree {degree}"] + [op.pretty() for op in basis]
+    _emit(args, {"order": order, "degree": degree, "operators": [op.to_json_dict() for op in basis]}, lines)
+    return 0 if basis else 1
 
 
 def _parse_rays(text: str) -> list[tuple[int, ...]]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import expr as ex
-from .expr import Const, Diff, Expr, Pow, Prod, Quot, Sum, Var
+from .expr import Const, Expr, Pow, Prod, Quot, Sum, Var
 from .laurent import LaurentPolynomial
 
 
@@ -264,54 +264,6 @@ def weighted_hypersurface_system(
 # ---------------------------------------------------------------------------
 # elimination
 
-def _expr_to_fraction(e: Expr, names: Sequence[str]) -> tuple[LaurentPolynomial, LaurentPolynomial]:
-    """Rewrite an expression as an unreduced quotient of two honest
-    polynomials (no negative exponents) over the given variables."""
-    n = len(names)
-    index = {name: i for i, name in enumerate(names)}
-    one = LaurentPolynomial.one(n)
-
-    def walk(node: Expr) -> tuple[LaurentPolynomial, LaurentPolynomial]:
-        if isinstance(node, Const):
-            return LaurentPolynomial.constant(n, node.value), one
-        if isinstance(node, Var):
-            return LaurentPolynomial.variable(n, index[node.name]), one
-        if isinstance(node, Sum):
-            num, den = walk(node.terms[0])
-            for t in node.terms[1:]:
-                tn, td = walk(t)
-                num = num * td + tn * den
-                den = den * td
-            return num, den
-        if isinstance(node, Diff):
-            ln, ld = walk(node.left)
-            rn, rd = walk(node.right)
-            return ln * rd - rn * ld, ld * rd
-        if isinstance(node, Prod):
-            num, den = walk(node.factors[0])
-            for f in node.factors[1:]:
-                fn, fd = walk(f)
-                num = num * fn
-                den = den * fd
-            return num, den
-        if isinstance(node, Quot):
-            ln, ld = walk(node.numerator)
-            rn, rd = walk(node.denominator)
-            if not rn:
-                raise ZeroDivisionError(f"denominator {ex.render(node.denominator)} is identically zero")
-            return ln * rd, ld * rn
-        if isinstance(node, Pow):
-            bn, bd = walk(node.base)
-            if node.exponent >= 0:
-                return bn ** node.exponent, bd ** node.exponent
-            if not bn:
-                raise ZeroDivisionError(f"negative power of identically zero base {ex.render(node.base)}")
-            return bd ** (-node.exponent), bn ** (-node.exponent)
-        raise TypeError(f"not an expression node: {node!r}")
-
-    return walk(e)
-
-
 def _split_linear(
     p: LaurentPolynomial, var_index: int, names: Sequence[str]
 ) -> tuple[LaurentPolynomial, LaurentPolynomial]:
@@ -357,7 +309,7 @@ def eliminate(model: ConstrainedModel, plan: Sequence[tuple[int, str]]) -> Elimi
         if var in bindings:
             raise ValueError(f"plan step {step}: variable {var!r} already eliminated")
         constraint = ex.substitute(model.constraints[ci], bindings)
-        num, den = _expr_to_fraction(constraint, names)
+        num, den = ex.to_fraction(constraint, names)
         residual = num - den  # constraint == 1 cleared of denominators
         var_index = names.index(var)
         a_part, b_part = _split_linear(residual, var_index, names)

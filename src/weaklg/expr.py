@@ -20,20 +20,27 @@ degrees are below D, a single agreeing evaluation is wrong with probability
 at most D/(p - 1); twenty agreeing trials push that below 2^-800 for every
 polynomial appearing in the bundled corpus.
 
-random_equal(), variables() and to_laurent() share one compiled form: an
-iterative walk lists each distinct subexpression once, operands first, and
-an evaluator runs down that list, dropping each value after its last use.
-The identity test evaluates a whole batch of points per step, as a
-numerator and a denominator vector mod p, and compares the two sides by
-cross-multiplying, so it computes no modular inverse.  render() and
-substitute() still recurse once per level of the tree.
+random_equal(), variables(), to_laurent() and to_fraction() share one
+compiled form: an iterative walk lists each distinct subexpression once,
+operands first, and one driver runs down that list with a step function per
+kind of node, dropping each value after its last use.  The three rings are
+Laurent polynomials, (numerator, denominator) pairs of polynomials, and
+batches of points mod p: the identity test evaluates a whole batch per
+step, as a numerator and a denominator vector, and compares the two sides
+by cross-multiplying, so it computes no modular inverse.  render() and
+substitute() walk the tree bottom-up without recursion, each distinct node
+once, so only the parser recurses, at most MAX_NESTING levels deep.
 """
 
 from __future__ import annotations
 
 import random
+import sys
+from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from itertools import chain
+from math import prod
+from typing import Callable, Mapping, Sequence, Union
 
 from .laurent import LaurentPolynomial, is_probable_prime
 
@@ -70,6 +77,17 @@ class NotLaurentError(ValueError):
 
 class IdentityTestError(RuntimeError):
     """Raised when random_equal exhausts its retry budget."""
+
+
+def past_digit_limit(base: int, exponent: int) -> int:
+    """sys.get_int_max_str_digits() if integers up to base**exponent may have
+    more digits than Python converts to text, else 0 (also for no limit, 0)."""
+    limit = sys.get_int_max_str_digits()
+    bits = base.bit_length() * exponent
+    # 2^(bits - k) <= base^k < 2^bits, and 2^(3*limit) < 10^limit < 2^(4*limit)
+    if limit and base > 1 and bits >= 3 * limit and (bits - exponent >= 4 * limit or base**exponent >= 10**limit):
+        return limit
+    return 0
 
 
 @dataclass(frozen=True)
@@ -254,38 +272,78 @@ def _prec(e: Expr) -> int:
 
 
 def render(e: Expr) -> str:
-    """Canonical text form; parse(render(e)) reproduces e exactly."""
-    return _render(e, 0)
+    """Canonical text form; parse(render(e)) reproduces e exactly.
+
+    Each distinct node is written once, after its operands, each operand in
+    parentheses where it binds more loosely than _prec asks of its place,
+    and dropped once every node that reads it is written."""
+    order = _postorder(e)
+    readers = Counter(map(id, chain.from_iterable(map(_operands, order))))
+    text: dict[int, str] = {}
+
+    def put(node: Expr, min_prec: int) -> str:
+        key = id(node)
+        readers[key] -= 1
+        body = text[key] if readers[key] else text.pop(key)
+        return "(" + body + ")" if _prec(node) < min_prec else body
+
+    for node in order:
+        kind = type(node)
+        if kind is Const:
+            body = str(node.value)
+        elif kind is Var:
+            body = node.name
+        elif kind is Sum:
+            body = " + ".join([put(node.terms[0], 1), *(put(t, 2) for t in node.terms[1:])])
+        elif kind is Diff:
+            body = put(node.left, 1) + " - " + put(node.right, 2)
+        elif kind is Prod:
+            body = "*".join([put(node.factors[0], 2), *(put(f, 3) for f in node.factors[1:])])
+        elif kind is Quot:
+            body = put(node.numerator, 2) + "/" + put(node.denominator, 3)
+        else:
+            body = put(node.base, 4) + "^" + str(node.exponent)
+        text[id(node)] = body
+    return text[id(e)]
 
 
-def _render(e: Expr, min_prec: int) -> str:
-    if isinstance(e, Const):
-        body = str(e.value)
-    elif isinstance(e, Var):
-        body = e.name
-    elif isinstance(e, Sum):
-        parts = [_render(e.terms[0], 1)] + [_render(t, 2) for t in e.terms[1:]]
-        body = " + ".join(parts)
-    elif isinstance(e, Diff):
-        body = _render(e.left, 1) + " - " + _render(e.right, 2)
-    elif isinstance(e, Prod):
-        parts = [_render(e.factors[0], 2)] + [_render(f, 3) for f in e.factors[1:]]
-        body = "*".join(parts)
-    elif isinstance(e, Quot):
-        body = _render(e.numerator, 2) + "/" + _render(e.denominator, 3)
-    elif isinstance(e, Pow):
-        body = _render(e.base, 4) + "^" + str(e.exponent)
-    else:
-        raise TypeError(f"not an expression node: {e!r}")
-    if _prec(e) < min_prec:
-        return "(" + body + ")"
-    return body
+def _operands(node: Expr) -> tuple[Expr, ...]:
+    kind = type(node)
+    if kind is Var or kind is Const:
+        return ()
+    if kind is Sum or kind is Prod:
+        return node.terms if kind is Sum else node.factors
+    if kind is Diff or kind is Quot:
+        return (node.left, node.right) if kind is Diff else (node.numerator, node.denominator)
+    if kind is Pow:
+        return (node.base,)
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _postorder(*roots: Expr) -> list[Expr]:
+    """Each distinct node under the roots (by identity) once, after its
+    operands: an iterative walk, so a chain such as x-x-...-x needs no
+    recursion."""
+    order: list[Expr] = []
+    seen: set[int] = set()
+    stack: list = list(reversed(roots))
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple:
+            order.append(node[0])
+        elif id(node) not in seen:
+            seen.add(id(node))
+            kids = _operands(node)
+            if kids:
+                stack.append((node,))
+                stack += reversed(kids)
+            else:
+                order.append(node)
+    return order
 
 
 # ---------------------------------------------------------------------------
 # compiled programs
-
-_EMIT = object()
 
 
 class _Program:
@@ -297,64 +355,20 @@ class _Program:
     Equal subtrees share a slot: a step is numbered by its kind, its leaf
     value or exponent and its operands' slots, so a subtree that substitute
     shares, or that the text repeats (x^-1 in every term), is computed once.
-    An n-ary sum or product becomes a chain of binary steps, each taken as
-    soon as its operand is ready, so no step holds more than two values.
-    The walk is iterative, so a chain such as x-x-...-x needs no recursion.
+    A sum, product, difference or quotient folds its operands left in binary
+    steps; a sum or product of one operand is that operand.
     """
 
     __slots__ = ("nodes", "operands", "last", "roots")
 
     def __init__(self, *roots: Expr):
-        slot: dict[int, int] = {}  # id(node) -> slot, for every node placed
-        slot_of = slot.__getitem__
+        slot: dict[int, int] = {}  # id(node) -> slot
         number: dict = {}  # name, value or (kind, [exponent,] reads) -> slot
         nodes: list[Expr] = []
         operands: list[list[int]] = []
         last: list[int] = []
-        # A node with operands is pushed back as (operands, node, _EMIT)
-        # under them and placed when the marker comes back up.  Reads are
-        # lists: tuple(map(...)) starts at ten slots and shrinks, so every
-        # call moves a block into the small-tuple free lists, which fill up
-        # (2,000 blocks per size) and stay full.
-        stack: list = list(reversed(roots))
-        pop = stack.pop
-        while stack:
-            node = pop()
-            if node is _EMIT:
-                node = pop()
-                reads = [*map(slot_of, map(id, pop()))]
-                kind = type(node)
-                key = (kind, node.exponent, *reads) if kind is Pow else (kind, *reads)
-            elif id(node) in slot:
-                continue
-            else:
-                kind = type(node)
-                if kind is Var:
-                    reads, key = [], node.name
-                elif kind is Const:
-                    reads, key = [], node.value
-                else:
-                    if kind is Sum:
-                        kids = node.terms
-                    elif kind is Prod:
-                        kids = node.factors
-                    elif kind is Pow:
-                        kids = (node.base,)
-                    elif kind is Diff:
-                        kids = (node.left, node.right)
-                    elif kind is Quot:
-                        kids = (node.numerator, node.denominator)
-                    else:
-                        raise TypeError(f"not an expression node: {node!r}")
-                    if len(kids) > 2:
-                        # Each further operand of a sum or product is folded
-                        # into the partial result, placed under id(node).
-                        for k in kids[:1:-1]:
-                            stack += ((node, k), node, _EMIT, k)
-                        kids = kids[:2]
-                    stack += (kids, node, _EMIT)
-                    stack += reversed(kids)
-                    continue
+
+        def place(node: Expr, key, reads: list[int]) -> int:
             here = number.setdefault(key, len(nodes))
             if here == len(nodes):
                 for j in reads:
@@ -362,21 +376,45 @@ class _Program:
                 nodes.append(node)
                 operands.append(reads)
                 last.append(-1)
+            return here
+
+        for node in _postorder(*roots):
+            kind = type(node)
+            if kind is Var or kind is Const:
+                here = place(node, node.name if kind is Var else node.value, [])
+            elif kind is Pow:
+                base = slot[id(node.base)]
+                here = place(node, (Pow, node.exponent, base), [base])
+            else:
+                here, *rest = [slot[id(k)] for k in _operands(node)]
+                for j in rest:
+                    here = place(node, (kind, here, j), [here, j])
             slot[id(node)] = here
-        self.nodes = nodes
-        self.operands = operands
+        self.nodes, self.operands = nodes, operands
         self.roots = [slot[id(root)] for root in roots]
         for j in self.roots:
             last[j] = -1
         self.last = last
 
-    def variables(self) -> list[str]:
-        return sorted({node.name for node in self.nodes if type(node) is Var})
+    def run(self, steps: Mapping[type, Callable]) -> list:
+        """Each root's value.  A step's value is steps[kind](node, *values
+        of its operands), kind being the node's type, and each value is
+        dropped after the step that reads it last."""
+        values: list = [None] * len(self.nodes)
+        value_of = values.__getitem__
+        last = self.last
+        for i, node in enumerate(self.nodes):
+            reads = self.operands[i]
+            values[i] = steps[type(node)](node, *map(value_of, reads))
+            for j in reads:
+                if last[j] == i:
+                    values[j] = None
+        return [values[j] for j in self.roots]
 
 
 def variables(e: Expr) -> tuple[str, ...]:
     """Free variable names, sorted."""
-    return tuple(_Program(e).variables())
+    return tuple(sorted({node.name for node in _postorder(e) if type(node) is Var}))
 
 
 # ---------------------------------------------------------------------------
@@ -389,85 +427,129 @@ def to_laurent(e: Expr, variable_order: Sequence[str]) -> LaurentPolynomial:
     to a single monomial, and all coefficient divisions must be exact over Z;
     otherwise NotLaurentError names the offending subexpression.
     """
+    constant, variable = _leaves(variable_order)
+
+    def product(node: Prod, a, b) -> LaurentPolynomial:
+        if len(a) * len(b) > MAX_TERM_PRODUCTS:
+            raise ValueError(
+                f"a product of {len(a)} and {len(b)} terms may form more than"
+                f" {MAX_TERM_PRODUCTS} term products (the limit MAX_TERM_PRODUCTS)"
+            )
+        return _expand(a) * _expand(b)
+
+    def power(node: Pow, a):
+        a = _expand(a)
+        if node.exponent < 0:
+            return _invert_monomial(a, node.base) ** -node.exponent
+        return _Power(a, node.exponent, _power_bound(a, node.exponent))
+
+    root, = _Program(e).run({
+        Const: constant,
+        Var: variable,
+        Sum: lambda node, a, b: _expand(a) + _expand(b),
+        Diff: lambda node, a, b: _expand(a) - _expand(b),
+        Prod: product,
+        Quot: lambda node, a, b: _divide_by_monomial(_expand(a), _expand(b), node.denominator),
+        Pow: power,
+    })
+    return _expand(root)
+
+
+def to_fraction(e: Expr, variable_order: Sequence[str]) -> tuple[LaurentPolynomial, LaurentPolynomial]:
+    """Rewrite an expression as an unreduced quotient of two honest
+    polynomials (no negative exponents) over the given variables.
+
+    Sums and products fold left, a/b + c/d as (a*d + c*b)/(b*d).  Dividing
+    by an identically zero polynomial raises ZeroDivisionError, and a power
+    that may pass to_laurent's limits on powers raises ValueError."""
+    constant, variable = _leaves(variable_order)
+    one = LaurentPolynomial.one(len(variable_order))
+
+    def quotient(node: Quot, x, y) -> tuple[LaurentPolynomial, LaurentPolynomial]:
+        (ln, ld), (rn, rd) = x, y
+        if not rn:
+            raise ZeroDivisionError(f"denominator {render(node.denominator)} is identically zero")
+        return ln * rd, ld * rn
+
+    def power(node: Pow, x) -> tuple[LaurentPolynomial, LaurentPolynomial]:
+        (bn, bd), k = x, node.exponent
+        if k < 0:
+            if not bn:
+                raise ZeroDivisionError(f"negative power of identically zero base {render(node.base)}")
+            bn, bd, k = bd, bn, -k
+        _power_bound(bn, k)
+        _power_bound(bd, k)
+        return bn ** k, bd ** k
+
+    root, = _Program(e).run({
+        Const: lambda node: (constant(node), one),
+        Var: lambda node: (variable(node), one),
+        Sum: lambda node, x, y: (x[0] * y[1] + y[0] * x[1], x[1] * y[1]),
+        Diff: lambda node, x, y: (x[0] * y[1] - y[0] * x[1], x[1] * y[1]),
+        Prod: lambda node, x, y: (x[0] * y[0], x[1] * y[1]),
+        Quot: quotient,
+        Pow: power,
+    })
+    return root
+
+
+def _leaves(variable_order: Sequence[str]) -> tuple[Callable, Callable]:
+    """The Laurent polynomial of a constant node and of a variable node."""
     names = list(variable_order)
     if len(set(names)) != len(names):
         raise ValueError("variable_order contains duplicates")
-    index = {name: i for i, name in enumerate(names)}
-    n = len(names)
-    if n < 1:
+    if not names:
         raise ValueError("variable_order must name at least one variable")
+    n, index = len(names), {name: i for i, name in enumerate(names)}
 
-    program = _Program(e)
-    # Leaves are immutable, so each distinct one is built once and shared.
-    generators = {name: LaurentPolynomial.variable(n, i) for name, i in index.items()}
-    constants: dict[int, LaurentPolynomial] = {}
-    values: list[LaurentPolynomial | None] = [None] * len(program.nodes)
-    # A power is expanded when a step reads it, so that a product can bound
-    # its term products by the power's term bound first: slot -> (base,
-    # exponent, term bound) of each power not yet expanded.
-    powers: dict[int, tuple[LaurentPolynomial, int, int]] = {}
+    def variable(node: Var) -> LaurentPolynomial:
+        if node.name not in index:
+            raise NotLaurentError(f"unknown variable {node.name!r}")
+        return LaurentPolynomial.variable(n, index[node.name])
 
-    def read(j: int) -> LaurentPolynomial:
-        if j in powers:
-            base, exponent, _ = powers.pop(j)
-            values[j] = base ** exponent
-        return values[j]
+    return (lambda node: LaurentPolynomial.constant(n, node.value)), variable
 
-    def size(j: int) -> int:
-        return powers[j][2] if j in powers else len(values[j])
 
-    last = program.last
-    for i, node in enumerate(program.nodes):
-        reads = program.operands[i]
-        kind = type(node)
-        if kind is Const:
-            value = constants.get(node.value)
-            if value is None:
-                value = constants[node.value] = LaurentPolynomial.constant(n, node.value)
-        elif kind is Var:
-            value = generators.get(node.name)
-            if value is None:
-                raise NotLaurentError(f"unknown variable {node.name!r}")
-        elif kind is Sum:
-            value = read(reads[0])
-            for j in reads[1:]:
-                value = value + read(j)
-        elif kind is Diff:
-            value = read(reads[0]) - read(reads[1])
-        elif kind is Prod:
-            # the program's product steps have two operands (or one)
-            if len(reads) == 2 and size(reads[0]) * size(reads[1]) > MAX_TERM_PRODUCTS:
-                raise ValueError(
-                    f"a product of {size(reads[0])} and {size(reads[1])} terms may form more than"
-                    f" {MAX_TERM_PRODUCTS} term products (the limit MAX_TERM_PRODUCTS)"
-                )
-            value = read(reads[0])
-            for j in reads[1:]:
-                value = value * read(j)
-        elif kind is Quot:
-            value = _divide_by_monomial(read(reads[0]), read(reads[1]), node.denominator)
-        elif node.exponent >= 0:
-            base = read(reads[0])
-            bound = _power_terms_bound(base, node.exponent)
-            if bound > MAX_POWER_TERMS:
-                raise ValueError(
-                    f"a power with exponent {node.exponent} of {len(base)} terms may expand to more than"
-                    f" {MAX_POWER_TERMS} terms (the limit MAX_POWER_TERMS)"
-                )
-            if _power_work_bound(base, node.exponent) > MAX_TERM_PRODUCTS:
-                raise ValueError(
-                    f"a power with exponent {node.exponent} of {len(base)} terms may form more than"
-                    f" {MAX_TERM_PRODUCTS} term products (the limit MAX_TERM_PRODUCTS)"
-                )
-            powers[i] = (base, node.exponent, bound)
-            value = None
-        else:
-            value = _invert_monomial(read(reads[0]), node.base) ** (-node.exponent)
-        values[i] = value
-        for j in reads:
-            if last[j] == i:
-                values[j] = None
-    return read(len(values) - 1)
+@dataclass
+class _Power:
+    """base**exponent, which to_laurent expands when a step first reads it,
+    so that a product can bound its term products by `terms` first."""
+
+    base: LaurentPolynomial | None
+    exponent: int
+    terms: int
+    value: LaurentPolynomial | None = None
+
+    def __len__(self) -> int:
+        return self.terms
+
+
+def _expand(value) -> LaurentPolynomial:
+    """A to_laurent value, a power expanded once for all its readers."""
+    if type(value) is not _Power:
+        return value
+    if value.value is None:
+        value.value = value.base ** value.exponent
+        value.base, value.terms = None, len(value.value)
+    return value.value
+
+
+def _power_bound(base: LaurentPolynomial, k: int) -> int:
+    """_power_terms_bound(base, k), for k >= 0, or ValueError naming the
+    limit base**k may pass: on its terms, its term products, or the digits
+    of its coefficients, which are at most the sum of |base|'s to the k."""
+    bound = _power_terms_bound(base, k)
+    limit = past_digit_limit(sum(map(abs, base.terms.values())), k)
+    for passed, what in (
+        (bound > MAX_POWER_TERMS, f"expand to more than {MAX_POWER_TERMS} terms (the limit MAX_POWER_TERMS)"),
+        (_power_work_bound(base, k) > MAX_TERM_PRODUCTS,
+         f"form more than {MAX_TERM_PRODUCTS} term products (the limit MAX_TERM_PRODUCTS)"),
+        (limit, f"have coefficients of more than {limit} digits"
+                " (the limit sys.get_int_max_str_digits() on printing an integer)"),
+    ):
+        if passed:
+            raise ValueError(f"a power with exponent {k} of {len(base)} terms may {what}")
+    return bound
 
 
 def _power_terms_bound(base: LaurentPolynomial, k: int) -> int:
@@ -484,11 +566,7 @@ def _power_terms_bound(base: LaurentPolynomial, k: int) -> int:
             break
     else:
         return multisets
-    exps = list(base.terms)
-    box = 1
-    for c in range(base.nvars):
-        box *= k * (max(e[c] for e in exps) - min(e[c] for e in exps)) + 1
-    return min(box, multisets)
+    return min(prod(k * (max(c) - min(c)) + 1 for c in zip(*base.terms)), multisets)
 
 
 def _power_work_bound(base: LaurentPolynomial, k: int) -> int:
@@ -538,47 +616,34 @@ def _invert_monomial(base: LaurentPolynomial, source: Expr) -> LaurentPolynomial
 # substitution
 
 def substitute(e: Expr, bindings: Mapping[str, Expr]) -> Expr:
-    """Replace variables simultaneously; folds integer constants, nothing else."""
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Var):
-        return bindings.get(e.name, e)
-    if isinstance(e, Sum):
-        terms = tuple(substitute(t, bindings) for t in e.terms)
-        if all(isinstance(t, Const) for t in terms):
-            return Const(sum(t.value for t in terms))
-        return Sum(terms)
-    if isinstance(e, Diff):
-        left = substitute(e.left, bindings)
-        right = substitute(e.right, bindings)
-        if isinstance(left, Const) and isinstance(right, Const):
-            return Const(left.value - right.value)
-        return Diff(left, right)
-    if isinstance(e, Prod):
-        factors = tuple(substitute(f, bindings) for f in e.factors)
-        if all(isinstance(f, Const) for f in factors):
-            value = 1
-            for f in factors:
-                value *= f.value
-            return Const(value)
-        return Prod(factors)
-    if isinstance(e, Quot):
-        num = substitute(e.numerator, bindings)
-        den = substitute(e.denominator, bindings)
-        if isinstance(num, Const) and isinstance(den, Const) and den.value != 0:
-            q, r = divmod(num.value, den.value)
-            if r == 0:
-                return Const(q)
-        return Quot(num, den)
-    if isinstance(e, Pow):
-        base = substitute(e.base, bindings)
-        if isinstance(base, Const):
-            if e.exponent >= 0:
-                return Const(base.value ** e.exponent)
-            if base.value in (1, -1):
-                return Const(base.value ** (-e.exponent % 2) if base.value == -1 else 1)
-        return Pow(base, e.exponent)
-    raise TypeError(f"not an expression node: {e!r}")
+    """Replace variables simultaneously; folds integer constants, nothing else.
+
+    The tree is rebuilt bottom-up, each distinct node (by identity) once,
+    so a subtree shared in e is shared in the result.  A power of a
+    constant that may have more digits than sys.get_int_max_str_digits()
+    allows printing is left unfolded."""
+    new: dict[int, Expr] = {}
+    for node in _postorder(e):
+        kind = type(node)
+        if kind is Var or kind is Const:
+            new[id(node)] = bindings.get(node.name, node) if kind is Var else node
+            continue
+        kids = [new[id(k)] for k in _operands(node)]
+        values = [k.value for k in kids if isinstance(k, Const)]
+        folds = len(values) == len(kids)  # every operand a constant
+        if kind is Sum or kind is Prod:
+            out = Const(sum(values) if kind is Sum else prod(values)) if folds else kind(tuple(kids))
+        elif kind is Diff:
+            out = Const(values[0] - values[1]) if folds else Diff(*kids)
+        elif kind is Quot:
+            exact = folds and values[1] != 0 and values[0] % values[1] == 0
+            out = Const(values[0] // values[1]) if exact else Quot(*kids)
+        else:
+            k = node.exponent
+            folds = folds and (values[0] in (1, -1) if k < 0 else not past_digit_limit(abs(values[0]), k))
+            out = Const(values[0] ** abs(k)) if folds else Pow(kids[0], k)
+        new[id(node)] = out
+    return new[id(e)]
 
 
 # ---------------------------------------------------------------------------
@@ -642,47 +707,30 @@ def _add(x: _Pair, y: _Pair, sign: int, p: int) -> _Pair:
 
 def _evaluate_mod(program: _Program, coords: Mapping[str, _Vector], count: int, p: int) -> list[_Pair]:
     """Each root's value at count points; coords maps a name to its coordinates."""
-    values: list[_Pair | None] = [None] * len(program.nodes)
-    value_of = values.__getitem__
-    last = program.last
-    for i, node in enumerate(program.nodes):
-        reads = program.operands[i]
-        args = [*map(value_of, reads)]
-        kind = type(node)
-        if kind is Const:
-            value = [node.value % p] * count, None
-        elif kind is Var:
-            value = coords[node.name], None
-        elif kind is Sum:
-            value = args[0]
-            for term in args[1:]:
-                value = _add(value, term, 1, p)
-        elif kind is Diff:
-            value = _add(args[0], args[1], -1, p)
-        elif kind is Prod:
-            num, den = args[0]
-            for a, b in args[1:]:
-                num, den = _mul(num, a, p), _mul_opt(den, b, p)
-            value = num, den
-        elif kind is Quot:
-            (a, b), (c, d) = args
-            if d is None:
-                value = a, _mul_opt(b, c, p)
-            else:
-                value = _mul(_mul(a, d, p), d, p), _mul(_mul_opt(b, c, p), d, p)
-        else:
-            (a, b), k = args[0], node.exponent
-            if k > 0:
-                value = _power(a, k, p), None if b is None else _power(b, k, p)
-            elif b is None:
-                value = [1] * count, None if k == 0 else _power(a, -k, p)
-            else:
-                value = (b, b) if k == 0 else (_power(b, 1 - k, p), _mul(_power(a, -k, p), b, p))
-        values[i] = value
-        for j in reads:
-            if last[j] == i:
-                values[j] = None
-    return [values[j] for j in program.roots]
+
+    def quotient(node: Quot, x: _Pair, y: _Pair) -> _Pair:
+        (a, b), (c, d) = x, y
+        if d is None:
+            return a, _mul_opt(b, c, p)
+        return _mul(_mul(a, d, p), d, p), _mul(_mul_opt(b, c, p), d, p)
+
+    def power(node: Pow, x: _Pair) -> _Pair:
+        (a, b), k = x, node.exponent
+        if k > 0:
+            return _power(a, k, p), None if b is None else _power(b, k, p)
+        if b is None:
+            return [1] * count, None if k == 0 else _power(a, -k, p)
+        return (b, b) if k == 0 else (_power(b, 1 - k, p), _mul(_power(a, -k, p), b, p))
+
+    return program.run({
+        Const: lambda node: ([node.value % p] * count, None),
+        Var: lambda node: (coords[node.name], None),
+        Sum: lambda node, x, y: _add(x, y, 1, p),
+        Diff: lambda node, x, y: _add(x, y, -1, p),
+        Prod: lambda node, x, y: (_mul(x[0], y[0], p), _mul_opt(x[1], y[1], p)),
+        Quot: quotient,
+        Pow: power,
+    })
 
 
 def random_equal(
@@ -709,7 +757,7 @@ def random_equal(
     if prime < 3 or not is_probable_prime(prime):
         raise ValueError(f"modulus {prime} is not an odd prime")
     program = _Program(left, right)
-    names = program.variables()
+    names = sorted({node.name for node in program.nodes if type(node) is Var})
     rng = random.Random(seed)
     budget = 8 * trials + 16
     drawn = done = 0

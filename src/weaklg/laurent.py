@@ -12,7 +12,8 @@ All values are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import mul
+from itertools import repeat
+from operator import add, mul
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -136,8 +137,7 @@ class LaurentPolynomial:
         """The generator x_index, 0-based."""
         if not 0 <= index < nvars:
             raise ValueError(f"variable index {index} out of range for {nvars} variables")
-        exps = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls(nvars, {exps: 1})
+        return cls._raw(nvars, {(0,) * index + (1,) + (0,) * (nvars - index - 1): 1})
 
     @classmethod
     def monomial(cls, nvars: int, exponents: Sequence[int], coefficient: int = 1) -> "LaurentPolynomial":
@@ -216,7 +216,7 @@ class LaurentPolynomial:
         out: dict[ExponentVector, int] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in g._terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
+                key = tuple(map(add, e1, e2))
                 new = out.get(key, 0) + c1 * c2
                 if new:
                     out[key] = new
@@ -255,7 +255,7 @@ class LaurentPolynomial:
             return LaurentPolynomial.one(n)
         if len(self._terms) < 2:
             return LaurentPolynomial._raw(
-                n, {tuple(exponent * a for a in e): c**exponent for e, c in self._terms.items()}
+                n, {tuple(map(mul, e, repeat(exponent))): c**exponent for e, c in self._terms.items()}
             )
         exps = list(self._terms)
         lo = [min(e[c] for e in exps) for c in range(n)]

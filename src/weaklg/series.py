@@ -174,7 +174,8 @@ def constant_term_series(f: LaurentPolynomial, terms: int = 20) -> IntegerSeries
     sum_(a<H) |f^a| * |f|, where |f^a| is at most the number
     C(a+|f|-1, |f|-1) of multisets of a terms, and at most the number of
     lattice points in f^a's box that lie within a steps of the origin on
-    every coordinate.  Past MAX_SERIES_WORK a ValueError names the limit.
+    every coordinate; products and decodes count by the keys' size (see
+    _work_bound).  Past MAX_SERIES_WORK a ValueError names the limit.
     """
     work = check_series_budget(f, terms)
     if not f.terms:
@@ -270,8 +271,8 @@ def check_series_budget(f: LaurentPolynomial, terms: int) -> int:
     if work > MAX_SERIES_WORK:
         raise ValueError(
             f"the series to t^{terms} may need more than {MAX_SERIES_WORK} term products"
-            f" (the limit MAX_SERIES_WORK), counting each power step as {STEP_WORK}"
-            f" and each coefficient as {COEFFICIENT_WORK}"
+            f" (the limit MAX_SERIES_WORK), counting each power step as {STEP_WORK},"
+            f" each coefficient as {COEFFICIENT_WORK}, and each product and first insertion by its key's size"
         )
     return work
 
@@ -343,30 +344,41 @@ def _symmetric_blocks(f: LaurentPolynomial) -> list[list[int]]:
 def _reach(f: LaurentPolynomial) -> tuple[list[int], list[int]]:
     """s_plus and s_minus of a nonzero f: per coordinate, the largest
     positive and the largest negative step in its support (0 if none)."""
-    exps = list(f.terms)
-    s_plus = [max(0, max(e[c] for e in exps)) for c in range(f.nvars)]
-    s_minus = [max(0, -min(e[c] for e in exps)) for c in range(f.nvars)]
-    return s_plus, s_minus
+    zero = (0,) * f.nvars
+    return list(map(max, *f.terms, zero)), [-c for c in map(min, *f.terms, zero)]
 
 
 def _work_bound(f: LaurentPolynomial, terms: int) -> int:
     """An upper bound on the work of constant_term_series(f, terms) in term
     products, its power steps and coefficients counted at STEP_WORK and
     COEFFICIENT_WORK, or a number past MAX_SERIES_WORK once the bound
-    passes it."""
-    m = len(f)
+    passes it.
+
+    Keys below prod(W[c]) fill `size` 64-bit words.  A product adds and
+    looks up such keys, and counts `size`; the first time a step forms a
+    key it decodes up to n digits by divmods of at most `size` words, and
+    counts n * size (a key the box rejects is decoded each time it is
+    formed, but counted once).  Step a forms at most the multisets of a
+    terms of f, and the lattice points of a times f's reach."""
+    m, n = len(f), f.nvars
     half = (terms + 1) // 2
-    # every power step adds at least |f| products to its own work
-    work = half * (STEP_WORK + m) + (terms + 1) * COEFFICIENT_WORK
+    work = half * STEP_WORK + (terms + 1) * COEFFICIENT_WORK
     if not m:
         return work
-    s_plus, s_minus = _reach(f)
-    for a in range(half):
+    reach = list(zip(*_reach(f)))
+    size = -(-prod(2 * half * max(r) + 1 for r in reach).bit_length() // 64)
+    # every power step forms at least |f| products
+    work += half * m * size
+    kept = 1  # a bound on the keys of f^(a-1) in its box
+    for a in range(1, half + 1):
         if work > MAX_SERIES_WORK:
             break
         rem = terms - a
-        points = prod(min(a * sp, rem * sm) + min(a * sm, rem * sp) + 1 for sp, sm in zip(s_plus, s_minus))
-        work += m * (min(points, comb(a + m - 1, m - 1)) - 1)
+        multisets = comb(a + m - 1, m - 1)
+        formed = min(multisets, kept * m, prod(a * (sp + sm) + 1 for sp, sm in reach))
+        work += size * (m * (kept - 1) + n * formed)
+        # f^a's box: lattice points within a steps of the origin
+        kept = min(multisets, prod(min(a * sp, rem * sm) + min(a * sm, rem * sp) + 1 for sp, sm in reach))
     return work
 
 

@@ -5,7 +5,9 @@ expansion oracles use plain dict convolution, expression evaluation uses
 Fractions, the identity-test oracle evaluates one point at a time by
 recursion with a modular inverse per division, the unimodular sampler
 certifies its own determinant, and the polytope oracles search
-exhaustively where the package is clever.
+exhaustively where the package is clever.  The recursive render,
+substitute and (numerator, denominator) walkers that the package replaced
+by iterative passes and one compiled-program driver are kept verbatim.
 """
 
 from __future__ import annotations
@@ -15,8 +17,11 @@ import operator
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from typing import Mapping, Sequence
 
+from weaklg import expr as ex
 from weaklg.expr import Const, Diff, Expr, IdentityResult, IdentityTestError, Pow, Prod, Quot, Sum, Var
+from weaklg.laurent import LaurentPolynomial
 
 Term = tuple[tuple[int, ...], int]
 
@@ -161,6 +166,138 @@ def random_equal_oracle(left: Expr, right: Expr, trials: int = 20, seed: int = 0
     raise IdentityTestError(
         f"exhausted {budget} draws with only {done}/{trials} defined evaluations"
     )
+
+
+# The recursive walkers of weaklg.expr and weaklg.constructors before they
+# became iterative passes and one compiled-program driver, kept verbatim as
+# oracles; _render(e, 0) is the old render(e).
+
+def _prec(e: Expr) -> int:
+    if isinstance(e, Const):
+        return 5 if e.value >= 0 else 0
+    if isinstance(e, Var):
+        return 5
+    if isinstance(e, (Sum, Diff)):
+        return 1
+    if isinstance(e, (Prod, Quot)):
+        return 2
+    return 3  # Pow
+
+
+def _render(e: Expr, min_prec: int) -> str:
+    if isinstance(e, Const):
+        body = str(e.value)
+    elif isinstance(e, Var):
+        body = e.name
+    elif isinstance(e, Sum):
+        parts = [_render(e.terms[0], 1)] + [_render(t, 2) for t in e.terms[1:]]
+        body = " + ".join(parts)
+    elif isinstance(e, Diff):
+        body = _render(e.left, 1) + " - " + _render(e.right, 2)
+    elif isinstance(e, Prod):
+        parts = [_render(e.factors[0], 2)] + [_render(f, 3) for f in e.factors[1:]]
+        body = "*".join(parts)
+    elif isinstance(e, Quot):
+        body = _render(e.numerator, 2) + "/" + _render(e.denominator, 3)
+    elif isinstance(e, Pow):
+        body = _render(e.base, 4) + "^" + str(e.exponent)
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    if _prec(e) < min_prec:
+        return "(" + body + ")"
+    return body
+
+
+def substitute(e: Expr, bindings: Mapping[str, Expr]) -> Expr:
+    """Replace variables simultaneously; folds integer constants, nothing else."""
+    if isinstance(e, Const):
+        return e
+    if isinstance(e, Var):
+        return bindings.get(e.name, e)
+    if isinstance(e, Sum):
+        terms = tuple(substitute(t, bindings) for t in e.terms)
+        if all(isinstance(t, Const) for t in terms):
+            return Const(sum(t.value for t in terms))
+        return Sum(terms)
+    if isinstance(e, Diff):
+        left = substitute(e.left, bindings)
+        right = substitute(e.right, bindings)
+        if isinstance(left, Const) and isinstance(right, Const):
+            return Const(left.value - right.value)
+        return Diff(left, right)
+    if isinstance(e, Prod):
+        factors = tuple(substitute(f, bindings) for f in e.factors)
+        if all(isinstance(f, Const) for f in factors):
+            value = 1
+            for f in factors:
+                value *= f.value
+            return Const(value)
+        return Prod(factors)
+    if isinstance(e, Quot):
+        num = substitute(e.numerator, bindings)
+        den = substitute(e.denominator, bindings)
+        if isinstance(num, Const) and isinstance(den, Const) and den.value != 0:
+            q, r = divmod(num.value, den.value)
+            if r == 0:
+                return Const(q)
+        return Quot(num, den)
+    if isinstance(e, Pow):
+        base = substitute(e.base, bindings)
+        if isinstance(base, Const):
+            if e.exponent >= 0:
+                return Const(base.value ** e.exponent)
+            if base.value in (1, -1):
+                return Const(base.value ** (-e.exponent % 2) if base.value == -1 else 1)
+        return Pow(base, e.exponent)
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def _expr_to_fraction(e: Expr, names: Sequence[str]) -> tuple[LaurentPolynomial, LaurentPolynomial]:
+    """Rewrite an expression as an unreduced quotient of two honest
+    polynomials (no negative exponents) over the given variables."""
+    n = len(names)
+    index = {name: i for i, name in enumerate(names)}
+    one = LaurentPolynomial.one(n)
+
+    def walk(node: Expr) -> tuple[LaurentPolynomial, LaurentPolynomial]:
+        if isinstance(node, Const):
+            return LaurentPolynomial.constant(n, node.value), one
+        if isinstance(node, Var):
+            return LaurentPolynomial.variable(n, index[node.name]), one
+        if isinstance(node, Sum):
+            num, den = walk(node.terms[0])
+            for t in node.terms[1:]:
+                tn, td = walk(t)
+                num = num * td + tn * den
+                den = den * td
+            return num, den
+        if isinstance(node, Diff):
+            ln, ld = walk(node.left)
+            rn, rd = walk(node.right)
+            return ln * rd - rn * ld, ld * rd
+        if isinstance(node, Prod):
+            num, den = walk(node.factors[0])
+            for f in node.factors[1:]:
+                fn, fd = walk(f)
+                num = num * fn
+                den = den * fd
+            return num, den
+        if isinstance(node, Quot):
+            ln, ld = walk(node.numerator)
+            rn, rd = walk(node.denominator)
+            if not rn:
+                raise ZeroDivisionError(f"denominator {ex.render(node.denominator)} is identically zero")
+            return ln * rd, ld * rn
+        if isinstance(node, Pow):
+            bn, bd = walk(node.base)
+            if node.exponent >= 0:
+                return bn ** node.exponent, bd ** node.exponent
+            if not bn:
+                raise ZeroDivisionError(f"negative power of identically zero base {ex.render(node.base)}")
+            return bd ** (-node.exponent), bn ** (-node.exponent)
+        raise TypeError(f"not an expression node: {node!r}")
+
+    return walk(e)
 
 
 def random_unimodular(rng: random.Random, n: int = 3, ops: int = 6) -> tuple[tuple[int, ...], ...]:

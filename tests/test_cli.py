@@ -10,6 +10,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import weaklg
 from weaklg.cli import main
@@ -400,3 +402,136 @@ def test_console_entry_point_runs() -> None:
     )
     assert proc.returncode == 0
     assert "phi(2) = 2" in proc.stdout
+
+
+def grass_ci_model(tmp_path: Path) -> Path:
+    code, out, _ = run("construct", "grass-ci", "--k", "2", "--n", "6", "--sections", "5", "--format", "json")
+    assert code == 0
+    model_file = tmp_path / "model.json"
+    model_file.write_text(out)
+    return model_file
+
+
+def test_eliminate_with_a_5000_term_substitution_runs_without_recursion(tmp_path: Path) -> None:
+    model_file = grass_ci_model(tmp_path)
+    start = time.perf_counter()
+    code, out, err = run("eliminate", "--model", str(model_file), "--plan", "0:X11;4:X42",
+                         "--subs", "X12=" + "-".join(["x"] * 5000))
+    assert time.perf_counter() - start < 1.0
+    assert code in (0, 1) and err == ""
+    assert " - ".join(["x"] * 5000) in out
+
+
+def test_eliminate_refuses_an_identically_zero_denominator(tmp_path: Path) -> None:
+    model_file = tmp_path / "zero.json"
+    model_file.write_text('{"variables": ["a", "b"], "constraints": ["a/(b-b)"], "potential": "a+b"}')
+    code, out, err = run("eliminate", "--model", str(model_file), "--plan", "0:a")
+    assert (code, out, err) == (2, "", "error: denominator b - b is identically zero\n")
+
+
+@pytest.mark.parametrize(
+    ("argv", "expected"),
+    [
+        (("series", "--poly", "3^20000000", "--terms", "2"), 2),
+        (("series", "--poly", "(2^99999)^99999"), 2),
+        (("eliminate", "--plan", "0:b", "--subs", "a=7"), 0),
+    ],
+)
+def test_constant_powers_are_bounded_by_the_digit_limit(tmp_path: Path, argv: tuple[str, ...], expected: int) -> None:
+    if argv[0] == "eliminate":
+        model_file = tmp_path / "big.json"
+        model_file.write_text('{"variables": ["a", "b"], "constraints": ["b"], "potential": "a^30000000 + b"}')
+        argv = (*argv, "--model", str(model_file))
+    start = time.perf_counter()
+    code, out, err = run(*argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == expected
+    if expected == 2:
+        assert "digits (the limit sys.get_int_max_str_digits()" in err
+    else:
+        # 7^30000000 is left unfolded
+        assert out == "7^30000000 + 1\n" and err == ""
+
+
+def test_series_budget_counts_the_variables() -> None:
+    # x1*x2^2 + x2*x3^2 + ... + x4000*x1^2: 4,000 terms and a bound of
+    # 4,032 term products at T = 2 before keys were charged by their size,
+    # but 4,000 decodes of 4,000-digit keys, and the call took about 20 s.
+    # It now takes about 2.5 s, nearly all in to_laurent building 4,000
+    # exponent tuples of 4,000 entries and in reading their reach.
+    n = 4000
+    poly = "+".join(f"x{i}*x{i % n + 1}^2" for i in range(1, n + 1))
+    start = time.perf_counter()
+    code, out, err = run("series", "--poly", poly, "--terms", "2")
+    assert time.perf_counter() - start < 10.0
+    assert code == 2 and out == ""
+    assert "(the limit MAX_SERIES_WORK)" in err
+
+
+# A small grammar of hostile inputs.  Every polynomial it draws is tiny or
+# refused by a budget, and every large --terms or --kmax is past the
+# budgets, so each call ends within the wall bound below: the budgets admit
+# work of up to some tens of seconds, which a fuzz test cannot afford per
+# example.
+EXPONENTS = st.sampled_from(["0", "1", "2", "-1", "-99999", "99999", "30000000", "1000000000000"])
+CHAINS = st.builds(lambda op, n: op.join(["x"] * n), st.sampled_from("+-*/"), st.sampled_from([2, 99, 5000]))
+NESTS = st.builds(lambda opener, depth: opener * depth + "x" + ")" * depth * (opener == "("),
+                  st.sampled_from(["(", "-"]), st.integers(min_value=98, max_value=101))
+POWERS = st.builds("{}^{}".format,
+                   st.sampled_from(["3", "(2^99999)", "x", "(x*y)", "(2*x)", "(x+1)", "(x+y+z+1)", "(1/x)", "(x-x)"]),
+                   EXPONENTS)
+PLAIN = st.sampled_from(["x+1/x", "x+y+z+1/(x*y*z)", "1/(x-x)", "x/(x+1)", "0", "x^2*y^-1+3", "(x+1)^2/(x*y)"])
+JUNK = st.text(alphabet="xy+-*/^()019 ", max_size=20)
+POLYS = st.one_of(CHAINS, NESTS, POWERS, PLAIN, JUNK)
+SIZES = st.sampled_from(["-1", "0", "1", "2", "12", "1000000000", "1000000000000"])
+PLANS = st.sampled_from(["0:a", "0:b", "0:X11;4:X42", "", ":", "0:", "x:a", "-1:a", "99:a", "0:a;0:a", "0:a;1:a"])
+SUBS = st.one_of(st.sampled_from(["a=7", "=", "a", "a=(", "1a=2", "b=a^-1"]), POLYS.map("a=".__add__))
+
+
+@st.composite
+def hostile_argv(draw) -> tuple[list[str], str | None]:
+    """(argv, model file text or None); the model file goes last in argv."""
+    command = draw(st.sampled_from(["series", "identity", "polytope", "ehrhart", "pfop", "eliminate"]))
+    if command == "series":
+        return ["series", "--poly", draw(POLYS), "--terms", draw(SIZES)], None
+    if command == "identity":
+        return ["identity", "--left", draw(POLYS), "--right", draw(POLYS)], None
+    if command == "polytope":
+        return ["polytope", "--poly", draw(POLYS), *draw(st.sampled_from([[], ["--dual"]]))], None
+    if command == "ehrhart":
+        return ["ehrhart", "--poly", draw(POLYS), "--kmax", draw(SIZES)], None
+    if command == "pfop":
+        return ["pfop", "--poly", draw(POLYS), "--terms", draw(st.sampled_from(["-1", "8", "1000000000"]))], None
+    model = draw(st.one_of(
+        st.just("grass-ci"),
+        st.sampled_from(["", "[1]", "{", '{"variables": ["a"], "constraints": [], "potential": "a"}',
+                         '{"variables": ["a", "a", "b"], "constraints": ["a"], "potential": "a"}']),
+        st.builds(lambda c, p: json.dumps({"variables": ["a", "b", "x", "y", "z"], "constraints": [c], "potential": p}),
+                  st.one_of(POLYS, st.sampled_from(["a/(b-b)", "(a+1)^99999*b", "a^30000000*b", "a*b^2", "b"])),
+                  POLYS),
+    ))
+    argv = ["eliminate", "--plan", draw(PLANS)]
+    if draw(st.booleans()):
+        argv += ["--subs", draw(SUBS)]
+    return argv + ["--model"], model
+
+
+@settings(deadline=None, max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(hostile_argv())
+def test_cli_fuzz_keeps_the_exit_code_contract(tmp_path: Path, case: tuple[list[str], str | None]) -> None:
+    argv, model = case
+    if model is not None:
+        model_file = grass_ci_model(tmp_path) if model == "grass-ci" else tmp_path / "hostile.json"
+        if model != "grass-ci":
+            model_file.write_text(model)
+        argv = [*argv, str(model_file)]
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as usage:  # argparse refuses the command line
+            code = usage.code
+    assert time.perf_counter() - start < 2.0, argv
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv

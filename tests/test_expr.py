@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import evaluate_exactly, random_equal_oracle
+from support import _expr_to_fraction, _render, evaluate_exactly, random_equal_oracle
+from support import substitute as substitute_oracle
 from weaklg.expr import (
     IDENTITY_PRIME,
     MAX_POWER_TERMS,
@@ -23,11 +25,13 @@ from weaklg.expr import (
     Var,
     laurent_to_expr,
     parse,
+    past_digit_limit,
     random_equal,
     render,
     substitute,
     _power_terms_bound,
     _power_work_bound,
+    to_fraction,
     to_laurent,
     variables,
 )
@@ -371,3 +375,82 @@ def test_long_chains_need_no_recursion() -> None:
     assert variables(chain) == ("x", "y")
     assert to_laurent(chain, ("x", "y")) == LaurentPolynomial(2, {(1, 0): -4998, (0, 1): 1})
     assert random_equal(chain, parse("-4998*x + y")).equal
+
+
+XYZ = ("x", "y", "z")
+
+
+def _fraction_or_error(walk, tree):
+    try:
+        return walk(tree, XYZ)
+    except ZeroDivisionError as err:
+        return str(err)
+
+
+@settings(deadline=None)
+@given(st.one_of(expr_trees(), shared_dags()))
+def test_render_matches_the_recursive_oracle(tree) -> None:
+    assert render(tree) == _render(tree, 0)
+
+
+@settings(deadline=None)
+@given(st.one_of(expr_trees(), shared_dags()),
+       st.dictionaries(st.sampled_from(XYZ), st.one_of(expr_trees(), shared_dags()), max_size=3))
+def test_substitute_matches_the_recursive_oracle(tree, bindings) -> None:
+    assert substitute(tree, bindings) == substitute_oracle(tree, bindings)
+
+
+@settings(deadline=None)
+@given(st.one_of(expr_trees(), shared_dags()))
+def test_to_fraction_matches_the_recursive_oracle(tree) -> None:
+    # the same quotient, or the same ZeroDivisionError message
+    assert _fraction_or_error(to_fraction, tree) == _fraction_or_error(_expr_to_fraction, tree)
+
+
+def test_substitute_shares_what_it_shares_and_renders_it_once() -> None:
+    shared = substitute(parse("a*a + a"), {"a": parse("(x+1)^2")})
+    rebuilt = substitute(shared, {"x": Var("y")})
+    assert rebuilt.terms[0].factors[0] is rebuilt.terms[0].factors[1] is rebuilt.terms[1]
+    assert render(rebuilt) == "(y + 1)^2*(y + 1)^2 + (y + 1)^2"
+
+
+@pytest.mark.parametrize(
+    ("op", "text", "fraction"),
+    [
+        ("-", " - ", ({(1,): -4998}, {(0,): 1})),
+        ("/", "/", ({(1,): 1}, {(4999,): 1})),
+        ("*", "*", ({(5000,): 1}, {(0,): 1})),
+    ],
+)
+def test_5000_term_chains_need_no_recursion(op: str, text: str, fraction) -> None:
+    # x-x-... and x/x/... parse as chains 5,000 levels deep, x*x*... as one
+    # product of 5,000 factors (compared by text: == on nodes recurses)
+    chain = parse(op.join(["x"] * 5000))
+    assert render(chain) == text.join(["x"] * 5000)
+    assert render(substitute(chain, {"x": Var("y")})) == text.join(["y"] * 5000)
+    assert substitute(chain, {"x": Const(1)}) == Const({"-": -4998, "/": 1, "*": 1}[op])
+    num, den = to_fraction(chain, ("x",))
+    assert (num, den) == (LaurentPolynomial(1, fraction[0]), LaurentPolynomial(1, fraction[1]))
+
+
+def test_past_digit_limit_is_exact_at_the_limit() -> None:
+    limit = sys.get_int_max_str_digits()
+    assert past_digit_limit(10, limit - 1) == 0
+    assert past_digit_limit(10, limit) == limit
+    assert past_digit_limit(3, 9000) == 0  # 4295 digits under the default 4300
+    assert past_digit_limit(1, 10**30) == past_digit_limit(0, 10**30) == 0
+    assert past_digit_limit(2, 10**30) == limit
+
+
+@pytest.mark.parametrize("text", ["3^20000000", "(2^99999)^99999", "(10^4000*x+1)^2", "(x+y)^2*(-2*y)^30000000"])
+def test_powers_past_the_digit_limit_are_refused_before_computing(text: str) -> None:
+    for walk in (to_laurent, to_fraction):
+        with pytest.raises(ValueError, match=r"digits \(the limit sys.get_int_max_str_digits\(\)"):
+            walk(parse(text), XYZ)
+
+
+def test_substitute_leaves_constant_powers_past_the_digit_limit_unfolded() -> None:
+    seven = {"a": Const(7)}
+    assert substitute(parse("a^30000000 + b"), seven) == Sum((Pow(Const(7), 30000000), Var("b")))
+    assert substitute(parse("a^5000"), seven) == Const(7**5000)  # 4226 digits
+    assert substitute(parse("a^-30000000"), {"a": Const(-1)}) == Const(1)

@@ -182,8 +182,8 @@ def saving(f: LaurentPolynomial, blocks: list[list[int]]) -> int:
 def short_terms(f: LaurentPolynomial) -> st.SearchStrategy[int]:
     # the oracle forms |f^(T-1)| * |f| products for its last power, and
     # |f^(T-1)| is at most the box of exponents (T-1) steps reach: keep the
-    # products near 10^5.  At T <= 2 the kernel does not look for G (one
-    # power step costs less than the search)
+    # products near 10^5.  At T <= 2 the kernel seldom looks for G (one
+    # power step usually costs less than the search)
     m = max(abs(x) for e in f.terms for x in e)
     most = 1
     while most < 7 and min(len(f) ** most, (2 * most * m + 1) ** f.nvars) * len(f) <= 10**5:
