@@ -259,52 +259,41 @@ def _parse_atom(tok: _Tokenizer) -> Expr:
 # ---------------------------------------------------------------------------
 # rendering
 
-def _prec(e: Expr) -> int:
-    if isinstance(e, Const):
-        return 5 if e.value >= 0 else 0
-    if isinstance(e, Var):
-        return 5
-    if isinstance(e, (Sum, Diff)):
-        return 1
-    if isinstance(e, (Prod, Quot)):
-        return 2
-    return 3  # Pow
-
-
 def render(e: Expr) -> str:
     """Canonical text form; parse(render(e)) reproduces e exactly.
 
-    Each distinct node is written once, after its operands, each operand in
-    parentheses where it binds more loosely than _prec asks of its place,
-    and dropped once every node that reads it is written."""
+    Each distinct node is written once, after its operands, with its
+    precedence: 1 for a sum or difference, 2 for a product or quotient, 3
+    for a power, 5 for a leaf and 0 for a negative constant.  An operand of
+    lower precedence than its place asks is parenthesised, and a text is
+    dropped once every node that reads it is written."""
     order = _postorder(e)
     readers = Counter(map(id, chain.from_iterable(map(_operands, order))))
-    text: dict[int, str] = {}
+    text: dict[int, tuple[str, int]] = {}
 
     def put(node: Expr, min_prec: int) -> str:
         key = id(node)
         readers[key] -= 1
-        body = text[key] if readers[key] else text.pop(key)
-        return "(" + body + ")" if _prec(node) < min_prec else body
+        body, prec = text[key] if readers[key] else text.pop(key)
+        return "(" + body + ")" if prec < min_prec else body
 
     for node in order:
         kind = type(node)
         if kind is Const:
-            body = str(node.value)
+            text[id(node)] = str(node.value), 5 if node.value >= 0 else 0
         elif kind is Var:
-            body = node.name
+            text[id(node)] = node.name, 5
         elif kind is Sum:
-            body = " + ".join([put(node.terms[0], 1), *(put(t, 2) for t in node.terms[1:])])
+            text[id(node)] = " + ".join([put(node.terms[0], 1), *(put(t, 2) for t in node.terms[1:])]), 1
         elif kind is Diff:
-            body = put(node.left, 1) + " - " + put(node.right, 2)
+            text[id(node)] = put(node.left, 1) + " - " + put(node.right, 2), 1
         elif kind is Prod:
-            body = "*".join([put(node.factors[0], 2), *(put(f, 3) for f in node.factors[1:])])
+            text[id(node)] = "*".join([put(node.factors[0], 2), *(put(f, 3) for f in node.factors[1:])]), 2
         elif kind is Quot:
-            body = put(node.numerator, 2) + "/" + put(node.denominator, 3)
+            text[id(node)] = put(node.numerator, 2) + "/" + put(node.denominator, 3), 2
         else:
-            body = put(node.base, 4) + "^" + str(node.exponent)
-        text[id(node)] = body
-    return text[id(e)]
+            text[id(node)] = put(node.base, 4) + "^" + str(node.exponent), 3
+    return text[id(e)][0]
 
 
 def _operands(node: Expr) -> tuple[Expr, ...]:

@@ -4,7 +4,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from support import _expr_to_fraction, _render, evaluate_exactly, random_equal_oracle
@@ -403,8 +403,13 @@ def test_substitute_matches_the_recursive_oracle(tree, bindings) -> None:
 @settings(deadline=None)
 @given(st.one_of(expr_trees(), shared_dags()))
 def test_to_fraction_matches_the_recursive_oracle(tree) -> None:
-    # the same quotient, or the same ZeroDivisionError message
-    assert _fraction_or_error(to_fraction, tree) == _fraction_or_error(_expr_to_fraction, tree)
+    # the same quotient, or the same ZeroDivisionError message; the oracle
+    # has no budgets, so a power to_fraction refuses is not compared
+    try:
+        fraction = _fraction_or_error(to_fraction, tree)
+    except ValueError:
+        assume(False)
+    assert fraction == _fraction_or_error(_expr_to_fraction, tree)
 
 
 def test_substitute_shares_what_it_shares_and_renders_it_once() -> None:
