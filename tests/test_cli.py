@@ -456,7 +456,7 @@ def test_constant_powers_are_bounded_by_the_digit_limit(tmp_path: Path, argv: tu
 def test_series_budget_counts_the_variables() -> None:
     # x1*x2^2 + x2*x3^2 + ... + x4000*x1^2: 4,000 terms and a bound of
     # 4,032 term products at T = 2 before keys were charged by their size,
-    # but 4,000 decodes of 4,000-digit keys, and the call took about 20 s.
+    # but 4,000 decodes of 4,000-digit keys, and the call took about 16 s.
     # It now takes about 2.5 s, nearly all in to_laurent building 4,000
     # exponent tuples of 4,000 entries and in reading their reach.
     n = 4000
