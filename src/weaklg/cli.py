@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable
 
 from . import expr as ex
-from .annihilator import find_annihilator, find_minimal_annihilator
+from .annihilator import check_sweep_budget, find_annihilator, find_minimal_annihilator
 from .constructors import (
     ConstrainedModel,
     eliminate,
@@ -238,9 +238,17 @@ def _cmd_ehrhart(args: argparse.Namespace) -> int:
 
 def _cmd_pfop(args: argparse.Namespace) -> int:
     f, _ = _input_polynomial(args)
-    s = constant_term_series(f, args.terms)
     if (args.order is None) != (args.degree is None):
         raise ValueError("--order and --degree must be given together")
+    check_series_budget(f, args.terms)
+    # |phi(i)| <= norm^i < 2^(i * bitlen(norm^64) / 64), and phi(0) = 1
+    norm = sum(abs(c) for c in f.terms.values())
+    bits = max(1, -(-args.terms * (norm**64).bit_length() // 64))
+    if args.order is not None:
+        check_sweep_budget(args.terms, bits, args.order, args.degree)
+    else:
+        check_sweep_budget(args.terms, bits)
+    s = constant_term_series(f, args.terms)
     if args.order is not None:
         order, degree, basis = args.order, args.degree, find_annihilator(s, args.order, args.degree)
         lines = [op.pretty() for op in basis] or ["no annihilator at these bounds"]

@@ -89,10 +89,10 @@ class VerificationReport:
 
     `series` is the canonical zero-shift constant-term series; `shift` is
     the constant that was subtracted from the stored polynomial to get it.
-    `passed` aggregates the exact series comparisons and the interior-origin
-    requirement; the semiweak outcome is reported but not aggregated, since
-    the dual-volume condition is a strictly stronger property that the
-    bundled models are not all claimed to satisfy.
+    `passed` holds when every exact series comparison matches and the
+    semiweak check holds: the origin is interior to the Newton polytope and
+    the dual polytope's normalized volume equals the anticanonical degree.
+    Every bundled entry is semiweak.
     """
 
     entry_id: int
@@ -328,10 +328,10 @@ def verify_entry(entry: FanoEntry, terms: int = 20) -> VerificationReport:
     semiweak = semiweak_check(f, entry.degree)
     origin_interior = semiweak.origin_interior
 
-    passed = origin_interior
-    for report in (reference_report, ci_report, *alternate_reports):
-        if report is not None:
-            passed = passed and report.matched
+    # semiweak.ok holds only with the origin interior to the Newton polytope
+    passed = semiweak.ok and all(
+        report.matched for report in (reference_report, ci_report, *alternate_reports) if report is not None
+    )
 
     return VerificationReport(
         entry_id=entry.id,

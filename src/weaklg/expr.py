@@ -47,6 +47,16 @@ from .laurent import LaurentPolynomial, is_probable_prime
 # Fixed public prime 2^61 - 1 (Mersenne), used by random_equal.
 IDENTITY_PRIME = (1 << 61) - 1
 
+# Most point-steps random_equal may evaluate, bounded before it draws: its
+# 8*trials + 16 draws times the steps of the compiled program, a power
+# counted as one step per bit of its exponent.  A point-step took 0.3-0.6 us
+# on a 2-vCPU Linux host with Python 3.11.7 (x+y+z against z+y+x; two
+# 5,000-term chains; x^(10^12) against itself), so this is about a second.
+# Points are evaluated IDENTITY_BATCH at a time, so memory holds at most
+# one list of that many residues per live value, whatever trials is.
+MAX_IDENTITY_WORK = 2_000_000
+IDENTITY_BATCH = 1_000
+
 # Deepest nesting of parentheses and unary minus signs parse accepts: the
 # parser recurses about four interpreter frames per level, well inside the
 # default recursion limit of 1000 frames.
@@ -737,23 +747,31 @@ def random_equal(
     Returns a verdict plus the witness point when a disagreement is found.
 
     Both sides are compiled into one program and evaluated a batch of
-    points at a time, each batch being the points still needed, drawn in
-    the order one point at a time would draw them; so the batching changes
-    neither the verdict nor trials nor the witness.
+    points at a time, each batch being the points still needed, at most
+    IDENTITY_BATCH, drawn in the order one point at a time would draw them;
+    so the batching changes neither the verdict nor trials nor the witness,
+    and memory does not grow with trials.  A ValueError refuses trials
+    whose draws may evaluate more than MAX_IDENTITY_WORK point-steps.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if prime < 3 or not is_probable_prime(prime):
         raise ValueError(f"modulus {prime} is not an odd prime")
     program = _Program(left, right)
+    budget = 8 * trials + 16
+    steps = sum(max(1, abs(node.exponent).bit_length()) if type(node) is Pow else 1 for node in program.nodes)
+    if budget * steps > MAX_IDENTITY_WORK:
+        raise ValueError(
+            f"{trials} trials may evaluate {budget} points of {steps} program steps each,"
+            f" more than {MAX_IDENTITY_WORK} point-steps (the limit MAX_IDENTITY_WORK)"
+        )
     names = sorted({node.name for node in program.nodes if type(node) is Var})
     rng = random.Random(seed)
-    budget = 8 * trials + 16
     drawn = done = 0
     while drawn < budget:
-        # The points still needed if all are defined, drawn in the order a
-        # point-at-a-time loop would draw them.
-        count = min(trials - done, budget - drawn)
+        # The points still needed if all are defined, at most a batch, drawn
+        # in the order a point-at-a-time loop would draw them.
+        count = min(trials - done, budget - drawn, IDENTITY_BATCH)
         points = [[rng.randrange(1, prime) for _ in names] for _ in range(count)]
         drawn += count
         coords = {name: [point[k] for point in points] for k, name in enumerate(names)}

@@ -5,12 +5,14 @@ Bareiss's fraction-free elimination (Bareiss, Math. Comp. 22, 1968): at each
 pivot step every remaining row is updated and divided exactly by the previous
 pivot, so every intermediate entry is a minor of the input and stays integral
 without growing in length per step.  `det`, `rank` and `nullspace` read their
-answers off that form, in integers throughout.
+answers off that form, in integers throughout.  `first_dependent_mod` is the
+one elimination modulo a prime, a cheap screen that proves full column rank
+over the rationals without an exact solve.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 Matrix = Sequence[Sequence[int]]
 
@@ -90,3 +92,34 @@ def nullspace(matrix: Matrix, ncols: int) -> list[list[int]]:
             x[c] = -sum(row[k] * x[k] for k in range(c + 1, ncols)) // row[c]
         basis.append(x)
     return basis
+
+
+def first_dependent_mod(columns: Iterable[Sequence[int]], prime: int) -> int | None:
+    """Position of the first of the integer `columns` that is, modulo
+    `prime`, a linear combination of the columns before it; None when all of
+    them are independent mod prime.
+
+    Gaussian elimination over the field Z/prime, one column at a time, so a
+    caller that generates the columns stops generating them at the answer.
+    Each kept column is reduced by the kept columns before it and scaled to
+    1 at its pivot row, where every later kept column is 0.
+
+    The screen this gives is exact in one direction.  If the first k columns
+    of an integer matrix are independent mod prime, some k x k minor of them
+    is nonzero mod prime; that minor is an integer, so it is nonzero, and
+    the k columns are independent over the rationals as well.  The converse
+    fails only when prime divides every k x k minor.
+    """
+    basis: list[tuple[int, list[int]]] = []  # (pivot row, column)
+    for index, column in enumerate(columns):
+        v = [x % prime for x in column]
+        for row, kept in basis:
+            c = v[row]
+            if c:
+                v = [(x - c * y) % prime for x, y in zip(v, kept)]
+        pivot = next((r for r, x in enumerate(v) if x), None)
+        if pivot is None:
+            return index
+        inverse = pow(v[pivot], -1, prime)
+        basis.append((pivot, [x * inverse % prime for x in v]))
+    return None

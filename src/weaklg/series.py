@@ -22,13 +22,31 @@ from .laurent import LaurentPolynomial, _mixed_radix
 MAX_SERIES_WORK = 10**8
 
 # The kernel keeps one key per orbit of the coordinate swaps that fix f when
-# |f| * (|G| - 1), the term products a full orbit of G saves, is at least
-# this, because folding each key a step forms into its orbit's costs more
-# than a small orbit saves.  On a 2-vCPU Linux host with Python 3.11.7, at
-# T = 12, orbit sums ran the corpus entries with S3 symmetry and 15 to 83
-# terms (savings 75 to 415) 1.9 to 3.5 times as fast.  Forced on the other
-# symmetric entries (S3 with 4 or 7 terms, savings 20 and 35; one swap with
-# 5 to 29 terms, savings 5 to 29), they ran 0.4 to 1.2 times as fast.
+# |f| * (|G| - 1) * H >= 6 * ORBIT_MIN_SAVING, where |f| * (|G| - 1) is the
+# term products a full orbit of G saves in a step and H = ceil(T/2) is the
+# number of power steps.  Folding each key a step forms into its orbit's
+# costs more than a small orbit saves, and both the share of keys in full
+# orbits and the steps that pay for the fixed costs grow with T.  At T = 11
+# and 12 (H = 6) the rule is |f| * (|G| - 1) >= 60.  Plain kernel time over
+# forced orbit-sum time, for every corpus entry with a nontrivial G (f less
+# its constant term), on a 2-vCPU Linux host with Python 3.11.7 (best of 3;
+# * where the rule takes orbit sums; - not measured):
+#
+#   entry  |f|  |G|  saving  T=12   T=20   T=30   T=40
+#      1    83    6    415   5.39*  3.62*    -      -
+#      2    34    6    170   2.43*  3.77*  4.77*    -
+#      3    29    2     29   1.10   1.43   1.17*    -
+#      4    26    6    130   3.02*  3.29*  3.97*  4.29*
+#      5    22    6    110   2.20*  3.01*  3.93*  4.55*
+#      8    19    6     95   2.84*  2.59*  4.21*  4.55*
+#      9    15    6     75   1.91*  2.96*  3.80*  4.37*
+#     10    13    2     13   0.78   0.67   1.44   1.30
+#     12    16    2     16   0.74   1.06   1.27   1.35
+#     13    11    2     11   0.60   0.89   1.07   1.21
+#     14    10    2     10   0.58   0.76   1.04   1.14
+#     15     7    6     35   0.92   1.52   1.96*  2.97*
+#     16     5    2      5   0.55   0.35   0.72   0.76
+#     17     4    6     20   0.55   0.79   1.27   1.41*
 ORBIT_MIN_SAVING = 60
 
 # The work of a power step and of an output coefficient, in term products.
@@ -118,10 +136,11 @@ def constant_term_series(f: LaurentPolynomial, terms: int = 20) -> IntegerSeries
         phi(2a-1).
     An orbit of |G| keys costs |f| products where the plain kernel forms
     |f| * |G|, but every key a step forms is then folded into its orbit's.
-    So G is used only when |f| * (|G| - 1), the products a full orbit saves,
-    is at least ORBIT_MIN_SAVING, and only when the search for G, at most
-    n(n-1)|f| lookups for n variables, fits in the work bound below; else G
-    is trivial, every key is canonical, and the kernel is the plain one.
+    So G is used only when |f| * (|G| - 1) * H, the products full orbits
+    save over the H power steps, is at least 6 * ORBIT_MIN_SAVING, and only
+    when the search for G, at most n(n-1)|f| lookups for n variables, fits
+    in the work bound below; else G is trivial, every key is canonical, and
+    the kernel is the plain one.
 
     Pruning.  Per coordinate c let s_plus[c] / s_minus[c] be the largest
     positive / negative step available in the support of f.  After the a-th
@@ -181,9 +200,9 @@ def constant_term_series(f: LaurentPolynomial, terms: int = 20) -> IntegerSeries
     if not f.terms:
         return IntegerSeries(tuple([1] + [0] * terms))
     s_plus, s_minus = _reach(f)
-    order, runs = _orbit_runs(f, work, list(zip(s_plus, s_minus)))
-    s_plus, s_minus = [s_plus[c] for c in order], [s_minus[c] for c in order]
     half = (terms + 1) // 2
+    order, runs = _orbit_runs(f, half, work, list(zip(s_plus, s_minus)))
+    s_plus, s_minus = [s_plus[c] for c in order], [s_minus[c] for c in order]
     offsets = [half * max(sp, sm) for sp, sm in zip(s_plus, s_minus)]
     widths = [2 * o + 1 for o in offsets]
     pack = _mixed_radix(widths)
@@ -278,23 +297,27 @@ def check_series_budget(f: LaurentPolynomial, terms: int) -> int:
 
 
 def _orbit_runs(
-    f: LaurentPolynomial, work: int, reach: list[tuple[int, int]]
+    f: LaurentPolynomial, half: int, work: int, reach: list[tuple[int, int]]
 ) -> tuple[list[int], list[tuple[int, int]]]:
     """The coordinates of a nonzero f in the kernel's order, the blocks of G
     one after another, and each block of two or more as a run (first,
     last + 1) of positions in that order.  G is trivial, with no runs, when
-    |f| * (|G| - 1) < ORBIT_MIN_SAVING, and when the search for G could
-    look up more than `work`, the bound on the kernel's work, allows.
-    `reach` is (s_plus[c], s_minus[c]) per coordinate c."""
+    |f| * (|G| - 1) * half < 6 * ORBIT_MIN_SAVING over the kernel's `half`
+    power steps, and when the search for G could look up more than `work`,
+    the bound on the kernel's work, allows.  `reach` is (s_plus[c],
+    s_minus[c]) per coordinate c."""
     n = f.nvars
     blocks = [[c] for c in range(n)]
+
+    def worth(group_order: int) -> bool:
+        return len(f) * (group_order - 1) * half >= 6 * ORBIT_MIN_SAVING
+
     # a swap that fixes f fixes the reach, so |G| is at most the product of
     # k! over the k coordinates of each reach; no search where that fails
     # the rule
-    most = prod(factorial(reach.count(r)) for r in set(reach))
-    if len(f) * (most - 1) >= ORBIT_MIN_SAVING and n * (n - 1) * len(f) <= work:
+    if worth(prod(factorial(reach.count(r)) for r in set(reach))) and n * (n - 1) * len(f) <= work:
         symmetric = _symmetric_blocks(f)
-        if len(f) * (prod(factorial(len(b)) for b in symmetric) - 1) >= ORBIT_MIN_SAVING:
+        if worth(prod(factorial(len(b)) for b in symmetric)):
             blocks = symmetric
     order = [c for b in blocks for c in b]
     runs = []

@@ -8,6 +8,7 @@ certifies its own determinant, and the polytope oracles search
 exhaustively where the package is clever.  The recursive render,
 substitute and (numerator, denominator) walkers that the package replaced
 by iterative passes and one compiled-program driver are kept verbatim.
+So is the exhaustive annihilator sweep that a mod-p screen replaced.
 """
 
 from __future__ import annotations
@@ -20,8 +21,10 @@ from itertools import combinations, product
 from typing import Mapping, Sequence
 
 from weaklg import expr as ex
+from weaklg.annihilator import DifferentialOperator, find_annihilator
 from weaklg.expr import Const, Diff, Expr, IdentityResult, IdentityTestError, Pow, Prod, Quot, Sum, Var
 from weaklg.laurent import LaurentPolynomial
+from weaklg.series import IntegerSeries
 
 Term = tuple[tuple[int, ...], int]
 
@@ -501,3 +504,23 @@ def ehrhart_oracle(vertices: tuple[tuple, ...], facets: tuple, kmax: int) -> tup
             if all(den * _dot(normal, x) <= k * num for normal, num, den in facets)
         ))
     return tuple(counts)
+
+
+def find_minimal_annihilator_oracle(
+    s: IntegerSeries,
+    max_order: int = 4,
+    max_degree: int = 6,
+    terms: int | None = None,
+) -> tuple[int, int, list[DifferentialOperator]] | None:
+    """The exhaustive sweep: solve every (order, degree) cell exactly, by
+    increasing order + degree, then order, and return the first cell with a
+    nonempty annihilator basis."""
+    cells = sorted(
+        ((m, r) for m in range(max_order + 1) for r in range(max_degree + 1)),
+        key=lambda mr: (mr[0] + mr[1], mr[0]),
+    )
+    for m, r in cells:
+        ops = find_annihilator(s, m, r, terms)
+        if ops:
+            return m, r, ops
+    return None

@@ -1,15 +1,24 @@
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from support import find_minimal_annihilator_oracle
+from weaklg import annihilator
 from weaklg.annihilator import (
+    MAX_SWEEP_WORK,
     DifferentialOperator,
     apply_operator,
+    check_sweep_budget,
     find_annihilator,
     find_minimal_annihilator,
 )
+from weaklg.corpus import get_entry
+from weaklg.expr import parse, to_laurent, variables
 from weaklg.laurent import LaurentPolynomial
 from weaklg.series import IntegerSeries, constant_term_series
 
@@ -128,3 +137,108 @@ def test_operator_json_round_trip_layout() -> None:
     d = found.to_json_dict()
     assert d["order"] == 1 and d["degree"] == 1
     assert [0, 1, "1"] in d["coeffs"]
+
+
+# The sweep against the exhaustive one.  Corpus entries whose series to t^30
+# is cheap; ROADMAP item 2's controls (an order-4 operator, and P1 x P1 x P1)
+# and two polynomials with no operator in the sweep, at T = 36.
+CHEAP_ENTRIES = (8, 9, 13, 14, 15, 16, 17)
+CONTROLS = (
+    "x+y+z+1/(x*y)+1/(y*z)+x*z/y+2*y",
+    "x+y+z+1/x+1/y+1/z",
+    "x+2*y+3*z+1/(x*y)+5/(y*z)+x*z/y+7*y/x",
+    "2*x+y^2/z+3*z+1/(x*y)+x/(y*z)+5/x",
+)
+
+
+def control_series(text: str, terms: int) -> IntegerSeries:
+    e = parse(text)
+    return constant_term_series(to_laurent(e, variables(e)), terms)
+
+
+def counted_sweep(s: IntegerSeries, monkeypatch: pytest.MonkeyPatch, **kwargs):
+    """find_minimal_annihilator's result and the cells it solved exactly."""
+    solved = []
+
+    def solve(series, order, degree, terms=None):
+        solved.append((order, degree))
+        return find_annihilator(series, order, degree, terms)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(annihilator, "find_annihilator", solve)
+        return find_minimal_annihilator(s, **kwargs), solved
+
+
+@pytest.mark.parametrize("entry_id", CHEAP_ENTRIES)
+def test_sweep_matches_the_exhaustive_sweep_on_the_corpus(entry_id: int, monkeypatch: pytest.MonkeyPatch) -> None:
+    s = constant_term_series(get_entry(entry_id).laurent(), 30)
+    found, solved = counted_sweep(s, monkeypatch)
+    assert found == find_minimal_annihilator_oracle(s)
+    # the screen leaves the cell of the operator, solved exactly once
+    assert found is not None and solved == [found[:2]]
+
+
+@pytest.mark.parametrize("text", CONTROLS)
+def test_sweep_matches_the_exhaustive_sweep_on_the_controls(text: str, monkeypatch: pytest.MonkeyPatch) -> None:
+    s = control_series(text, 36)
+    found, solved = counted_sweep(s, monkeypatch)
+    assert found == find_minimal_annihilator_oracle(s)
+    if found is None:
+        assert solved == []
+
+
+@st.composite
+def small_polys(draw) -> LaurentPolynomial:
+    n = draw(st.integers(1, 2))
+    exps = st.tuples(*(st.integers(-2, 2) for _ in range(n)))
+    return LaurentPolynomial(n, draw(st.dictionaries(exps, st.integers(-3, 3).filter(bool), min_size=1, max_size=4)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(small_polys(), st.integers(min_value=4, max_value=16), st.integers(0, 4), st.integers(0, 6))
+def test_sweep_matches_the_exhaustive_sweep_on_small_polynomials(f, terms, max_order, max_degree) -> None:
+    s = constant_term_series(f, terms)
+    assert find_minimal_annihilator(s, max_order, max_degree) == find_minimal_annihilator_oracle(s, max_order, max_degree)
+
+
+@pytest.mark.parametrize("prime", [2, 3])
+def test_sweep_falls_through_spurious_deficiency_mod_a_tiny_prime(prime: int, monkeypatch: pytest.MonkeyPatch) -> None:
+    # mod 2 or 3 many columns are dependent that are not over Q: their
+    # cells are solved exactly, found empty, and the sweep moves on
+    monkeypatch.setattr(annihilator, "SCREEN_PRIME", prime)
+    empty_solves = 0
+    for s in (constant_term_series(get_entry(15).laurent(), 30), control_series(CONTROLS[2], 36), GEOMETRIC):
+        found, solved = counted_sweep(s, monkeypatch)
+        assert found == find_minimal_annihilator_oracle(s)
+        empty_solves += len(solved) - (found is not None)
+    assert empty_solves > 0
+
+
+def test_sweep_is_budgeted_before_it_starts() -> None:
+    # x + y + 1/(x*y) to t^800 took about 9 s before the budget
+    s = control_series("x+y+1/(x*y)", 60)
+    assert check_sweep_budget(60, max(s.coeffs).bit_length()) <= MAX_SWEEP_WORK
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="the limit MAX_SWEEP_WORK"):
+        check_sweep_budget(800, 1300)
+    with pytest.raises(ValueError, match="the limit MAX_SWEEP_WORK"):
+        find_minimal_annihilator(IntegerSeries((1,) + (2**1300,) * 800))
+    assert time.perf_counter() - start < 0.5
+    # the bound grows with every dimension of the sweep
+    base = check_sweep_budget(30, 100)
+    assert base < check_sweep_budget(31, 100)
+    assert base < check_sweep_budget(30, 101 + 63)
+    assert base < check_sweep_budget(30, 100, 5, 6) and base < check_sweep_budget(30, 100, 4, 7)
+
+
+def test_sweep_charges_each_solve_past_the_first(monkeypatch: pytest.MonkeyPatch) -> None:
+    # mod 2 the first candidates of entry 15 are spurious, so the sweep
+    # needs more solves than the bound taken before it covers
+    s = constant_term_series(get_entry(15).laurent(), 30)
+    monkeypatch.setattr(annihilator, "SCREEN_PRIME", 2)
+    assert len(counted_sweep(s, monkeypatch)[1]) > 1
+    monkeypatch.setattr(annihilator, "MAX_SWEEP_WORK", check_sweep_budget(30, max(s.coeffs).bit_length()))
+    with pytest.raises(ValueError, match="the limit MAX_SWEEP_WORK"):
+        find_minimal_annihilator(s)
+    monkeypatch.setattr(annihilator, "SCREEN_PRIME", (1 << 61) - 1)
+    assert find_minimal_annihilator(s) == find_minimal_annihilator_oracle(s)

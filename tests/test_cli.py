@@ -132,6 +132,28 @@ def test_verify_reports_mismatch_with_exit_one(tmp_path: Path) -> None:
     assert code == 1
 
 
+def test_verify_counts_the_semiweak_verdict(tmp_path: Path) -> None:
+    # entry 2's dual polytope has normalized volume 4; a corpus that claims
+    # degree 6 fails only the semiweak check
+    import importlib.resources as res
+
+    with (res.files("weaklg") / "data" / "corpus.json").open() as fh:
+        doc = json.load(fh)
+    for e in doc["entries"]:
+        if e["id"] == 2:
+            e["degree"] = 6
+    bad = tmp_path / "corpus.json"
+    bad.write_text(json.dumps(doc))
+    code, out, _ = run("verify", "--entry", "2", "--terms", "6", "--corpus", str(bad))
+    assert code == 1
+    assert "  semiweak: no (dual volume 4 vs degree 6)" in out.splitlines()
+    assert "  passed: False" in out.splitlines()
+    code, out, _ = run("verify", "--entry", "2", "--terms", "6", "--corpus", str(bad), "--format", "json")
+    assert code == 1 and json.loads(out)["passed"] is False
+    code, _, _ = run("verify-all", "--terms", "6", "--corpus", str(bad))
+    assert code == 1
+
+
 def test_verify_json_reports_structure() -> None:
     code, out, _ = run("verify", "--entry", "13", "--terms", "8", "--format", "json")
     assert code == 0
@@ -280,6 +302,19 @@ def test_pfop_sweep_reports_minimal_bidegree() -> None:
     assert code == 0
     doc = json.loads(out)
     assert (doc["order"], doc["degree"]) == (3, 4)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--poly", "x+y+1/(x*y)", "--terms", "800"),
+    ("--entry", "17", "--terms", "30", "--order", "40", "--degree", "40"),
+])
+def test_pfop_refuses_a_sweep_past_its_budget(argv: tuple[str, ...]) -> None:
+    # x + y + 1/(x*y) to t^800 took about 9 s before the sweep had a budget
+    start = time.perf_counter()
+    code, out, err = run("pfop", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "(the limit MAX_SWEEP_WORK)" in err
 
 
 def test_pfop_exits_one_when_nothing_found() -> None:
@@ -453,6 +488,19 @@ def test_constant_powers_are_bounded_by_the_digit_limit(tmp_path: Path, argv: tu
         assert out == "7^30000000 + 1\n" and err == ""
 
 
+def test_identity_budget_bounds_trials_by_program_size() -> None:
+    # 200,000 trials of x+y+z against z+y+x once held 101 MB of points
+    start = time.perf_counter()
+    code, out, err = run("identity", "--left", "x+y+z", "--right", "z+y+x", "--trials", "200000")
+    assert code == 2 and out == "" and "(the limit MAX_IDENTITY_WORK)" in err
+    chain = "+".join(["x"] * 5000)
+    code, out, err = run("identity", "--left", chain, "--right", "5000*x", "--trials", "1000")
+    assert code == 2 and "(the limit MAX_IDENTITY_WORK)" in err
+    code, out, _ = run("identity", "--left", chain, "--right", "5000*x", "--trials", "20")
+    assert code == 0 and out == "equal: True (20 trials)\n"
+    assert time.perf_counter() - start < 1.0
+
+
 def test_series_budget_counts_the_variables() -> None:
     # x1*x2^2 + x2*x3^2 + ... + x4000*x1^2: 4,000 terms and a bound of
     # 4,032 term products at T = 2 before keys were charged by their size,
@@ -469,10 +517,11 @@ def test_series_budget_counts_the_variables() -> None:
 
 
 # A small grammar of hostile inputs.  Every polynomial it draws is tiny or
-# refused by a budget, and every large --terms or --kmax is past the
-# budgets, so each call ends within the wall bound below: the budgets admit
-# work of up to some tens of seconds, which a fuzz test cannot afford per
-# example.
+# refused by a budget, and every large --terms to series or --kmax is past
+# the budgets, so each call ends within the wall bound below: those budgets
+# admit work of up to some tens of seconds, which a fuzz test cannot afford
+# per example.  pfop --terms and identity --trials range over sizes their
+# budgets admit and refuse, since those budgets admit at most seconds.
 EXPONENTS = st.sampled_from(["0", "1", "2", "-1", "-99999", "99999", "30000000", "1000000000000"])
 CHAINS = st.builds(lambda op, n: op.join(["x"] * n), st.sampled_from("+-*/"), st.sampled_from([2, 99, 5000]))
 NESTS = st.builds(lambda opener, depth: opener * depth + "x" + ")" * depth * (opener == "("),
@@ -484,6 +533,8 @@ PLAIN = st.sampled_from(["x+1/x", "x+y+z+1/(x*y*z)", "1/(x-x)", "x/(x+1)", "0", 
 JUNK = st.text(alphabet="xy+-*/^()019 ", max_size=20)
 POLYS = st.one_of(CHAINS, NESTS, POWERS, PLAIN, JUNK)
 SIZES = st.sampled_from(["-1", "0", "1", "2", "12", "1000000000", "1000000000000"])
+SWEEP_TERMS = st.sampled_from(["-1", "0", "1", "8", "30", "60", "100", "800", "1000000000"])
+TRIALS = st.sampled_from(["-1", "0", "1", "20", "100", "1000", "100000", "1000000000000"])
 PLANS = st.sampled_from(["0:a", "0:b", "0:X11;4:X42", "", ":", "0:", "x:a", "-1:a", "99:a", "0:a;0:a", "0:a;1:a"])
 SUBS = st.one_of(st.sampled_from(["a=7", "=", "a", "a=(", "1a=2", "b=a^-1"]), POLYS.map("a=".__add__))
 
@@ -495,13 +546,13 @@ def hostile_argv(draw) -> tuple[list[str], str | None]:
     if command == "series":
         return ["series", "--poly", draw(POLYS), "--terms", draw(SIZES)], None
     if command == "identity":
-        return ["identity", "--left", draw(POLYS), "--right", draw(POLYS)], None
+        return ["identity", "--left", draw(POLYS), "--right", draw(POLYS), "--trials", draw(TRIALS)], None
     if command == "polytope":
         return ["polytope", "--poly", draw(POLYS), *draw(st.sampled_from([[], ["--dual"]]))], None
     if command == "ehrhart":
         return ["ehrhart", "--poly", draw(POLYS), "--kmax", draw(SIZES)], None
     if command == "pfop":
-        return ["pfop", "--poly", draw(POLYS), "--terms", draw(st.sampled_from(["-1", "8", "1000000000"]))], None
+        return ["pfop", "--poly", draw(POLYS), "--terms", draw(SWEEP_TERMS)], None
     model = draw(st.one_of(
         st.just("grass-ci"),
         st.sampled_from(["", "[1]", "{", '{"variables": ["a"], "constraints": [], "potential": "a"}',

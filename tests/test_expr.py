@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import sys
+import tracemalloc
+import unittest.mock
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from support import _expr_to_fraction, _render, evaluate_exactly, random_equal_oracle
 from support import substitute as substitute_oracle
+from weaklg import expr
 from weaklg.expr import (
     IDENTITY_PRIME,
     MAX_POWER_TERMS,
@@ -335,6 +338,44 @@ def test_random_equal_matches_the_oracle_on_perturbed_sides(tree, prime, seed) -
     for other in (Sum((Diff(Var("x"), Var("x")), tree)), Sum((tree, Var("x")))):
         kwargs = {"trials": 5, "seed": seed, "prime": prime}
         assert _outcome(random_equal, tree, other, **kwargs) == _outcome(random_equal_oracle, tree, other, **kwargs)
+
+
+@settings(deadline=None)
+@given(st.one_of(expr_trees(), shared_dags()), IDENTITY_PRIMES, st.integers(min_value=1, max_value=12),
+       st.integers(min_value=0, max_value=2**16), st.integers(min_value=1, max_value=4))
+def test_random_equal_batches_change_no_outcome(tree, prime, trials, seed, batch) -> None:
+    # the points are drawn from one stream in one order, however many are
+    # evaluated at once; small primes make redrawn points common
+    kwargs = {"trials": trials, "seed": seed, "prime": prime}
+    for other in (Sum((Diff(Var("x"), Var("x")), tree)), Sum((tree, Var("x")))):
+        expected = _outcome(random_equal_oracle, tree, other, **kwargs)
+        with unittest.mock.patch.object(expr, "IDENTITY_BATCH", batch):
+            assert _outcome(random_equal, tree, other, **kwargs) == expected
+
+
+def test_random_equal_memory_does_not_grow_with_trials() -> None:
+    left, right = parse("x+y+z"), parse("z+y+x")
+    peaks = []
+    for trials in (expr.IDENTITY_BATCH, 4 * expr.IDENTITY_BATCH):
+        tracemalloc.start()
+        assert random_equal(left, right, trials=trials) == expr.IdentityResult(True, trials, None)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    # all points at once held about 370 bytes per trial
+    assert peaks[1] < 1.5 * peaks[0]
+
+
+def test_random_equal_refuses_work_past_its_budget() -> None:
+    left, right = parse("x+y+z"), parse("z+y+x")
+    steps = 7  # x, y, z, x+y, x+y+z, z+y, z+y+x
+    most = (expr.MAX_IDENTITY_WORK // steps - 16) // 8
+    assert random_equal(left, right, trials=100).equal
+    with pytest.raises(ValueError, match="the limit MAX_IDENTITY_WORK"):
+        random_equal(left, right, trials=most + 1)
+    with unittest.mock.patch.object(expr, "MAX_IDENTITY_WORK", (8 * 50 + 16) * steps):
+        assert random_equal(left, right, trials=50).equal
+        with pytest.raises(ValueError, match="the limit MAX_IDENTITY_WORK"):
+            random_equal(left, right, trials=51)
 
 
 @pytest.mark.parametrize(

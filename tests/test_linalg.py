@@ -15,7 +15,7 @@ from support import (
     oracle_rank,
     random_unimodular,
 )
-from weaklg.linalg import det, nullspace, rank
+from weaklg.linalg import det, first_dependent_mod, nullspace, rank
 
 
 def test_det_examples() -> None:
@@ -68,3 +68,24 @@ def test_det_rank_nullspace_match_fraction_elimination(m: list[list[int]]) -> No
         assert all(isinstance(c, int) for c in vec) and vec[f] != 0
         assert [Fraction(c, vec[f]) for c in vec] == ref
         assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in m)
+
+
+@settings(max_examples=300)
+@given(integer_matrices())
+def test_first_dependent_mod_a_large_prime_is_the_rational_one(m: list[list[int]]) -> None:
+    # every minor of these matrices is far below 2^61 - 1, so their ranks
+    # mod the prime and over Q agree
+    columns = [list(col) for col in zip(*m)]
+    expected = next((k for k in range(len(columns)) if oracle_rank(columns[: k + 1]) <= k), None)
+    assert first_dependent_mod(columns, (1 << 61) - 1) == expected
+    assert first_dependent_mod(iter(columns), (1 << 61) - 1) == expected
+
+
+def test_first_dependent_mod_a_small_prime_sees_more_dependence() -> None:
+    # det [[1, 1], [1, 4]] = 3: independent over Q and mod 5, dependent mod 3
+    columns = [[1, 1], [1, 4]]
+    assert first_dependent_mod(columns, 5) is None
+    assert first_dependent_mod(columns, 3) == 1
+    # a column of multiples of the prime is zero mod it
+    assert first_dependent_mod([[7, -14]], 7) == 0
+    assert first_dependent_mod([], 7) is None

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import unittest.mock
 
 import pytest
 from hypothesis import assume, event, given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from support import constant_term_series_naive, term_power
 from weaklg.corpus import get_entry, load_corpus
 from weaklg.expr import parse, to_laurent
+from weaklg import series
 from weaklg.laurent import LaurentPolynomial
 from weaklg.series import (
     COEFFICIENT_WORK,
@@ -200,11 +202,25 @@ def test_orbit_sums_agree_with_naive_on_block_symmetric_supports(data: st.DataOb
     found = _symmetric_blocks(f)
     assert all(any(set(b) <= set(c) for c in found) for b in blocks)
     work = _work_bound(f, terms)
-    compressed = bool(_orbit_runs(f, work, reach(f))[1])
+    half = (terms + 1) // 2
+    compressed = bool(_orbit_runs(f, half, work, reach(f))[1])
     searched = f.nvars * (f.nvars - 1) * len(f) <= work
-    assert compressed == (searched and saving(f, found) >= ORBIT_MIN_SAVING)
+    assert compressed == (searched and saving(f, found) * half >= 6 * ORBIT_MIN_SAVING)
     event(f"orbit sums: {compressed}")
     assert constant_term_series(f, terms).coeffs == constant_term_series_naive(f, terms)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_forced_orbit_sums_agree_with_naive_on_block_symmetric_supports(data: st.DataObject) -> None:
+    # at the short truncations the oracle affords, the rule seldom picks
+    # orbit sums; with ORBIT_MIN_SAVING = 0 every nontrivial G is used
+    f, _ = data.draw(block_symmetric_polys())
+    terms = data.draw(short_terms(f))
+    with unittest.mock.patch.object(series, "ORBIT_MIN_SAVING", 0):
+        compressed = bool(_orbit_runs(f, (terms + 1) // 2, _work_bound(f, terms), reach(f))[1])
+        event(f"orbit sums: {compressed}")
+        assert constant_term_series(f, terms).coeffs == constant_term_series_naive(f, terms)
 
 
 @settings(deadline=None, max_examples=100)
@@ -226,7 +242,7 @@ def test_swap_that_fixes_only_the_support_is_not_used(data: st.DataObject) -> No
                        for x, cf in terms.items()}
             assert swapped == terms
     t = data.draw(short_terms(g))
-    event(f"orbit sums: {bool(_orbit_runs(g, _work_bound(g, t), reach(g))[1])}")
+    event(f"orbit sums: {bool(_orbit_runs(g, (t + 1) // 2, _work_bound(g, t), reach(g))[1])}")
     assert constant_term_series(g, t).coeffs == constant_term_series_naive(g, t)
 
 
@@ -238,8 +254,26 @@ def test_detected_groups_of_the_corpus() -> None:
         f = entry.laurent()
         f = f - f.constant_term()
         assert _symmetric_blocks(f) == expected[entry.id], entry.id
-        # the rule: orbit sums for the S3 entries of 15 terms or more only
-        assert bool(_orbit_runs(f, MAX_SERIES_WORK, reach(f))[1]) == (entry.id in (1, 2, 4, 5, 8, 9)), entry.id
+
+
+@pytest.mark.parametrize("terms, chosen", [
+    (11, {1, 2, 4, 5, 8, 9}),
+    (12, {1, 2, 4, 5, 8, 9}),
+    (20, {1, 2, 4, 5, 8, 9}),
+    (30, {1, 2, 3, 4, 5, 8, 9, 15}),
+    (40, {1, 2, 3, 4, 5, 8, 9, 15, 17}),
+])
+def test_orbit_rule_on_the_corpus_depends_on_the_truncation(terms: int, chosen: set[int]) -> None:
+    # |f| * (|G| - 1) * ceil(T/2) >= 6 * ORBIT_MIN_SAVING: at T = 11, 12 the
+    # S3 entries of 15 terms or more; at T = 40 also entries 15 (saving 35)
+    # and 17 (saving 20), not entry 16 (saving 5).  f is the polynomial less
+    # its constant term, as verify runs it; entries 15-17 have none, as
+    # pfop runs them.
+    half = (terms + 1) // 2
+    for entry in load_corpus():
+        f = entry.laurent()
+        f = f - f.constant_term()
+        assert bool(_orbit_runs(f, half, MAX_SERIES_WORK, reach(f))[1]) == (entry.id in chosen), entry.id
 
 
 def test_group_search_on_cyclic_and_fully_symmetric_supports() -> None:
@@ -254,8 +288,8 @@ def test_group_search_on_cyclic_and_fully_symmetric_supports() -> None:
     # lookups are within the kernel's work bound
     f = LaurentPolynomial(n, {**dict.fromkeys(unit, 1), (-1,) * n: 1})
     assert _symmetric_blocks(f) == [list(range(n))]
-    assert _orbit_runs(f, n * (n - 1) * len(f), reach(f)) == (list(range(n)), [(0, n)])
-    assert _orbit_runs(f, n * (n - 1) * len(f) - 1, reach(f)) == (list(range(n)), [])
+    assert _orbit_runs(f, 7, n * (n - 1) * len(f), reach(f)) == (list(range(n)), [(0, n)])
+    assert _orbit_runs(f, 7, n * (n - 1) * len(f) - 1, reach(f)) == (list(range(n)), [])
     assert constant_term_series(f, 14).coeffs == constant_term_series_naive(f, 14)
 
 
@@ -268,7 +302,7 @@ def test_orbit_sums_on_interleaved_blocks_of_two_and_three() -> None:
     terms[(-1, -1, -1, -1, -1)] = 2
     f = LaurentPolynomial(5, terms)
     assert _symmetric_blocks(f) == [[0, 2], [1, 3, 4]]
-    assert _orbit_runs(f, MAX_SERIES_WORK, reach(f)) == ([0, 2, 1, 3, 4], [(0, 2), (2, 5)])
+    assert _orbit_runs(f, 3, MAX_SERIES_WORK, reach(f)) == ([0, 2, 1, 3, 4], [(0, 2), (2, 5)])
     assert constant_term_series(f, 5).coeffs == constant_term_series_naive(f, 5)
 
 
