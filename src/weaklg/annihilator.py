@@ -63,11 +63,6 @@ class DifferentialOperator:
     def degree(self) -> int:
         return max(l for l, _ in self.coeffs)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DifferentialOperator):
-            return NotImplemented
-        return dict(self.coeffs) == dict(other.coeffs)
-
     def scaled_canonical(self) -> "DifferentialOperator":
         """Divide through so the first nonzero coefficient in (l, j)-lexicographic
         order becomes 1."""
@@ -129,10 +124,9 @@ def find_annihilator(
     s: IntegerSeries,
     order: int,
     degree: int,
-    terms: int | None = None,
 ) -> list[DifferentialOperator]:
     """All operators with D-order <= order and t-degree <= degree that kill
-    the coefficients of s through t^terms.
+    the coefficients of s through its truncation order.
 
     Returns a basis of the solution space, each element scaled so its first
     nonzero coefficient in (l, j)-lexicographic order is 1.  An empty list
@@ -141,13 +135,9 @@ def find_annihilator(
     """
     if order < 0 or degree < 0:
         raise ValueError("order and degree must be >= 0")
-    if terms is None:
-        terms = s.order
-    if terms > s.order:
-        raise ValueError(f"terms={terms} exceeds the series truncation {s.order}")
     cols = [(l, j) for l in range(degree + 1) for j in range(order + 1)]
     rows = []
-    for i in range(terms + 1):
+    for i in range(len(s)):
         row = []
         for l, j in cols:
             if i - l < 0:
@@ -162,8 +152,7 @@ def find_annihilator(
     for vec in basis:
         coeffs = {cols[k]: v for k, v in enumerate(vec) if v != 0}
         op = DifferentialOperator(coeffs).scaled_canonical()
-        check = apply_operator(op, s)
-        if any(check[i] != 0 for i in range(terms + 1)):
+        if any(apply_operator(op, s)):
             raise ArithmeticError("solver returned an operator that fails its own equations")
         ops.append(op)
     return ops
@@ -173,13 +162,12 @@ def find_minimal_annihilator(
     s: IntegerSeries,
     max_order: int = 4,
     max_degree: int = 6,
-    terms: int | None = None,
 ) -> tuple[int, int, list[DifferentialOperator]] | None:
     """Sweep (order, degree) cells by increasing order + degree, then order,
     and return the first cell with a nonempty annihilator basis.
 
     Screen.  Cell (m, r) has an operator exactly when the columns (l, j),
-    l <= r and j <= m, of find_annihilator's matrix (rows t^0..t^terms) are
+    l <= r and j <= m, of find_annihilator's matrix (a row per coefficient) are
     dependent over the rationals.  For each m the columns are added one
     degree r at a time and eliminated modulo SCREEN_PRIME, which gives the
     least r at which they become dependent mod p.  Before it they are
@@ -197,16 +185,13 @@ def find_minimal_annihilator(
     the screen starts; a further solve is charged against what that leaves
     of MAX_SWEEP_WORK before it starts.
     """
-    if terms is None:
-        terms = s.order
-    if terms > s.order:
-        raise ValueError(f"terms={terms} exceeds the series truncation {s.order}")
-    bits = max((abs(c) for c in s.coeffs[: terms + 1]), default=0).bit_length()
+    terms = s.order
+    bits = max((abs(c) for c in s.coeffs), default=0).bit_length()
     spare = MAX_SWEEP_WORK - check_sweep_budget(terms, bits, max_order, max_degree)
     first = []  # per order, the least degree dependent mod p (max_degree + 1: none)
     bound = max_degree
     for m in range(max_order + 1):
-        found = first_dependent_mod(_columns(s, m, bound, terms), SCREEN_PRIME)
+        found = first_dependent_mod(_columns(s, m, bound), SCREEN_PRIME)
         first.append(bound + 1 if found is None else found // (m + 1))
         bound = min(bound, first[-1])
     cells = sorted(
@@ -218,23 +203,23 @@ def find_minimal_annihilator(
             spare -= _solve_work(terms, bits, m, r)
             if spare < 0:
                 raise _past_budget(terms)
-        ops = find_annihilator(s, m, r, terms)
+        ops = find_annihilator(s, m, r)
         if ops:
             return m, r, ops
     return None
 
 
-def _columns(s: IntegerSeries, order: int, degree: int, terms: int) -> Iterator[list[int]]:
+def _columns(s: IntegerSeries, order: int, degree: int) -> Iterator[list[int]]:
     """find_annihilator's columns (l, j), j <= order, for l = 0..degree in
     turn, reduced mod SCREEN_PRIME: entry i of (l, j) is s_(i-l) (i-l)^j,
     0 for i < l."""
     p = SCREEN_PRIME
-    powers = [[c % p for c in s.coeffs[: terms + 1]]]  # s_k k^j, j = 0..order
+    powers = [[c % p for c in s.coeffs]]  # s_k k^j, j = 0..order
     for _ in range(order):
         powers.append([c * k % p for k, c in enumerate(powers[-1])])
     for l in range(degree + 1):
         for row in powers:
-            yield [0] * l + row[: terms + 1 - l]
+            yield [0] * l + row[: len(row) - l]
 
 
 def check_sweep_budget(terms: int, bits: int, max_order: int = 4, max_degree: int = 6) -> int:

@@ -106,8 +106,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
                 "checks": sorted(
                     name
                     for name, present in (
-                        ("reference", e.reference), ("ci", e.ci),
-                        ("weighted", e.weighted), ("alternates", e.alternates),
+                        ("reference", e.reference), ("ci", e.ci), ("alternates", e.alternates),
                     )
                     if present
                 ),
@@ -202,15 +201,10 @@ def _cmd_polytope(args: argparse.Namespace) -> int:
 
 
 def _cmd_semiweak(args: argparse.Namespace) -> int:
-    if args.entry is not None:
-        entry = get_entry(args.entry, args.corpus)
-        f = entry.laurent()
-        target = args.target if args.target is not None else entry.degree
-    else:
-        if args.target is None:
-            raise ValueError("--target is required with --poly")
-        f, _ = _input_polynomial(args)
-        target = args.target
+    if args.entry is None and args.target is None:
+        raise ValueError("--target is required with --poly")
+    f, _ = _input_polynomial(args)
+    target = args.target if args.target is not None else get_entry(args.entry, args.corpus).degree
     report = semiweak_check(f, target)
     payload = report.to_json_dict()
     if report.ok:

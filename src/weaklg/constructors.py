@@ -145,35 +145,10 @@ def grassmannian_polynomial(k: int, n: int) -> LaurentPolynomial:
 
         X_11 + sum_{a,b} (X_{a+1,b} + X_{a,b+1}) / X_{ab} + 1 / X_{N-k,k}
 
-    where out-of-grid entries are dropped.
+    where out-of-grid entries are dropped: the sum of the N hyperplane-class
+    factors.
     """
-    names = grassmannian_variables(k, n)
-    rows, cols = n - k, k
-    nv = rows * cols
-
-    def idx(a: int, b: int) -> int:
-        return (a - 1) * cols + (b - 1)
-
-    terms: dict[tuple[int, ...], int] = {}
-
-    def add_term(exps: list[int]) -> None:
-        terms[tuple(exps)] = terms.get(tuple(exps), 0) + 1
-
-    e = [0] * nv
-    e[idx(1, 1)] = 1
-    add_term(e)
-    for a in range(1, rows + 1):
-        for b in range(1, cols + 1):
-            for ta, tb in ((a + 1, b), (a, b + 1)):
-                if ta <= rows and tb <= cols:
-                    e = [0] * nv
-                    e[idx(ta, tb)] = 1
-                    e[idx(a, b)] = -1
-                    add_term(e)
-    e = [0] * nv
-    e[idx(rows, cols)] = -1
-    add_term(e)
-    return LaurentPolynomial(nv, terms)
+    return ex.to_laurent(Sum(grassmannian_hyperplane_factors(k, n)), grassmannian_variables(k, n))
 
 
 def grassmannian_hyperplane_factors(k: int, n: int) -> tuple[Expr, ...]:

@@ -29,7 +29,8 @@ batches of points mod p: the identity test evaluates a whole batch per
 step, as a numerator and a denominator vector, and compares the two sides
 by cross-multiplying, so it computes no modular inverse.  render() and
 substitute() walk the tree bottom-up without recursion, each distinct node
-once, so only the parser recurses, at most MAX_NESTING levels deep.
+once, as do ==, hash() and repr() of a node, so only the parser recurses,
+at most MAX_NESTING levels deep.
 """
 
 from __future__ import annotations
@@ -37,12 +38,12 @@ from __future__ import annotations
 import random
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain
 from math import prod
 from typing import Callable, Mapping, Sequence, Union
 
-from .laurent import LaurentPolynomial, is_probable_prime
+from .laurent import LaurentPolynomial
 
 # Fixed public prime 2^61 - 1 (Mersenne), used by random_equal.
 IDENTITY_PRIME = (1 << 61) - 1
@@ -100,40 +101,59 @@ def past_digit_limit(base: int, exponent: int) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class Const:
+class _Node:
+    """Structural ==, hash() and repr() without recursion, so that a 5,000-term
+    chain x-x-...-x compares, hashes and prints: two nodes are equal when
+    their heads (_head) are and their operands are, in order."""
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        shapes: dict[tuple, int] = {}  # one number per distinct subtree of either side
+        number = lambda node, kids: shapes.setdefault((_head(node), *kids), len(shapes))
+        return _fold(self, number) == _fold(other, number)
+
+    def __hash__(self) -> int:
+        return _fold(self, lambda node, kids: hash((_head(node), *kids)))
+
+    def __repr__(self) -> str:
+        return _fold(self, _repr_node)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Const(_Node):
     value: int
 
 
-@dataclass(frozen=True)
-class Var:
+@dataclass(frozen=True, eq=False, repr=False)
+class Var(_Node):
     name: str
 
 
-@dataclass(frozen=True)
-class Sum:
+@dataclass(frozen=True, eq=False, repr=False)
+class Sum(_Node):
     terms: tuple["Expr", ...]
 
 
-@dataclass(frozen=True)
-class Diff:
+@dataclass(frozen=True, eq=False, repr=False)
+class Diff(_Node):
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Prod:
+@dataclass(frozen=True, eq=False, repr=False)
+class Prod(_Node):
     factors: tuple["Expr", ...]
 
 
-@dataclass(frozen=True)
-class Quot:
+@dataclass(frozen=True, eq=False, repr=False)
+class Quot(_Node):
     numerator: "Expr"
     denominator: "Expr"
 
 
-@dataclass(frozen=True)
-class Pow:
+@dataclass(frozen=True, eq=False, repr=False)
+class Pow(_Node):
     base: "Expr"
     exponent: int
 
@@ -275,35 +295,44 @@ def render(e: Expr) -> str:
     Each distinct node is written once, after its operands, with its
     precedence: 1 for a sum or difference, 2 for a product or quotient, 3
     for a power, 5 for a leaf and 0 for a negative constant.  An operand of
-    lower precedence than its place asks is parenthesised, and a text is
-    dropped once every node that reads it is written."""
-    order = _postorder(e)
-    readers = Counter(map(id, chain.from_iterable(map(_operands, order))))
-    text: dict[int, tuple[str, int]] = {}
+    lower precedence than its place asks is parenthesised: the first operand
+    of an infix kind asks for the kind's precedence, the others one more."""
+    return _fold(e, _render_node)[0]
 
-    def put(node: Expr, min_prec: int) -> str:
-        key = id(node)
-        readers[key] -= 1
-        body, prec = text[key] if readers[key] else text.pop(key)
-        return "(" + body + ")" if prec < min_prec else body
 
-    for node in order:
-        kind = type(node)
-        if kind is Const:
-            text[id(node)] = str(node.value), 5 if node.value >= 0 else 0
-        elif kind is Var:
-            text[id(node)] = node.name, 5
-        elif kind is Sum:
-            text[id(node)] = " + ".join([put(node.terms[0], 1), *(put(t, 2) for t in node.terms[1:])]), 1
-        elif kind is Diff:
-            text[id(node)] = put(node.left, 1) + " - " + put(node.right, 2), 1
-        elif kind is Prod:
-            text[id(node)] = "*".join([put(node.factors[0], 2), *(put(f, 3) for f in node.factors[1:])]), 2
-        elif kind is Quot:
-            text[id(node)] = put(node.numerator, 2) + "/" + put(node.denominator, 3), 2
-        else:
-            text[id(node)] = put(node.base, 4) + "^" + str(node.exponent), 3
-    return text[id(e)][0]
+_INFIX = {Sum: (" + ", 1), Diff: (" - ", 1), Prod: ("*", 2), Quot: ("/", 2)}  # operator, precedence
+
+
+def _render_node(node: Expr, kids: list[tuple[str, int]]) -> tuple[str, int]:
+    kind = type(node)
+    if kind is Const:
+        return str(node.value), 5 if node.value >= 0 else 0
+    if kind is Var:
+        return node.name, 5
+    if kind is Pow:
+        return _wrap(kids[0], 4) + "^" + str(node.exponent), 3
+    op, prec = _INFIX[kind]
+    return op.join([_wrap(kids[0], prec), *(_wrap(k, prec + 1) for k in kids[1:])]), prec
+
+
+def _wrap(text: tuple[str, int], min_prec: int) -> str:
+    body, prec = text
+    return "(" + body + ")" if prec < min_prec else body
+
+
+def _repr_node(node: Expr, kids: list[str]) -> str:
+    """The dataclass repr of a node, given its operands' reprs."""
+    names = [f.name for f in fields(node)]
+    if len(names) == 1 and kids:  # the operand tuple of a sum or a product
+        kids = ["(" + ", ".join(kids) + ("," if len(kids) == 1 else "") + ")"]
+    values = kids + [repr(getattr(node, name)) for name in names[len(kids):]]
+    return f"{type(node).__name__}({', '.join(map('{}={}'.format, names, values))})"
+
+
+def _head(node: Expr) -> tuple:
+    """A node's kind and fields, an operand given as None and a tuple of
+    operands as its length: its leaf, its exponent or its operand count."""
+    return type(node), *(None if isinstance(v, _Node) else len(v) if type(v) is tuple else v for v in vars(node).values())
 
 
 def _operands(node: Expr) -> tuple[Expr, ...]:
@@ -339,6 +368,22 @@ def _postorder(*roots: Expr) -> list[Expr]:
             else:
                 order.append(node)
     return order
+
+
+def _fold(e: Expr, build: Callable[[Expr, list], object]):
+    """build(node, its operands' values) for each distinct node under e
+    (by identity), operands first, without recursion; each value is
+    dropped once every node that reads it is built.  Returns e's value."""
+    order = _postorder(e)
+    readers = Counter(map(id, chain.from_iterable(map(_operands, order))))
+    values: dict[int, object] = {}
+    for node in order:
+        kids = []
+        for key in map(id, _operands(node)):
+            readers[key] -= 1
+            kids.append(values[key] if readers[key] else values.pop(key))
+        values[id(node)] = build(node, kids)
+    return values[id(e)]
 
 
 # ---------------------------------------------------------------------------
@@ -737,14 +782,14 @@ def random_equal(
     right: Expr,
     trials: int = 20,
     seed: int = 0,
-    prime: int = IDENTITY_PRIME,
 ) -> IdentityResult:
     """Schwartz-Zippel equality test of two expressions as rational functions.
 
-    Draws points with all coordinates in [1, p-1] from a deterministic
-    seeded generator.  Points where either side hits a zero denominator are
-    discarded and redrawn; the retry budget is 8*trials + 16 total draws.
-    Returns a verdict plus the witness point when a disagreement is found.
+    Draws points with all coordinates in [1, p-1], p = IDENTITY_PRIME, from
+    a deterministic seeded generator.  Points where either side hits a zero
+    denominator are discarded and redrawn; the retry budget is 8*trials + 16
+    total draws.  Returns a verdict plus the witness point when a
+    disagreement is found.
 
     Both sides are compiled into one program and evaluated a batch of
     points at a time, each batch being the points still needed, at most
@@ -755,8 +800,6 @@ def random_equal(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if prime < 3 or not is_probable_prime(prime):
-        raise ValueError(f"modulus {prime} is not an odd prime")
     program = _Program(left, right)
     budget = 8 * trials + 16
     steps = sum(max(1, abs(node.exponent).bit_length()) if type(node) is Pow else 1 for node in program.nodes)
@@ -772,16 +815,16 @@ def random_equal(
         # The points still needed if all are defined, at most a batch, drawn
         # in the order a point-at-a-time loop would draw them.
         count = min(trials - done, budget - drawn, IDENTITY_BATCH)
-        points = [[rng.randrange(1, prime) for _ in names] for _ in range(count)]
+        points = [[rng.randrange(1, IDENTITY_PRIME) for _ in names] for _ in range(count)]
         drawn += count
         coords = {name: [point[k] for point in points] for k, name in enumerate(names)}
-        (ln, ld), (rn, rd) = _evaluate_mod(program, coords, count, prime)
+        (ln, ld), (rn, rd) = _evaluate_mod(program, coords, count, IDENTITY_PRIME)
         for j, point in enumerate(points):
             lden = 1 if ld is None else ld[j]
             rden = 1 if rd is None else rd[j]
             if lden == 0 or rden == 0:
                 continue
-            if ln[j] * rden % prime != rn[j] * lden % prime:
+            if ln[j] * rden % IDENTITY_PRIME != rn[j] * lden % IDENTITY_PRIME:
                 return IdentityResult(equal=False, trials=done + 1, witness=dict(zip(names, point)))
             done += 1
             if done == trials:

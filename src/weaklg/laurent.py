@@ -11,7 +11,6 @@ All values are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import repeat
 from operator import add, mul
 from types import MappingProxyType
@@ -20,40 +19,6 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .linalg import det
 
 ExponentVector = tuple[int, ...]
-
-# Witness bases making Miller-Rabin deterministic for all n < 3.3e24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-@lru_cache(maxsize=128)
-def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin primality test with fixed witness bases.
-
-    Cached, because every random_equal and evaluate_mod call asks again
-    about the same modulus; bounded, because a caller may try many."""
-    if n < 2:
-        return False
-    for q in _MR_BASES:
-        if n == q:
-            return True
-        if n % q == 0:
-            return False
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def _mixed_radix(widths: Sequence[int]) -> Callable[[Sequence[int]], int]:
@@ -117,10 +82,6 @@ class LaurentPolynomial:
         object.__setattr__(self, "_terms", terms)
         object.__setattr__(self, "_hash", None)
         return self
-
-    @classmethod
-    def zero(cls, nvars: int) -> "LaurentPolynomial":
-        return cls(nvars, {})
 
     @classmethod
     def one(cls, nvars: int) -> "LaurentPolynomial":
@@ -300,25 +261,6 @@ class LaurentPolynomial:
             key = tuple(sum(row[j] * exps[j] for j in range(n)) for row in m)
             out[key] = coeff
         return LaurentPolynomial._raw(n, out)
-
-    def evaluate_mod(self, point: Sequence[int], p: int) -> int:
-        """Evaluate at a point with all coordinates invertible mod prime p."""
-        if not is_probable_prime(p):
-            raise ValueError(f"{p} is not prime")
-        n = self._nvars
-        if len(point) != n:
-            raise ValueError(f"point has {len(point)} coordinates, expected {n}")
-        coords = [x % p for x in point]
-        if any(x == 0 for x in coords):
-            raise ValueError("point has a coordinate divisible by p")
-        total = 0
-        for exps, coeff in self._terms.items():
-            value = coeff % p
-            for x, e in zip(coords, exps):
-                if e:
-                    value = value * pow(x, e, p) % p
-            total = (total + value) % p
-        return total
 
     def default_names(self) -> tuple[str, ...]:
         if self._nvars <= 3:

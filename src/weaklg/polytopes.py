@@ -35,6 +35,10 @@ Halfspace = tuple[Sequence[int], int]  # <normal, x> <= offset in integers
 # and their duals stay below this.
 MAX_HULL_FACES = 5_000
 
+# Most bounding-box points ehrhart_counts may scan, summed over the
+# dilations k = 1..kmax and checked before anything is counted.
+MAX_EHRHART_POINTS = 10**8
+
 
 @dataclass(frozen=True)
 class Polytope:
@@ -69,9 +73,9 @@ class Polytope:
 
     def to_json_dict(self) -> dict:
         return {
-            "vertices": [[_coord_str(c) for c in v] for v in self.vertices],
+            "vertices": [[str(c) for c in v] for v in self.vertices],
             "facets": [
-                {"normal": [int(c) for c in normal], "offset": _coord_str(offset)}
+                {"normal": [int(c) for c in normal], "offset": str(offset)}
                 for normal, offset in self.facets
             ],
         }
@@ -97,7 +101,7 @@ class SemiweakReport:
             "expected": self.expected,
         }
         if self.dual_volume is not None:
-            out["dual_volume"] = _coord_str(self.dual_volume)
+            out["dual_volume"] = str(self.dual_volume)
         if self.reason is not None:
             out["reason"] = self.reason
         return out
@@ -109,10 +113,6 @@ class EhrhartResult:
 
     counts: tuple[int, ...]
     polynomial: tuple[Fraction, ...]  # ascending coefficients, degree <= dim
-
-
-def _coord_str(c: Coord) -> str:
-    return str(c)
 
 
 def _dot(a: Sequence[Coord], b: Sequence[Coord]) -> Coord:
@@ -208,7 +208,7 @@ def _hull(points: list[IntPoint]) -> tuple[dict[tuple[int, ...], Halfspace], lis
     return faces, sorted(facets)
 
 
-def from_points(points: Sequence[Sequence[Coord]], dim: int | None = None) -> Polytope:
+def from_points(points: Sequence[Sequence[Coord]]) -> Polytope:
     """Convex hull of finitely many exact points in any ambient dimension.
 
     The points are scaled to integers by the lcm of their denominators.  A
@@ -220,7 +220,7 @@ def from_points(points: Sequence[Sequence[Coord]], dim: int | None = None) -> Po
     pts = [tuple(p) for p in points]
     if not pts:
         raise ValueError("need at least one point")
-    n = dim if dim is not None else len(pts[0])
+    n = len(pts[0])
     if n < 1:
         raise ValueError("ambient dimension must be >= 1")
     if any(len(p) != n for p in pts):
@@ -250,7 +250,7 @@ def newton_polytope(f: LaurentPolynomial) -> Polytope:
     """Convex hull of the exponent vectors of f."""
     if not f:
         raise ValueError("the zero polynomial has no Newton polytope")
-    return from_points(f.support(), f.nvars)
+    return from_points(f.support())
 
 
 def contains_origin_interior(p: Polytope) -> bool:
@@ -307,7 +307,7 @@ def normalized_volume(p: Polytope) -> Fraction:
     return Fraction(total, scale ** p.dim)
 
 
-def ehrhart_counts(p: Polytope, kmax: int, budget: int = 10**8) -> EhrhartResult:
+def ehrhart_counts(p: Polytope, kmax: int) -> EhrhartResult:
     """Lattice point counts of k*p for k = 0..kmax, plus the degree-<=n
     polynomial interpolating the first n+1 counts.
 
@@ -320,9 +320,9 @@ def ehrhart_counts(p: Polytope, kmax: int, budget: int = 10**8) -> EhrhartResult
     facet bounds the last coordinate from above or below along the row,
     one list of floors or ceilings per facet, folded into the least upper
     and the greatest lower bounds; the row adds the lengths of the integer
-    intervals between them, none negative on the shadow.  `budget` bounds
-    the total number of bounding-box points over all dilations k = 1..kmax;
-    it is checked before anything is counted.
+    intervals between them, none negative on the shadow.  MAX_EHRHART_POINTS
+    bounds the total number of bounding-box points over all dilations
+    k = 1..kmax; it is checked before anything is counted.
     """
     if not p.is_full_dimensional:
         raise ValueError("Ehrhart counting needs a full-dimensional polytope")
@@ -337,10 +337,10 @@ def ehrhart_counts(p: Polytope, kmax: int, budget: int = 10**8) -> EhrhartResult
     for k in range(1, kmax + 1):
         box = [range(-(-k * lo // lo_den), k * hi // hi_den + 1) for lo, lo_den, hi, hi_den in bounds]
         total += math.prod(len(r) for r in box)
-        if total > budget:
+        if total > MAX_EHRHART_POINTS:
             raise ValueError(
                 f"Ehrhart counts for k = 1..{kmax} need at least {total} box points"
-                f" in total, over the budget of {budget}"
+                f" in total, over the budget of {MAX_EHRHART_POINTS}"
             )
         boxes.append(box)
     # integer facet form: den * <normal, x> <= k * num.  A 1-D polytope gets

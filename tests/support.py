@@ -8,7 +8,10 @@ certifies its own determinant, and the polytope oracles search
 exhaustively where the package is clever.  The recursive render,
 substitute and (numerator, denominator) walkers that the package replaced
 by iterative passes and one compiled-program driver are kept verbatim.
-So is the exhaustive annihilator sweep that a mod-p screen replaced.
+So are the exhaustive annihilator sweep that a mod-p screen replaced, the
+term-by-term ladder polynomial that the sum of its hyperplane-class factors
+replaced, and the recursive == and repr() that expression nodes had as
+frozen dataclasses.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import math
 import operator
 import random
+from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Mapping, Sequence
@@ -253,6 +257,25 @@ def substitute(e: Expr, bindings: Mapping[str, Expr]) -> Expr:
                 return Const(base.value ** (-e.exponent % 2) if base.value == -1 else 1)
         return Pow(base, e.exponent)
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def expr_equal(a, b) -> bool:
+    """The == that frozen dataclasses generate, by recursion: the same node
+    class and equal fields, tuples of operands compared element by element."""
+    if isinstance(a, tuple):
+        return type(b) is tuple and len(a) == len(b) and all(map(expr_equal, a, b))
+    if not isinstance(a, (Const, Var, Sum, Diff, Prod, Quot, Pow)):
+        return a == b
+    return type(a) is type(b) and all(expr_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+
+
+def expr_repr(e) -> str:
+    """The repr() that frozen dataclasses generate, by recursion."""
+    if isinstance(e, tuple):
+        return "(" + ", ".join(map(expr_repr, e)) + ("," if len(e) == 1 else "") + ")"
+    if not isinstance(e, (Const, Var, Sum, Diff, Prod, Quot, Pow)):
+        return repr(e)
+    return f"{type(e).__name__}(" + ", ".join(f"{f.name}={expr_repr(getattr(e, f.name))}" for f in fields(e)) + ")"
 
 
 def _expr_to_fraction(e: Expr, names: Sequence[str]) -> tuple[LaurentPolynomial, LaurentPolynomial]:
@@ -510,7 +533,6 @@ def find_minimal_annihilator_oracle(
     s: IntegerSeries,
     max_order: int = 4,
     max_degree: int = 6,
-    terms: int | None = None,
 ) -> tuple[int, int, list[DifferentialOperator]] | None:
     """The exhaustive sweep: solve every (order, degree) cell exactly, by
     increasing order + degree, then order, and return the first cell with a
@@ -520,7 +542,39 @@ def find_minimal_annihilator_oracle(
         key=lambda mr: (mr[0] + mr[1], mr[0]),
     )
     for m, r in cells:
-        ops = find_annihilator(s, m, r, terms)
+        ops = find_annihilator(s, m, r)
         if ops:
             return m, r, ops
     return None
+
+
+def grassmannian_polynomial_oracle(k: int, n: int) -> LaurentPolynomial:
+    """The ladder polynomial of G(k, N) term by term on its (N-k) x k grid:
+    X_11, X_(a+1,b)/X_(a,b) and X_(a,b+1)/X_(a,b) inside the grid, and
+    1/X_(N-k,k), each with coefficient 1."""
+    rows, cols = n - k, k
+    nv = rows * cols
+
+    def idx(a: int, b: int) -> int:
+        return (a - 1) * cols + (b - 1)
+
+    terms: dict[tuple[int, ...], int] = {}
+
+    def add_term(exps: list[int]) -> None:
+        terms[tuple(exps)] = terms.get(tuple(exps), 0) + 1
+
+    e = [0] * nv
+    e[idx(1, 1)] = 1
+    add_term(e)
+    for a in range(1, rows + 1):
+        for b in range(1, cols + 1):
+            for ta, tb in ((a + 1, b), (a, b + 1)):
+                if ta <= rows and tb <= cols:
+                    e = [0] * nv
+                    e[idx(ta, tb)] = 1
+                    e[idx(a, b)] = -1
+                    add_term(e)
+    e = [0] * nv
+    e[idx(rows, cols)] = -1
+    add_term(e)
+    return LaurentPolynomial(nv, terms)

@@ -124,8 +124,6 @@ def test_find_annihilator_validates_parameters() -> None:
         find_annihilator(GEOMETRIC, -1, 1)
     with pytest.raises(ValueError):
         find_annihilator(GEOMETRIC, 1, -1)
-    with pytest.raises(ValueError):
-        find_annihilator(GEOMETRIC, 1, 1, terms=50)
     # order zero is legal: no pure t-power combination kills the series
     assert find_annihilator(GEOMETRIC, 0, 1) == []
     # an underdetermined system honestly reports a fat nullspace
@@ -160,9 +158,9 @@ def counted_sweep(s: IntegerSeries, monkeypatch: pytest.MonkeyPatch, **kwargs):
     """find_minimal_annihilator's result and the cells it solved exactly."""
     solved = []
 
-    def solve(series, order, degree, terms=None):
+    def solve(series, order, degree):
         solved.append((order, degree))
-        return find_annihilator(series, order, degree, terms)
+        return find_annihilator(series, order, degree)
 
     with monkeypatch.context() as patch:
         patch.setattr(annihilator, "find_annihilator", solve)

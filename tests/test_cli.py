@@ -100,8 +100,10 @@ def test_list_includes_all_entries_and_check_kinds() -> None:
     assert [e["id"] for e in doc["entries"]] == list(range(1, 18))
     by_id = {e["id"]: e for e in doc["entries"]}
     assert "ci" in by_id[17]["checks"]
-    assert "weighted" in by_id[1]["checks"]
     assert "alternates" in by_id[11]["checks"]
+    # only the checks verify runs: entries 1, 11 and 12 carry weighted data
+    # that verify does not read
+    assert {c for e in doc["entries"] for c in e["checks"]} == {"reference", "ci", "alternates"}
 
 
 def test_verify_single_entry_exits_zero() -> None:
@@ -182,6 +184,8 @@ def test_semiweak_exit_codes() -> None:
     assert run("semiweak", "--entry", "17")[0] == 0
     assert run("semiweak", "--entry", "17", "--target", "54")[0] == 1
     assert run("semiweak", "--poly", "x+y+1/(x*y)", "--target", "99")[0] == 1
+    code, out, err = run("semiweak", "--entry", "3", "--poly", "x+y")
+    assert code == 2 and out == "" and "give either --entry or --poly, not both" in err
 
 
 def test_ehrhart_counts_and_interpolation() -> None:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from support import grassmannian_polynomial_oracle
 from weaklg.constructors import (
     ConstrainedModel,
     eliminate,
@@ -105,6 +106,15 @@ def test_grassmannian_polynomial_matches_longhand_ladder() -> None:
     assert len(f5.support()) == 9
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_grassmannian_polynomial_matches_the_term_by_term_oracle(n: int) -> None:
+    for k in range(1, n):
+        f, expected = grassmannian_polynomial(k, n), grassmannian_polynomial_oracle(k, n)
+        assert f == expected
+        names = grassmannian_variables(k, n)
+        assert f.render(names) == expected.render(names)
+
+
 def test_grassmannian_polynomial_validates_input() -> None:
     with pytest.raises(ValueError):
         grassmannian_polynomial(0, 3)
@@ -121,7 +131,7 @@ def test_hyperplane_factors_cover_every_ladder_term_once() -> None:
         total = LaurentPolynomial(len(names), {})
         for factor in factors:
             total = total + to_laurent(factor, names)
-        assert total == grassmannian_polynomial(k, n)
+        assert total == grassmannian_polynomial_oracle(k, n)
 
 
 def test_hyperplane_factors_written_forms_for_two_by_four_ladder() -> None:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import sys
 import tracemalloc
 import unittest.mock
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from support import _expr_to_fraction, _render, evaluate_exactly, random_equal_oracle
+from support import _expr_to_fraction, _render, evaluate_exactly, expr_equal, expr_repr, random_equal_oracle
 from support import substitute as substitute_oracle
 from weaklg import expr
 from weaklg.expr import (
@@ -280,8 +281,6 @@ def test_random_equal_gives_up_when_nothing_is_defined() -> None:
 def test_random_equal_rejects_bad_parameters() -> None:
     with pytest.raises(ValueError):
         random_equal(parse("x"), parse("x"), trials=0)
-    with pytest.raises(ValueError):
-        random_equal(parse("x"), parse("x"), prime=12)
 
 
 def test_laurent_to_expr_round_trip() -> None:
@@ -302,10 +301,14 @@ def test_random_equal_is_reflexive_when_defined(tree) -> None:
     assert r.equal
 
 
-def _outcome(test, left, right, **kwargs):
-    """(equal, trials, witness), or the message of IdentityTestError."""
+def _outcome(test, left, right, prime, **kwargs):
+    """(equal, trials, witness), or the message of IdentityTestError, with
+    points drawn mod prime: the oracle takes it as an argument, random_equal
+    reads it from expr.IDENTITY_PRIME."""
+    extra = {} if test is random_equal else {"prime": prime}
     try:
-        r = test(left, right, **kwargs)
+        with unittest.mock.patch.object(expr, "IDENTITY_PRIME", prime):
+            r = test(left, right, **kwargs, **extra)
     except IdentityTestError as err:
         return str(err)
     return (r.equal, r.trials, r.witness)
@@ -470,13 +473,42 @@ def test_substitute_shares_what_it_shares_and_renders_it_once() -> None:
 )
 def test_5000_term_chains_need_no_recursion(op: str, text: str, fraction) -> None:
     # x-x-... and x/x/... parse as chains 5,000 levels deep, x*x*... as one
-    # product of 5,000 factors (compared by text: == on nodes recurses)
+    # product of 5,000 factors
     chain = parse(op.join(["x"] * 5000))
     assert render(chain) == text.join(["x"] * 5000)
     assert render(substitute(chain, {"x": Var("y")})) == text.join(["y"] * 5000)
+    assert substitute(chain, {"x": Var("y")}) == parse(op.join(["y"] * 5000))
     assert substitute(chain, {"x": Const(1)}) == Const({"-": -4998, "/": 1, "*": 1}[op])
     num, den = to_fraction(chain, ("x",))
     assert (num, den) == (LaurentPolynomial(1, fraction[0]), LaurentPolynomial(1, fraction[1]))
+
+
+def test_5000_term_chains_compare_hash_and_print_without_recursion() -> None:
+    text = "-".join(["x"] * 5000)
+    left, right = parse(text), parse(text)
+    assert left is not right and left == right and hash(left) == hash(right)
+    assert left != parse(text + "-x") and left != parse(text[:-1] + "y")
+    assert repr(left) == "Diff(left=" * 4999 + "Var(name='x')" + ", right=Var(name='x'))" * 4999
+
+
+def test_node_equality_sees_the_shape() -> None:
+    x, y, z = Var("x"), Var("y"), Var("z")
+    assert Sum((x, y, z)) != Sum((Sum((x, y)), z))
+    assert Sum((x, y)) != Prod((x, y)) and Pow(x, 2) != Pow(x, 3) and Sum((x, y)) != Sum((x, y, z))
+    assert Sum((x, y)) == Sum((Var("x"), Var("y"))) and Const(2) != Var("x")
+
+
+@settings(deadline=None)
+@given(st.one_of(expr_trees(), shared_dags()), st.one_of(expr_trees(), shared_dags()))
+def test_node_equality_hash_and_repr_match_the_recursive_oracles(tree, other) -> None:
+    # a copy is equal, and the parser's normal form, the constant-folded
+    # tree and an unrelated tree are equal exactly when the oracle says so
+    assert repr(tree) == expr_repr(tree)
+    for right in (copy.deepcopy(tree), parse(render(tree)), substitute(tree, {}), other):
+        assert (tree == right) == expr_equal(tree, right)
+        if tree == right:
+            assert hash(tree) == hash(right)
+    assert tree == copy.deepcopy(tree)
 
 
 def test_past_digit_limit_is_exact_at_the_limit() -> None:

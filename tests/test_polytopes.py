@@ -197,12 +197,15 @@ def test_ehrhart_of_dual_simplex_counts_match_binomial_oracle() -> None:
     assert e.polynomial[-1] == Fraction(64, 6)
 
 
-def test_ehrhart_validates_kmax_and_budget() -> None:
+def test_ehrhart_validates_kmax_and_budget(monkeypatch: pytest.MonkeyPatch) -> None:
     p = from_points(UNIT_CUBE)
     with pytest.raises(ValueError):
         ehrhart_counts(p, 2)  # needs dim+1 sample points
-    with pytest.raises(ValueError):
-        ehrhart_counts(p, 40, budget=100)
+    # the boxes of k*p for k = 1..3 hold 8 + 27 + 64 = 99 points
+    monkeypatch.setattr(polytopes, "MAX_EHRHART_POINTS", 99)
+    assert ehrhart_counts(p, 3).counts == (1, 8, 27, 64)
+    with pytest.raises(ValueError, match="over the budget of 99"):
+        ehrhart_counts(p, 4)
 
 
 def test_semiweak_check_passes_on_matching_degree() -> None:
