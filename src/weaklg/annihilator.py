@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 from .linalg import first_dependent_mod, nullspace
 from .series import IntegerSeries
@@ -109,7 +109,7 @@ def apply_operator(op: DifferentialOperator, s: IntegerSeries) -> tuple[Fraction
     return tuple(out)
 
 
-def _strip_content(row: list[int]) -> list[int]:
+def _strip_content(row: Sequence[int]) -> Sequence[int]:
     g = 0
     for v in row:
         g = gcd(g, abs(v))
@@ -136,15 +136,7 @@ def find_annihilator(
     if order < 0 or degree < 0:
         raise ValueError("order and degree must be >= 0")
     cols = [(l, j) for l in range(degree + 1) for j in range(order + 1)]
-    rows = []
-    for i in range(len(s)):
-        row = []
-        for l, j in cols:
-            if i - l < 0:
-                row.append(0)
-            else:
-                row.append(s[i - l] * (i - l) ** j)
-        rows.append(row)
+    rows = zip(*_columns(s, order, degree))
     # content stripping is applied to the input rows only: stripping
     # mid-elimination would break Bareiss's exact divisions
     basis = nullspace([_strip_content(row) for row in rows if any(row)], len(cols))
@@ -211,15 +203,13 @@ def find_minimal_annihilator(
 
 def _columns(s: IntegerSeries, order: int, degree: int) -> Iterator[list[int]]:
     """find_annihilator's columns (l, j), j <= order, for l = 0..degree in
-    turn, reduced mod SCREEN_PRIME: entry i of (l, j) is s_(i-l) (i-l)^j,
-    0 for i < l."""
-    p = SCREEN_PRIME
-    powers = [[c % p for c in s.coeffs]]  # s_k k^j, j = 0..order
+    turn: entry i of (l, j) is s_(i-l) (i-l)^j, 0 for i < l."""
+    powers = [list(s.coeffs)]  # s_k k^j, j = 0..order
     for _ in range(order):
-        powers.append([c * k % p for k, c in enumerate(powers[-1])])
+        powers.append([c * k for k, c in enumerate(powers[-1])])
     for l in range(degree + 1):
         for row in powers:
-            yield [0] * l + row[: len(row) - l]
+            yield ([0] * l + row)[: len(row)]
 
 
 def check_sweep_budget(terms: int, bits: int, max_order: int = 4, max_degree: int = 6) -> int:

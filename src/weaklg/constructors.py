@@ -90,6 +90,8 @@ def _check_ci_data(ambient_dim: int, degrees: Sequence[int]) -> tuple[int, ...]:
     degs = tuple(int(k) for k in degrees)
     if any(k < 2 for k in degs):
         raise ValueError("all degrees must be >= 2")
+    if ambient_dim < 1:
+        raise ValueError("ambient dimension must be >= 1")
     if sum(degs) > ambient_dim:
         raise ValueError("sum of degrees must be <= ambient dimension (Fano condition)")
     return degs
@@ -187,7 +189,7 @@ def grassmannian_hyperplane_system(k: int, n: int, sections: int) -> Constrained
         raise ValueError(f"sections must be between 0 and {n}")
     names = grassmannian_variables(k, n)
     factors = grassmannian_hyperplane_factors(k, n)
-    potential = ex.laurent_to_expr(grassmannian_polynomial(k, n), names)
+    potential = ex.laurent_to_expr(ex.to_laurent(Sum(factors), names), names)
     return ConstrainedModel(
         variables=names,
         constraints=factors[:sections],

@@ -39,6 +39,19 @@ def _mixed_radix(widths: Sequence[int]) -> Callable[[Sequence[int]], int]:
     return lambda e: sum(map(mul, e, radices))
 
 
+def _times(g: Mapping[int, int], steps: Sequence[tuple[int, int]]) -> dict[int, int]:
+    """The product of two polynomials on packed keys, g and the (key,
+    coefficient) pairs `steps`: every key kg + kf with the sum of its
+    products cg * cf, zero sums kept."""
+    out: dict[int, int] = {}
+    get = out.get
+    for kg, cg in g.items():
+        for kf, cf in steps:
+            k = kg + kf
+            out[k] = get(k, 0) + cg * cf
+    return out
+
+
 class LaurentPolynomial:
     """Sparse Laurent polynomial with integer coefficients.
 
@@ -225,15 +238,7 @@ class LaurentPolynomial:
         steps = [(pack([a - m for a, m in zip(e, lo)]), cf) for e, cf in self._terms.items()]
         g = dict(steps)
         for _ in range(exponent - 1):
-            nxt: dict[int, int] = {}
-            get = nxt.get
-            for kg, cg in g.items():
-                for kf, cf in steps:
-                    k = kg + kf
-                    nxt[k] = get(k, 0) + cg * cf
-            for k in [k for k, c in nxt.items() if not c]:
-                del nxt[k]
-            g = nxt
+            g = {k: c for k, c in _times(g, steps).items() if c}
         low = [exponent * m for m in lo]
         out: dict[ExponentVector, int] = {}
         for k, c in g.items():

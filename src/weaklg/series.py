@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import comb, factorial, prod
 from typing import Sequence
 
-from .laurent import LaurentPolynomial, _mixed_radix
+from .laurent import LaurentPolynomial, _mixed_radix, _times
 
 # The plain kernel forms sum_a |f^a| * |f| term products, one dict update
 # each.  Entry 1 of the corpus at T = 36 (83 terms after its shift) is
@@ -183,9 +183,10 @@ def constant_term_series(f: LaurentPolynomial, terms: int = 20) -> IntegerSeries
     above, leave the reflection of a kept monomial outside the digit range
     on a lopsided support, where its key borrows from the next digit.)
 
-    The box is tested when a key is first inserted in a step, on its
-    decoded digits; then each key is folded into its orbit's, and zero
-    coefficients, cancelled inside the step, are dropped.
+    A step sums its products by key first; then each distinct key is
+    decoded once, dropped if a digit lies outside the box and otherwise
+    folded into its orbit's key, and zero coefficients, cancelled inside
+    the step, are dropped.
 
     Budget.  The work, in term products, is bounded before any is done, for
     every f including 0: the H power steps at STEP_WORK each, the T+1
@@ -244,27 +245,19 @@ def constant_term_series(f: LaurentPolynomial, terms: int = 20) -> IntegerSeries
         box = [(w, o - rem * sp, o + rem * sm) for w, o, sp, sm in zip(widths, offsets, s_plus, s_minus)]
         nxt: dict[int, int] = {}
         get = nxt.get
-        for kg, cg in g.items():
-            for kf, cf in steps:
-                key = kg + kf
-                old = get(key)
-                if old is not None:
-                    nxt[key] = old + cg * cf
-                else:
-                    rest = key
-                    for w, lo, hi in box:
-                        rest, digit = divmod(rest, w)
-                        if digit < lo or digit > hi:
-                            break
-                    else:
-                        nxt[key] = cg * cf
-        if runs:
-            for key in list(nxt):
-                k = orbit_of.get(key)
-                if k is None:
-                    k = orbit_of[key] = canonical(key)
-                if k != key:
-                    nxt[k] = get(k, 0) + nxt.pop(key)
+        for key, c in _times(g, steps).items():
+            rest = key
+            for w, lo, hi in box:
+                rest, digit = divmod(rest, w)
+                if digit < lo or digit > hi:
+                    break
+            else:
+                if runs:
+                    k = orbit_of.get(key)
+                    if k is None:
+                        k = orbit_of[key] = canonical(key)
+                    key = k
+                nxt[key] = get(key, 0) + c
         for key in [key for key, c in nxt.items() if not c]:
             del nxt[key]
         # g = f^(a-1), the smaller power, drives the odd sum
@@ -291,7 +284,7 @@ def check_series_budget(f: LaurentPolynomial, terms: int) -> int:
         raise ValueError(
             f"the series to t^{terms} may need more than {MAX_SERIES_WORK} term products"
             f" (the limit MAX_SERIES_WORK), counting each power step as {STEP_WORK},"
-            f" each coefficient as {COEFFICIENT_WORK}, and each product and first insertion by its key's size"
+            f" each coefficient as {COEFFICIENT_WORK}, and each product and key decode by its key's size"
         )
     return work
 
@@ -378,11 +371,10 @@ def _work_bound(f: LaurentPolynomial, terms: int) -> int:
     passes it.
 
     Keys below prod(W[c]) fill `size` 64-bit words.  A product adds and
-    looks up such keys, and counts `size`; the first time a step forms a
-    key it decodes up to n digits by divmods of at most `size` words, and
-    counts n * size (a key the box rejects is decoded each time it is
-    formed, but counted once).  Step a forms at most the multisets of a
-    terms of f, and the lattice points of a times f's reach."""
+    looks up such keys, and counts `size`; each distinct key a step forms
+    is decoded once, up to n digits by divmods of at most `size` words,
+    and counts n * size.  Step a forms at most the multisets of a terms of
+    f, and the lattice points of a times f's reach."""
     m, n = len(f), f.nvars
     half = (terms + 1) // 2
     work = half * STEP_WORK + (terms + 1) * COEFFICIENT_WORK

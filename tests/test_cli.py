@@ -418,6 +418,8 @@ def test_error_paths_exit_two() -> None:
     assert code == 2
     code, _, err = run("construct", "toric", "--rays", "1,0;1,0")
     assert code == 2
+    code, _, err = run("construct", "ci", "--n", "0", "--degrees", "")
+    assert code == 2 and err == "error: ambient dimension must be >= 1\n"
 
 
 def test_argparse_usage_errors_exit_two() -> None:

@@ -12,7 +12,7 @@ from support import constant_term_series_naive, term_power
 from weaklg.corpus import get_entry, load_corpus
 from weaklg.expr import parse, to_laurent
 from weaklg import series
-from weaklg.laurent import LaurentPolynomial
+from weaklg.laurent import LaurentPolynomial, _times
 from weaklg.series import (
     COEFFICIENT_WORK,
     MAX_SERIES_WORK,
@@ -334,6 +334,41 @@ def test_work_bound_covers_the_pruned_powers(f: LaurentPolynomial, terms: int) -
         ]
         work += len(kept) * len(f.terms)
     assert work <= _work_bound(f, terms)
+
+
+def counted_work(f: LaurentPolynomial, terms: int) -> int:
+    """The work constant_term_series(f, terms) does, in _work_bound's units:
+    each step's products and n decodes per distinct key it forms, times the
+    words of the step's largest key, plus the step and coefficient charges."""
+    formed = []
+
+    def times(g, steps):
+        out = _times(g, steps)
+        formed.append((len(g) * len(steps), len(out), max(map(abs, out), default=0)))
+        return out
+
+    with unittest.mock.patch.object(series, "_times", times):
+        constant_term_series(f, terms)
+    work = (terms + 1) // 2 * STEP_WORK + (terms + 1) * COEFFICIENT_WORK
+    for products, keys, top in formed:
+        work += max(1, -(-top.bit_length() // 64)) * (products + f.nvars * keys)
+    return work
+
+
+@settings(deadline=None, max_examples=100)
+@given(lopsided_polys(), st.integers(min_value=1, max_value=9))
+def test_work_bound_covers_every_product_and_decode(f: LaurentPolynomial, terms: int) -> None:
+    assert counted_work(f, terms) <= _work_bound(f, terms)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_work_bound_covers_every_product_and_decode_of_orbit_sums(data: st.DataObject) -> None:
+    f, _ = data.draw(block_symmetric_polys())
+    terms = data.draw(short_terms(f))
+    with unittest.mock.patch.object(series, "ORBIT_MIN_SAVING", 0):
+        event(f"orbit sums: {bool(_orbit_runs(f, (terms + 1) // 2, _work_bound(f, terms), reach(f))[1])}")
+        assert counted_work(f, terms) <= _work_bound(f, terms)
 
 
 def test_work_budget_admits_the_corpus_at_thirty_terms_and_entry_one_at_thirty_six() -> None:
