@@ -473,14 +473,6 @@ def to_laurent(e: Expr, variable_order: Sequence[str]) -> LaurentPolynomial:
     """
     constant, variable = _leaves(variable_order)
 
-    def product(node: Prod, a, b) -> LaurentPolynomial:
-        if len(a) * len(b) > MAX_TERM_PRODUCTS:
-            raise ValueError(
-                f"a product of {len(a)} and {len(b)} terms may form more than"
-                f" {MAX_TERM_PRODUCTS} term products (the limit MAX_TERM_PRODUCTS)"
-            )
-        return _expand(a) * _expand(b)
-
     def power(node: Pow, a):
         a = _expand(a)
         if node.exponent < 0:
@@ -492,7 +484,7 @@ def to_laurent(e: Expr, variable_order: Sequence[str]) -> LaurentPolynomial:
         Var: variable,
         Sum: lambda node, a, b: _expand(a) + _expand(b),
         Diff: lambda node, a, b: _expand(a) - _expand(b),
-        Prod: product,
+        Prod: lambda node, a, b: _product(a, b),
         Quot: lambda node, a, b: _divide_by_monomial(_expand(a), _expand(b), node.denominator),
         Pow: power,
     })
@@ -505,7 +497,7 @@ def to_fraction(e: Expr, variable_order: Sequence[str]) -> tuple[LaurentPolynomi
 
     Sums and products fold left, a/b + c/d as (a*d + c*b)/(b*d).  Dividing
     by an identically zero polynomial raises ZeroDivisionError, and a power
-    that may pass to_laurent's limits on powers raises ValueError."""
+    or a product that may pass to_laurent's limits raises ValueError."""
     constant, variable = _leaves(variable_order)
     one = LaurentPolynomial.one(len(variable_order))
 
@@ -513,7 +505,7 @@ def to_fraction(e: Expr, variable_order: Sequence[str]) -> tuple[LaurentPolynomi
         (ln, ld), (rn, rd) = x, y
         if not rn:
             raise ZeroDivisionError(f"denominator {render(node.denominator)} is identically zero")
-        return ln * rd, ld * rn
+        return _product(ln, rd), _product(ld, rn)
 
     def power(node: Pow, x) -> tuple[LaurentPolynomial, LaurentPolynomial]:
         (bn, bd), k = x, node.exponent
@@ -528,9 +520,9 @@ def to_fraction(e: Expr, variable_order: Sequence[str]) -> tuple[LaurentPolynomi
     root, = _Program(e).run({
         Const: lambda node: (constant(node), one),
         Var: lambda node: (variable(node), one),
-        Sum: lambda node, x, y: (x[0] * y[1] + y[0] * x[1], x[1] * y[1]),
-        Diff: lambda node, x, y: (x[0] * y[1] - y[0] * x[1], x[1] * y[1]),
-        Prod: lambda node, x, y: (x[0] * y[0], x[1] * y[1]),
+        Sum: lambda node, x, y: (_product(x[0], y[1]) + _product(y[0], x[1]), _product(x[1], y[1])),
+        Diff: lambda node, x, y: (_product(x[0], y[1]) - _product(y[0], x[1]), _product(x[1], y[1])),
+        Prod: lambda node, x, y: (_product(x[0], y[0]), _product(x[1], y[1])),
         Quot: quotient,
         Pow: power,
     })
@@ -566,6 +558,17 @@ class _Power:
 
     def __len__(self) -> int:
         return self.terms
+
+
+def _product(a, b) -> LaurentPolynomial:
+    """a * b for to_laurent or to_fraction values, or ValueError if it may
+    form more than MAX_TERM_PRODUCTS term products."""
+    if len(a) * len(b) > MAX_TERM_PRODUCTS:
+        raise ValueError(
+            f"a product of {len(a)} and {len(b)} terms may form more than"
+            f" {MAX_TERM_PRODUCTS} term products (the limit MAX_TERM_PRODUCTS)"
+        )
+    return _expand(a) * _expand(b)
 
 
 def _expand(value) -> LaurentPolynomial:

@@ -3,9 +3,10 @@
 Everything runs over exact integers and Fractions: convex hulls by
 beneath-beyond insertion (Edelsbrunner, Algorithms in Combinatorial
 Geometry) on points scaled to integers, with hyperplane normals from integer
-cofactors, dual polytopes read off the facets, volumes by coning the hull's
-boundary triangulation from a vertex, Ehrhart counts by integer intervals of
-the last coordinate along rows of the next-to-last.
+cofactors, dual polytopes as the hull of the points their facets give,
+volumes by coning the hull's boundary triangulation from a vertex, Ehrhart
+counts by integer intervals of the last coordinate along rows of the
+next-to-last.
 Numerical hull libraries are avoided deliberately; a vertex reported at
 (1/3, 1/3, 1/3) has to mean exactly that.
 """
@@ -65,11 +66,6 @@ class Polytope:
     @property
     def is_lattice(self) -> bool:
         return all(all(isinstance(c, int) or c.denominator == 1 for c in v) for v in self.vertices)
-
-    def contains(self, point: Sequence[Coord]) -> bool:
-        if not self.facets:
-            raise ValueError("membership test needs a full-dimensional polytope")
-        return all(_dot(normal, point) <= offset for normal, offset in self.facets)
 
     def to_json_dict(self) -> dict:
         return {
@@ -263,45 +259,28 @@ def contains_origin_interior(p: Polytope) -> bool:
 def dual_polytope(p: Polytope) -> Polytope:
     """Polar dual {y : <y, v> >= -1 for every vertex v of p}.
 
-    Needs the origin strictly inside p; then duality is exact and involutive:
-    every vertex of p contributes one facet of the dual, and every facet
-    <normal, x> <= offset of p contributes the dual vertex -normal/offset.
+    Needs the origin strictly inside p; then every facet <normal, x> <= offset
+    of p gives the dual vertex -normal/offset, and the dual is their hull.
     """
     if not contains_origin_interior(p):
         raise ValueError("dual polytope needs the origin strictly inside a full-dimensional polytope")
-    n = p.dim
-    dual_vertices = sorted(
-        tuple(_canon(-Fraction(c) / offset) for c in normal) for normal, offset in p.facets
-    )
-    facets = []
-    for v in p.vertices:
-        (w,), scale = _scaled([v])
-        g = math.gcd(*w)
-        # <-v, y> <= 1 times scale/g, the positive factor that makes -v primitive
-        facets.append((tuple(-c // g for c in w), Fraction(scale, g)))
-    return Polytope(dim=n, vertices=tuple(dual_vertices), facets=tuple(sorted(facets)))
+    return from_points([tuple(-Fraction(c) / offset for c in normal) for normal, offset in p.facets])
 
 
 def normalized_volume(p: Polytope) -> Fraction:
     """n! times the Euclidean volume, computed exactly.
 
-    The boundary triangulation of the hull is coned from one of its points:
-    each boundary simplex contributes |det| of its vertices minus the apex,
-    in the integer coordinates the hull runs in, divided by scale^n.  A
-    polytope from from_points keeps the triangulation of the hull that built
-    it; one given by its facets, such as a dual, is hulled here from its
-    vertices.  The polytope must be full-dimensional.  Volumes are taken
-    with respect to the standard lattice Z^n, so a lattice polytope always
-    yields a nonnegative integer value.
+    The boundary triangulation of the hull that built p is coned from one of
+    its points: each boundary simplex contributes |det| of its vertices minus
+    the apex, in the integer coordinates the hull runs in, divided by
+    scale^n.  A polytope built by hand is hulled from its vertices first.
+    The polytope must be full-dimensional.  Volumes are taken with respect
+    to the standard lattice Z^n, so a lattice polytope always yields a
+    nonnegative integer value.
     """
     if not p.is_full_dimensional:
         raise ValueError("normalized volume needs a full-dimensional polytope")
-    if p._boundary is None:
-        points, scale = _scaled(p.vertices)
-        faces, _ = _hull(points)
-        boundary = [[points[i] for i in face] for face in faces]
-    else:
-        scale, boundary = p._boundary
+    scale, boundary = p._boundary or from_points(p.vertices)._boundary
     apex = boundary[0][0]
     total = sum(abs(det(_differences(simplex, apex))) for simplex in boundary if apex not in simplex)
     return Fraction(total, scale ** p.dim)

@@ -12,11 +12,12 @@ from dataclasses import dataclass
 from math import comb, factorial, prod
 from typing import Sequence
 
+from .constructors import _check_ci_data
 from .laurent import LaurentPolynomial, _mixed_radix, _times
 
 # The plain kernel forms sum_a |f^a| * |f| term products, one dict update
 # each.  Entry 1 of the corpus at T = 36 (83 terms after its shift) is
-# bounded by 5.9e7 of them and forms 3.6e7.  The bound holds for the orbit
+# bounded by 7.5e7 of them and forms 3.6e7.  The bound holds for the orbit
 # kernel as well: it forms a subset of those products, and folds or reflects
 # only keys that a product formed.
 MAX_SERIES_WORK = 10**8
@@ -411,13 +412,7 @@ def ci_period_closed_form(ambient_dim: int, degrees: Sequence[int], terms: int =
     Fano index k_0 + 1, and for k_0 = 0 the coefficient a_1 equals the
     constant term of the mirror itself.
     """
-    degs = tuple(int(k) for k in degrees)
-    if any(k < 2 for k in degs):
-        raise ValueError("all degrees must be >= 2")
-    if ambient_dim < 1:
-        raise ValueError("ambient dimension must be >= 1")
-    if sum(degs) > ambient_dim:
-        raise ValueError("sum of degrees must be <= ambient dimension (Fano condition)")
+    degs = _check_ci_data(ambient_dim, degrees)
     if terms < 1:
         raise ValueError("terms must be >= 1")
     k0 = ambient_dim - sum(degs)

@@ -233,9 +233,18 @@ def test_hull_face_budget_refuses_high_dimensional_moment_curve() -> None:
         (("series", "--poly", "(x+1)^9999", "--terms", "1"), "1000000 term products (the limit MAX_TERM_PRODUCTS)"),
         # few term products, but 3^10000 has 4772 digits
         (("series", "--poly", "3", "--terms", "10000"), "digits (the limit sys.get_int_max_str_digits()"),
+        # solving the model's constraint for w multiplies its two 1771-term powers
+        (("eliminate", "--plan", "0:w"), "1000000 term products (the limit MAX_TERM_PRODUCTS)"),
     ],
 )
-def test_series_budgets_refuse_up_front(argv: tuple[str, ...], limit: str) -> None:
+def test_series_budgets_refuse_up_front(tmp_path: Path, argv: tuple[str, ...], limit: str) -> None:
+    if argv[0] == "eliminate":
+        model_file = tmp_path / "wide.json"
+        model_file.write_text(
+            '{"variables": ["x", "y", "z", "w"], "constraints": ["w*(x+y+z+1)^20*(x+y+z+1)^20"],'
+            ' "potential": "x+y+z+w"}'
+        )
+        argv = (*argv, "--model", str(model_file))
     start = time.perf_counter()
     code, out, err = run(*argv)
     assert time.perf_counter() - start < 1.0

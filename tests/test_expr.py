@@ -250,14 +250,14 @@ def test_substitute_with_empty_bindings_preserves_value(tree) -> None:
 
 def test_random_equal_accepts_binomial_square() -> None:
     r = random_equal(parse("(x+y)^2"), parse("x^2+2*x*y+y^2"))
-    assert r.equal
+    assert r.equal and bool(r)
     assert r.witness is None
     assert r.trials == 20
 
 
 def test_random_equal_rejects_with_witness() -> None:
     r = random_equal(parse("x+y"), parse("x-y"))
-    assert not r.equal
+    assert not r.equal and not bool(r)
     assert r.witness is not None
     assert set(r.witness) == {"x", "y"}
 

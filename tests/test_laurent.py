@@ -54,6 +54,7 @@ def test_arithmetic_small_example() -> None:
     one = LaurentPolynomial(1, {(0,): 1})
     f = (x + one) * (x - one)
     assert f == x * x - one
+    assert 1 - f == -(f - 1)
 
 
 def test_mixed_arity_arithmetic_rejected() -> None:

@@ -475,7 +475,7 @@ def test_compare_series_match_and_prefix() -> None:
     a = IntegerSeries((1, 4, 48, 760))
     b = IntegerSeries((1, 4, 48, 760, 13840))
     r = compare_series(a, b, upto=3)
-    assert r.matched and r.upto == 3 and r.first_mismatch is None
+    assert r.matched and bool(r) and r.upto == 3 and r.first_mismatch is None
     assert r.to_json_dict()["matched"] is True
 
 
@@ -483,7 +483,7 @@ def test_compare_series_reports_first_mismatch() -> None:
     a = IntegerSeries((1, 4, 48, 760))
     b = IntegerSeries((1, 4, 49, 760))
     r = compare_series(a, b, upto=3)
-    assert not r.matched
+    assert not r.matched and not bool(r)
     assert r.first_mismatch == 2
     assert (r.left, r.right) == (48, 49)
     d = r.to_json_dict()
