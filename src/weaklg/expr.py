@@ -20,17 +20,21 @@ degrees are below D, a single agreeing evaluation is wrong with probability
 at most D/(p - 1); twenty agreeing trials push that below 2^-800 for every
 polynomial appearing in the bundled corpus.
 
-random_equal(), variables(), to_laurent() and to_fraction() share one
-compiled form: an iterative walk lists each distinct subexpression once,
-operands first, and one driver runs down that list with a step function per
-kind of node, dropping each value after its last use.  The three rings are
-Laurent polynomials, (numerator, denominator) pairs of polynomials, and
-batches of points mod p: the identity test evaluates a whole batch per
-step, as a numerator and a denominator vector, and compares the two sides
-by cross-multiplying, so it computes no modular inverse.  render() and
-substitute() walk the tree bottom-up without recursion, each distinct node
-once, as do ==, hash() and repr() of a node, so only the parser recurses,
-at most MAX_NESTING levels deep.
+parse() lexes the text once into a list of tokens and builds each run of
+n-ary operands (a+b+...+z, a*b*...*z) as one Sum or Prod from a list.
+
+random_equal(), to_laurent() and to_fraction() share one compiled form: an
+iterative walk lists each distinct subexpression once, operands first, as
+one step per node (a k-operand sum or product too), and one driver runs down
+that list with a step function per kind of node, dropping each value after
+its last use.  The three rings are Laurent polynomials, (numerator,
+denominator) pairs of polynomials, and batches of points mod p: the
+identity test evaluates a whole batch per step as one vector of residues,
+divides by one batch inversion per vector (Montgomery's trick), and keeps
+the set of points where some step divided by zero.  render(), variables()
+and substitute() walk the tree bottom-up without recursion, each distinct
+node once, as do ==, hash() and repr() of a node, so only the parser
+recurses, at most MAX_NESTING levels deep.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ import random
 import sys
 from collections import Counter
 from dataclasses import dataclass, fields
+from functools import reduce
 from itertools import chain
 from math import prod
 from typing import Callable, Mapping, Sequence, Union
@@ -49,10 +54,13 @@ from .laurent import LaurentPolynomial
 IDENTITY_PRIME = (1 << 61) - 1
 
 # Most point-steps random_equal may evaluate, bounded before it draws: its
-# 8*trials + 16 draws times the steps of the compiled program, a power
-# counted as one step per bit of its exponent.  A point-step took 0.3-0.6 us
-# on a 2-vCPU Linux host with Python 3.11.7 (x+y+z against z+y+x; two
-# 5,000-term chains; x^(10^12) against itself), so this is about a second.
+# 8*trials + 16 draws times the steps of the compiled program, a k-operand
+# sum or product counted as k - 1 steps and a power as one step per bit of
+# its exponent.  On a 2-vCPU Linux host with Python 3.11.7 a point-step took
+# 0.03-0.5 us (x+y+z against z+y+x; 5,000-term chains of +, - and * at 47
+# trials; x^(10^12) against itself) and up to 1.2 us in a quotient, which
+# inverts its divisor (a 5,000-term chain of /; x/y/z against x/(y*z)), so
+# this is at most about a second, or 2.5 s for a chain of quotients.
 # Points are evaluated IDENTITY_BATCH at a time, so memory holds at most
 # one list of that many residues per live value, whatever trials is.
 MAX_IDENTITY_WORK = 2_000_000
@@ -164,126 +172,113 @@ Expr = Union[Const, Var, Sum, Diff, Prod, Quot, Pow]
 # ---------------------------------------------------------------------------
 # parsing
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.nesting = 0  # open parentheses and unary minus signs
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self) -> str:
-        ch = self.peek()
-        self.pos += 1
-        return ch
-
-    def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError("expected an integer", start)
-        return int(self.text[start:self.pos])
-
-    def name(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isalnum():
-            self.pos += 1
-        return self.text[start:self.pos]
-
-
 def parse(text: str) -> Expr:
     """Parse an expression string; raises ParseError with a byte offset."""
-    tok = _Tokenizer(text)
-    node = _parse_expr(tok)
-    tok.skip_ws()
-    if tok.pos != len(text):
-        raise ParseError(f"unexpected character {text[tok.pos]!r}", tok.pos)
+    parser = _Parser(text)
+    node = parser.infix(0)
+    kind, _, offset = parser.tokens[parser.pos]
+    if kind:
+        raise ParseError(f"unexpected character {text[offset]!r}", offset)
     return node
 
 
-def _parse_expr(tok: _Tokenizer) -> Expr:
-    node = _parse_term(tok)
-    while True:
-        ch = tok.peek()
-        if ch == "+":
-            tok.take()
-            rhs = _parse_term(tok)
-            if isinstance(node, Sum):
-                node = Sum(node.terms + (rhs,))
+def _lex(text: str) -> list[tuple]:
+    """The tokens of text, each (kind, text, offset): kind Const for a run of
+    decimal digits, Var for a letter and the letters and digits after it,
+    else the character itself; whitespace separates tokens and is dropped.
+    The list ends with ("", "", len(text))."""
+    tokens = []
+    pos, end = 0, len(text)
+    while pos < end:
+        ch = text[pos]
+        start = pos
+        pos += 1
+        if ch.isspace():
+            continue
+        if ch.isdecimal():  # exactly the digits int() reads
+            while pos < end and text[pos].isdecimal():
+                pos += 1
+            kind = Const
+        elif ch.isalpha():
+            while pos < end and text[pos].isalnum():
+                pos += 1
+            kind = Var
+        else:
+            kind = ch
+        tokens.append((kind, text[start:pos], start))
+    tokens.append(("", "", end))
+    return tokens
+
+
+# The operators of expr and of term: each level's n-ary one and binary one.
+_LEVELS = (("+", Sum, "-", Diff), ("*", Prod, "/", Quot))
+
+
+class _Parser:
+    """Recursive descent over the tokens of one text; pos indexes the next."""
+
+    def __init__(self, text: str):
+        self.tokens = _lex(text)
+        self.pos = 0
+        self.nesting = 0  # open parentheses and unary minus signs
+
+    def infix(self, level: int) -> Expr:
+        """An expr (level 0) or a term (level 1).  Each run of the n-ary
+        operator is built as one node, which also takes in the operands of a
+        first operand of its kind: (a+b)+c is a+b+c."""
+        nary_op, nary, binary_op, binary = _LEVELS[level]
+        node = run = op = None
+        while True:
+            operand = self.factor() if level else self.infix(1)
+            if op == binary_op:
+                node, run = binary(nary(tuple(run)) if run else node, operand), None
+            elif op:
+                if run is None:
+                    run = list(_operands(node)) if type(node) is nary else [node]
+                run.append(operand)
             else:
-                node = Sum((node, rhs))
-        elif ch == "-":
-            tok.take()
-            node = Diff(node, _parse_term(tok))
-        else:
-            return node
+                node = operand
+            op = self.tokens[self.pos][0]
+            if op != nary_op and op != binary_op:
+                return nary(tuple(run)) if run else node
+            self.pos += 1
 
+    def factor(self) -> Expr:
+        base = self.atom()
+        if self.tokens[self.pos][0] != "^":
+            return base
+        negative = self.tokens[self.pos + 1][0] == "-"
+        self.pos += 1 + negative
+        kind, digits, offset = self.tokens[self.pos]
+        if kind is not Const:
+            raise ParseError("expected an integer", offset)
+        self.pos += 1
+        return Pow(base, -int(digits) if negative else int(digits))
 
-def _parse_term(tok: _Tokenizer) -> Expr:
-    node = _parse_factor(tok)
-    while True:
-        ch = tok.peek()
-        if ch == "*":
-            tok.take()
-            rhs = _parse_factor(tok)
-            if isinstance(node, Prod):
-                node = Prod(node.factors + (rhs,))
+    def atom(self) -> Expr:
+        kind, value, offset = self.tokens[self.pos]
+        if kind is Var or kind is Const:
+            self.pos += 1
+            return Var(value) if kind is Var else Const(int(value))
+        if kind == "(" or kind == "-":
+            if self.nesting == MAX_NESTING:
+                raise ParseError(f"expression nested too deeply (the limit is {MAX_NESTING} levels)", offset)
+            self.nesting += 1
+            self.pos += 1
+            if kind == "(":
+                node = self.infix(0)
+                close, _, offset = self.tokens[self.pos]
+                if close != ")":
+                    raise ParseError("expected ')'", offset)
+                self.pos += 1
             else:
-                node = Prod((node, rhs))
-        elif ch == "/":
-            tok.take()
-            node = Quot(node, _parse_factor(tok))
-        else:
+                inner = self.atom()
+                node = Const(-inner.value) if type(inner) is Const else Prod((Const(-1), inner))
+            self.nesting -= 1
             return node
-
-
-def _parse_factor(tok: _Tokenizer) -> Expr:
-    base = _parse_atom(tok)
-    if tok.peek() == "^":
-        tok.take()
-        negative = False
-        if tok.peek() == "-":
-            tok.take()
-            negative = True
-        exponent = tok.integer()
-        return Pow(base, -exponent if negative else exponent)
-    return base
-
-
-def _parse_atom(tok: _Tokenizer) -> Expr:
-    ch = tok.peek()
-    if ch == "":
-        raise ParseError("unexpected end of input", tok.pos)
-    if ch in "(-":
-        if tok.nesting == MAX_NESTING:
-            raise ParseError(f"expression nested too deeply (the limit is {MAX_NESTING} levels)", tok.pos)
-        tok.nesting += 1
-        tok.take()
-        if ch == "(":
-            node = _parse_expr(tok)
-            if tok.peek() != ")":
-                raise ParseError("expected ')'", tok.pos)
-            tok.take()
-        else:
-            inner = _parse_atom(tok)
-            node = Const(-inner.value) if isinstance(inner, Const) else Prod((Const(-1), inner))
-        tok.nesting -= 1
-        return node
-    if ch.isdigit():
-        return Const(tok.integer())
-    if ch.isalpha():
-        return Var(tok.name())
-    raise ParseError(f"unexpected character {ch!r}", tok.pos)
+        if not kind:
+            raise ParseError("unexpected end of input", offset)
+        raise ParseError(f"unexpected character {kind!r}", offset)
 
 
 # ---------------------------------------------------------------------------
@@ -399,20 +394,43 @@ class _Program:
     Equal subtrees share a slot: a step is numbered by its kind, its leaf
     value or exponent and its operands' slots, so a subtree that substitute
     shares, or that the text repeats (x^-1 in every term), is computed once.
-    A sum, product, difference or quotient folds its operands left in binary
-    steps; a sum or product of one operand is that operand.
+    Each node is one step, a k-operand sum or product too, except that a
+    sum or product of one operand is that operand.  The steps are numbered
+    in the walk that lists the nodes: iterative, each distinct node (by
+    identity) once, after its operands.
     """
 
     __slots__ = ("nodes", "operands", "last", "roots")
 
     def __init__(self, *roots: Expr):
         slot: dict[int, int] = {}  # id(node) -> slot
-        number: dict = {}  # name, value or (kind, [exponent,] reads) -> slot
+        number: dict = {}  # name, value or (kind, [exponent,] *reads) -> slot
         nodes: list[Expr] = []
         operands: list[list[int]] = []
         last: list[int] = []
-
-        def place(node: Expr, key, reads: list[int]) -> int:
+        stack: list = list(reversed(roots))
+        while stack:
+            node = stack.pop()
+            kind = type(node)
+            if kind is Var or kind is Const:
+                key, reads = node.name if kind is Var else node.value, ()
+            elif kind is tuple:  # (node, its operands), the operands placed
+                node, kids = node
+                kind = type(node)
+                reads = list(map(slot.__getitem__, map(id, kids)))
+                if kind is Pow:
+                    key = (Pow, node.exponent, *reads)
+                elif len(reads) == 1:
+                    slot[id(node)] = reads[0]
+                    continue
+                else:
+                    key = (kind, *reads)
+            else:
+                if id(node) not in slot:
+                    kids = _operands(node)
+                    stack.append((node, kids))
+                    stack += reversed(kids)
+                continue
             here = number.setdefault(key, len(nodes))
             if here == len(nodes):
                 for j in reads:
@@ -420,19 +438,6 @@ class _Program:
                 nodes.append(node)
                 operands.append(reads)
                 last.append(-1)
-            return here
-
-        for node in _postorder(*roots):
-            kind = type(node)
-            if kind is Var or kind is Const:
-                here = place(node, node.name if kind is Var else node.value, [])
-            elif kind is Pow:
-                base = slot[id(node.base)]
-                here = place(node, (Pow, node.exponent, base), [base])
-            else:
-                here, *rest = [slot[id(k)] for k in _operands(node)]
-                for j in rest:
-                    here = place(node, (kind, here, j), [here, j])
             slot[id(node)] = here
         self.nodes, self.operands = nodes, operands
         self.roots = [slot[id(root)] for root in roots]
@@ -479,12 +484,20 @@ def to_laurent(e: Expr, variable_order: Sequence[str]) -> LaurentPolynomial:
             return _invert_monomial(a, node.base) ** -node.exponent
         return _Power(a, node.exponent, _power_bound(a, node.exponent))
 
+    def total(node: Sum, *values) -> LaurentPolynomial:
+        out: dict[tuple[int, ...], int] = {}
+        get = out.get
+        for f in map(_expand, values):
+            for exps, coeff in f.terms.items():
+                out[exps] = get(exps, 0) + coeff
+        return LaurentPolynomial._raw(len(variable_order), {exps: coeff for exps, coeff in out.items() if coeff})
+
     root, = _Program(e).run({
         Const: constant,
         Var: variable,
-        Sum: lambda node, a, b: _expand(a) + _expand(b),
+        Sum: total,
         Diff: lambda node, a, b: _expand(a) - _expand(b),
-        Prod: lambda node, a, b: _product(a, b),
+        Prod: lambda node, *values: reduce(_product, values),
         Quot: lambda node, a, b: _divide_by_monomial(_expand(a), _expand(b), node.denominator),
         Pow: power,
     })
@@ -520,9 +533,10 @@ def to_fraction(e: Expr, variable_order: Sequence[str]) -> tuple[LaurentPolynomi
     root, = _Program(e).run({
         Const: lambda node: (constant(node), one),
         Var: lambda node: (variable(node), one),
-        Sum: lambda node, x, y: (_product(x[0], y[1]) + _product(y[0], x[1]), _product(x[1], y[1])),
+        Sum: lambda node, *values: reduce(
+            lambda x, y: (_product(x[0], y[1]) + _product(y[0], x[1]), _product(x[1], y[1])), values),
         Diff: lambda node, x, y: (_product(x[0], y[1]) - _product(y[0], x[1]), _product(x[1], y[1])),
-        Prod: lambda node, x, y: (_product(x[0], y[0]), _product(x[1], y[1])),
+        Prod: lambda node, *values: reduce(lambda x, y: (_product(x[0], y[0]), _product(x[1], y[1])), values),
         Quot: quotient,
         Pow: power,
     })
@@ -712,72 +726,70 @@ class IdentityResult:
         return self.equal
 
 
-# A step's value over a batch of points is a pair (numerators, denominators)
-# of vectors mod p, one entry per point, with None for all-one denominators.
-# Nothing is inverted: the two sides agree at a point where ln*rd == rn*ld.
-# A denominator is 0 exactly where the step, or a step below it, divides by
-# 0, and such points are redrawn: the quotient of a/b by c/d is
-# (a*d*d)/(b*c*d), keeping d where c/d would cancel it, and a power of a/b
-# with exponent k <= 0 keeps b, as b/b or b^(1-k)/(a^-k*b).
+def _evaluate_mod(program: _Program, coords: Mapping[str, list[int]], count: int, p: int) -> tuple[list, set[int]]:
+    """Each root's residues at count points, coords mapping a name to its
+    coordinates, and the points where some step divides by zero, at which
+    the residues are meaningless."""
+    undefined: set[int] = set()
 
-_Vector = list[int]
-_Pair = tuple[_Vector, Union[_Vector, None]]
+    def inverse(values: list[int]) -> list[int]:
+        """Each value's inverse mod p by Montgomery's trick, one pow and 3n
+        products; a point where a value is 0 is undefined."""
+        if 0 in values:
+            undefined.update(j for j, x in enumerate(values) if not x)
+            values = [x or 1 for x in values]
+        acc, before = 1, []  # the product of the values before each
+        for x in values:
+            before.append(acc)
+            acc = acc * x % p
+        inv, out = pow(acc, -1, p), [0] * count
+        for j in range(count - 1, -1, -1):
+            out[j] = inv * before[j] % p
+            inv = inv * values[j] % p
+        return out
 
+    def product(node: Prod, *values: list[int]) -> list[int]:
+        # at most eight factors at a time, so no intermediate passes 8*61 bits
+        out = [prod(col) % p for col in zip(*values[:8])]
+        for i in range(8, len(values), 7):
+            out = [prod(col) % p for col in zip(out, *values[i:i + 7])]
+        return out
 
-def _mul(a: _Vector, b: _Vector, p: int) -> list[int]:
-    return [x * y % p for x, y in zip(a, b)]
-
-
-def _mul_opt(a: _Vector | None, b: _Vector | None, p: int) -> _Vector | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return _mul(a, b, p)
-
-
-def _power(a: _Vector, k: int, p: int) -> _Vector:
-    return a if k == 1 else [pow(x, k, p) for x in a]
-
-
-def _add(x: _Pair, y: _Pair, sign: int, p: int) -> _Pair:
-    """x + sign*y, sign = 1 or -1."""
-    (a, b), (c, d) = x, y
-    if b is None and d is None:
-        return [(s + sign * t) % p for s, t in zip(a, c)], None
-    if b is None:
-        return [(s * v + sign * t) % p for s, t, v in zip(a, c, d)], d
-    if d is None:
-        return [(s + sign * t * u) % p for s, t, u in zip(a, c, b)], b
-    return [(s * v + sign * t * u) % p for s, t, u, v in zip(a, c, b, d)], _mul(b, d, p)
-
-
-def _evaluate_mod(program: _Program, coords: Mapping[str, _Vector], count: int, p: int) -> list[_Pair]:
-    """Each root's value at count points; coords maps a name to its coordinates."""
-
-    def quotient(node: Quot, x: _Pair, y: _Pair) -> _Pair:
-        (a, b), (c, d) = x, y
-        if d is None:
-            return a, _mul_opt(b, c, p)
-        return _mul(_mul(a, d, p), d, p), _mul(_mul_opt(b, c, p), d, p)
-
-    def power(node: Pow, x: _Pair) -> _Pair:
-        (a, b), k = x, node.exponent
-        if k > 0:
-            return _power(a, k, p), None if b is None else _power(b, k, p)
-        if b is None:
-            return [1] * count, None if k == 0 else _power(a, -k, p)
-        return (b, b) if k == 0 else (_power(b, 1 - k, p), _mul(_power(a, -k, p), b, p))
+    def power(node: Pow, values: list[int]) -> list[int]:
+        k = node.exponent
+        if k < 0:
+            values, k = inverse(values), -k
+        return values if k == 1 else [pow(x, k, p) for x in values]
 
     return program.run({
-        Const: lambda node: ([node.value % p] * count, None),
-        Var: lambda node: (coords[node.name], None),
-        Sum: lambda node, x, y: _add(x, y, 1, p),
-        Diff: lambda node, x, y: _add(x, y, -1, p),
-        Prod: lambda node, x, y: (_mul(x[0], y[0], p), _mul_opt(x[1], y[1], p)),
-        Quot: quotient,
+        Const: lambda node: [node.value % p] * count,
+        Var: lambda node: coords[node.name],
+        Sum: lambda node, *values: [sum(col) % p for col in zip(*values)],
+        Diff: lambda node, x, y: [(a - b) % p for a, b in zip(x, y)],
+        Prod: product,
+        Quot: lambda node, x, y: [a * b % p for a, b in zip(x, inverse(y))],
         Pow: power,
-    })
+    }), undefined
+
+
+def _test_batch(program: _Program, names: list[str], rng: random.Random, count: int, needed: int,
+                p: int) -> tuple[int, dict | None]:
+    """Draws count points and evaluates both roots there.  Of the points
+    where both are defined, in order: how many agree, up to needed, before
+    the first that differs, and that point, or None.  Nothing of the batch
+    outlives the call."""
+    n = len(names)
+    drawn = [rng.randrange(1, p) for _ in range(count * n)]  # point by point
+    (left, right), undefined = _evaluate_mod(program, {name: drawn[k::n] for k, name in enumerate(names)}, count, p)
+    agree = 0
+    for j in range(count):
+        if j not in undefined:
+            if left[j] != right[j]:
+                return agree, dict(zip(names, drawn[j * n:j * n + n]))
+            agree += 1
+            if agree == needed:
+                break
+    return agree, None
 
 
 def random_equal(
@@ -795,17 +807,22 @@ def random_equal(
     disagreement is found.
 
     Both sides are compiled into one program and evaluated a batch of
-    points at a time, each batch being the points still needed, at most
-    IDENTITY_BATCH, drawn in the order one point at a time would draw them;
-    so the batching changes neither the verdict nor trials nor the witness,
-    and memory does not grow with trials.  A ValueError refuses trials
-    whose draws may evaluate more than MAX_IDENTITY_WORK point-steps.
+    points at a time, each batch being the points still needed (once a
+    point was undefined, the draws left), at most IDENTITY_BATCH, drawn in
+    the order one point at a time would draw them; so the batching changes
+    neither the verdict nor trials nor the witness, and memory, which holds
+    one batch at a time, does not grow with trials.
+    A ValueError refuses trials whose draws may evaluate more than
+    MAX_IDENTITY_WORK point-steps, a k-operand step counted as k - 1.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     program = _Program(left, right)
     budget = 8 * trials + 16
-    steps = sum(max(1, abs(node.exponent).bit_length()) if type(node) is Pow else 1 for node in program.nodes)
+    steps = sum(
+        max(1, abs(node.exponent).bit_length() if type(node) is Pow else len(reads) - 1)
+        for node, reads in zip(program.nodes, program.operands)
+    )
     if budget * steps > MAX_IDENTITY_WORK:
         raise ValueError(
             f"{trials} trials may evaluate {budget} points of {steps} program steps each,"
@@ -815,23 +832,18 @@ def random_equal(
     rng = random.Random(seed)
     drawn = done = 0
     while drawn < budget:
-        # The points still needed if all are defined, at most a batch, drawn
-        # in the order a point-at-a-time loop would draw them.
-        count = min(trials - done, budget - drawn, IDENTITY_BATCH)
-        points = [[rng.randrange(1, IDENTITY_PRIME) for _ in names] for _ in range(count)]
+        # The points still needed, while every point drawn was defined.  At
+        # IDENTITY_PRIME a point is undefined by chance with probability
+        # about deg/p, so one that is not almost always means a denominator
+        # that vanishes identically: then the rest of the draws are taken.
+        count = min(trials - done if done == drawn else budget - drawn, IDENTITY_BATCH)
         drawn += count
-        coords = {name: [point[k] for point in points] for k, name in enumerate(names)}
-        (ln, ld), (rn, rd) = _evaluate_mod(program, coords, count, IDENTITY_PRIME)
-        for j, point in enumerate(points):
-            lden = 1 if ld is None else ld[j]
-            rden = 1 if rd is None else rd[j]
-            if lden == 0 or rden == 0:
-                continue
-            if ln[j] * rden % IDENTITY_PRIME != rn[j] * lden % IDENTITY_PRIME:
-                return IdentityResult(equal=False, trials=done + 1, witness=dict(zip(names, point)))
-            done += 1
-            if done == trials:
-                return IdentityResult(equal=True, trials=done, witness=None)
+        agree, witness = _test_batch(program, names, rng, count, trials - done, IDENTITY_PRIME)
+        done += agree
+        if witness is not None:
+            return IdentityResult(equal=False, trials=done + 1, witness=witness)
+        if done == trials:
+            return IdentityResult(equal=True, trials=done, witness=None)
     raise IdentityTestError(
         f"exhausted {budget} draws with only {done}/{trials} defined evaluations"
     )

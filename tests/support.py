@@ -10,8 +10,9 @@ substitute and (numerator, denominator) walkers that the package replaced
 by iterative passes and one compiled-program driver are kept verbatim.
 So are the exhaustive annihilator sweep that a mod-p screen replaced, the
 term-by-term ladder polynomial that the sum of its hyperplane-class factors
-replaced, and the recursive == and repr() that expression nodes had as
-frozen dataclasses.
+replaced, the recursive == and repr() that expression nodes had as
+frozen dataclasses, and the character-level parser that the token-list
+parser replaced.
 """
 
 from __future__ import annotations
@@ -173,6 +174,134 @@ def random_equal_oracle(left: Expr, right: Expr, trials: int = 20, seed: int = 0
     raise IdentityTestError(
         f"exhausted {budget} draws with only {done}/{trials} defined evaluations"
     )
+
+
+# The character-level parser weaklg.expr had before it lexed the text into a
+# token list, kept as an oracle: parse_oracle(text) must give the same tree,
+# or a ParseError with the same message and offset.  The one change is that
+# integers are read with str.isdecimal, which accepts exactly the digits int()
+# does, instead of str.isdigit, which also accepts '²' and then raised a bare
+# ValueError from int().
+
+class _Tokenizer:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+        self.nesting = 0  # open parentheses and unary minus signs
+
+    def skip_ws(self) -> None:
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self) -> str:
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def take(self) -> str:
+        ch = self.peek()
+        self.pos += 1
+        return ch
+
+    def integer(self) -> int:
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
+            self.pos += 1
+        if self.pos == start:
+            raise ex.ParseError("expected an integer", start)
+        return int(self.text[start:self.pos])
+
+    def name(self) -> str:
+        self.skip_ws()
+        start = self.pos
+        self.pos += 1
+        while self.pos < len(self.text) and self.text[self.pos].isalnum():
+            self.pos += 1
+        return self.text[start:self.pos]
+
+
+def parse_oracle(text: str) -> Expr:
+    tok = _Tokenizer(text)
+    node = _parse_expr(tok)
+    tok.skip_ws()
+    if tok.pos != len(text):
+        raise ex.ParseError(f"unexpected character {text[tok.pos]!r}", tok.pos)
+    return node
+
+
+def _parse_expr(tok: _Tokenizer) -> Expr:
+    node = _parse_term(tok)
+    while True:
+        ch = tok.peek()
+        if ch == "+":
+            tok.take()
+            rhs = _parse_term(tok)
+            if isinstance(node, Sum):
+                node = Sum(node.terms + (rhs,))
+            else:
+                node = Sum((node, rhs))
+        elif ch == "-":
+            tok.take()
+            node = Diff(node, _parse_term(tok))
+        else:
+            return node
+
+
+def _parse_term(tok: _Tokenizer) -> Expr:
+    node = _parse_factor(tok)
+    while True:
+        ch = tok.peek()
+        if ch == "*":
+            tok.take()
+            rhs = _parse_factor(tok)
+            if isinstance(node, Prod):
+                node = Prod(node.factors + (rhs,))
+            else:
+                node = Prod((node, rhs))
+        elif ch == "/":
+            tok.take()
+            node = Quot(node, _parse_factor(tok))
+        else:
+            return node
+
+
+def _parse_factor(tok: _Tokenizer) -> Expr:
+    base = _parse_atom(tok)
+    if tok.peek() == "^":
+        tok.take()
+        negative = False
+        if tok.peek() == "-":
+            tok.take()
+            negative = True
+        exponent = tok.integer()
+        return Pow(base, -exponent if negative else exponent)
+    return base
+
+
+def _parse_atom(tok: _Tokenizer) -> Expr:
+    ch = tok.peek()
+    if ch == "":
+        raise ex.ParseError("unexpected end of input", tok.pos)
+    if ch in "(-":
+        if tok.nesting == ex.MAX_NESTING:
+            raise ex.ParseError(f"expression nested too deeply (the limit is {ex.MAX_NESTING} levels)", tok.pos)
+        tok.nesting += 1
+        tok.take()
+        if ch == "(":
+            node = _parse_expr(tok)
+            if tok.peek() != ")":
+                raise ex.ParseError("expected ')'", tok.pos)
+            tok.take()
+        else:
+            inner = _parse_atom(tok)
+            node = Const(-inner.value) if isinstance(inner, Const) else Prod((Const(-1), inner))
+        tok.nesting -= 1
+        return node
+    if ch.isdecimal():
+        return Const(tok.integer())
+    if ch.isalpha():
+        return Var(tok.name())
+    raise ex.ParseError(f"unexpected character {ch!r}", tok.pos)
 
 
 # The recursive walkers of weaklg.expr and weaklg.constructors before they

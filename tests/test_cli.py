@@ -503,6 +503,27 @@ def test_constant_powers_are_bounded_by_the_digit_limit(tmp_path: Path, argv: tu
         assert out == "7^30000000 + 1\n" and err == ""
 
 
+@pytest.mark.parametrize(("poly", "message"), [("x^²", "expected an integer (offset 2)"),
+                                               ("2²", "unexpected character '²' (offset 1)")])
+def test_digits_int_cannot_read_exit_two(poly: str, message: str) -> None:
+    code, out, err = run("series", "--poly", poly)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_20000_term_sums_parse_and_are_refused_in_time() -> None:
+    # x+x+...+x, 40 KB: parsing it once rebuilt the sum for every term
+    chain = "+".join(["x"] * 20000)
+    start = time.perf_counter()
+    code, out, err = run("series", "--poly", chain, "--terms", "2")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and err == "" and out.splitlines() == ["phi(0) = 1", "phi(1) = 0", "phi(2) = 0"]
+    start = time.perf_counter()
+    code, out, err = run("identity", "--left", chain, "--right", "20000*x")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and "(the limit MAX_IDENTITY_WORK)" in err
+
+
 def test_identity_budget_bounds_trials_by_program_size() -> None:
     # 200,000 trials of x+y+z against z+y+x once held 101 MB of points
     start = time.perf_counter()

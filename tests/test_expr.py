@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from support import _expr_to_fraction, _render, evaluate_exactly, expr_equal, expr_repr, random_equal_oracle
+from support import _expr_to_fraction, _render, evaluate_exactly, expr_equal, expr_repr, parse_oracle, random_equal_oracle
 from support import substitute as substitute_oracle
 from weaklg import expr
 from weaklg.expr import (
@@ -99,6 +99,52 @@ def test_parse_error_positions() -> None:
         parse("(x+1")
     with pytest.raises(ParseError):
         parse("x^y")
+
+
+def test_digits_int_cannot_read_are_parse_errors() -> None:
+    # str.isdigit accepts a superscript two, which int() does not
+    for text, message in (("x^²", "expected an integer (offset 2)"), ("2²", "unexpected character '²' (offset 1)")):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == message
+    assert parse("x²") == Var("x²")  # a letter followed by digits is a name
+    assert parse("x^٣ + ٤٢") == Sum((Pow(Var("x"), 3), Const(42)))  # Arabic-Indic decimal digits
+
+
+def _parsed(parser, text: str):
+    """The tree, or the ParseError's message and offset."""
+    try:
+        return parser(text)
+    except ParseError as err:
+        return str(err), err.offset
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "", " ", "x", " \t x \n", "x y", "2x", "x+", "x++y", "x--y", "x-+y", "x^-y", "x ^ - 2", "x^--2", "x^",
+        "(x", "(x))", "()", "-", "--x", "-(-x)", "-2^2", "-x^2*y", "(x+y)+z", "x+(y+z)", "(x*y)*z", "(x+y)-z+w",
+        "x*y/z*w", "a-b+c-d", "x$", "x$+1", "1/(x*y*z)", "x1y2 + éa + Ωβ", "x\u00a0+\u2003y", "½", "x½",
+        "(" * 100 + "x" + ")" * 100, "(" * 101 + "x" + ")" * 101, "-" * 100 + "x", "-" * 101 + "x",
+    ],
+)
+def test_parse_matches_the_character_level_oracle_on_cases(text: str) -> None:
+    assert _parsed(parse, text) == _parsed(parse_oracle, text)
+
+
+@st.composite
+def spaced_renderings(draw) -> str:
+    # a rendered tree, with runs of whitespace put between characters
+    text = render(draw(st.one_of(expr_trees(), shared_dags())))
+    cuts = sorted(draw(st.lists(st.integers(0, len(text)), max_size=6)))
+    pieces = [text[a:b] for a, b in zip([0, *cuts], [*cuts, len(text)])]
+    return draw(st.sampled_from([" ", "\t", "\n ", "\u2003"])).join(pieces)
+
+
+@settings(deadline=None)
+@given(st.one_of(spaced_renderings(), st.text(alphabet="xyz01²٣é+-*/^() \t", max_size=24)))
+def test_parse_matches_the_character_level_oracle(text: str) -> None:
+    assert _parsed(parse, text) == _parsed(parse_oracle, text)
 
 
 def test_variables_sorted_and_deduplicated() -> None:
@@ -359,13 +405,33 @@ def test_random_equal_batches_change_no_outcome(tree, prime, trials, seed, batch
 def test_random_equal_memory_does_not_grow_with_trials() -> None:
     left, right = parse("x+y+z"), parse("z+y+x")
     peaks = []
-    for trials in (expr.IDENTITY_BATCH, 4 * expr.IDENTITY_BATCH):
+    for trials in (expr.IDENTITY_BATCH, 4 * expr.IDENTITY_BATCH, 16 * expr.IDENTITY_BATCH):
         tracemalloc.start()
         assert random_equal(left, right, trials=trials) == expr.IdentityResult(True, trials, None)
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     # all points at once held about 370 bytes per trial
     assert peaks[1] < 1.5 * peaks[0]
+    # a batch drawn while the last one was still held raised the peak by
+    # about 45% from the second batch on
+    assert max(peaks[0], peaks[2]) < 1.1 * min(peaks[0], peaks[2])
+
+
+def test_random_equal_draws_what_is_left_once_a_point_is_undefined() -> None:
+    # a batch needs one modular inverse per quotient whatever its size, so a
+    # side undefined everywhere is not evaluated one point at a time
+    counts = []
+    batch = expr._test_batch
+
+    def counted(program, names, rng, count, *rest):
+        counts.append(count)
+        return batch(program, names, rng, count, *rest)
+
+    with unittest.mock.patch.object(expr, "_test_batch", counted):
+        with pytest.raises(IdentityTestError, match="exhausted 24 draws"):
+            random_equal(parse("1/(x-x)"), parse("x"), trials=1)
+        assert random_equal(parse("x+y"), parse("y+x"), trials=2500).equal
+    assert counts == [1, 23, 1000, 1000, 500]
 
 
 def test_random_equal_refuses_work_past_its_budget() -> None:
