@@ -3,14 +3,16 @@
 One subcommand per library operation.  Exit codes: 0 for success or a
 passing check, 1 for a failing check (series mismatch, unequal identity,
 volume mismatch, no annihilator at the given bounds), 2 for usage or input
-errors.  With --format json the output is a single JSON document with
-sorted keys, so identical invocations produce identical bytes.
+errors, and 141 (128 + SIGPIPE) when the reader closes stdout early.  With
+--format json the output is a single JSON document with sorted keys, so
+identical invocations produce identical bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Iterable
@@ -485,7 +487,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (lg series ... | head): the output is not
+        # wanted, which is no input error; exit as a process killed by
+        # SIGPIPE, with stdout on devnull so the flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ex.ParseError, ex.NotLaurentError, ex.IdentityTestError, CorpusError,
             ValueError, ZeroDivisionError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)

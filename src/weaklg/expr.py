@@ -23,28 +23,27 @@ polynomial appearing in the bundled corpus.
 parse() lexes the text once into a list of tokens and builds each run of
 n-ary operands (a+b+...+z, a*b*...*z) as one Sum or Prod from a list.
 
-random_equal(), to_laurent() and to_fraction() share one compiled form: an
-iterative walk lists each distinct subexpression once, operands first, as
-one step per node (a k-operand sum or product too), and one driver runs down
-that list with a step function per kind of node, dropping each value after
-its last use.  The three rings are Laurent polynomials, (numerator,
-denominator) pairs of polynomials, and batches of points mod p: the
-identity test evaluates a whole batch per step as one vector of residues,
-divides by one batch inversion per vector (Montgomery's trick), and keeps
-the set of points where some step divided by zero.  render(), variables()
-and substitute() walk the tree bottom-up without recursion, each distinct
-node once, as do ==, hash() and repr() of a node, so only the parser
-recurses, at most MAX_NESTING levels deep.
+Every operation on a tree runs on one compiled form: an iterative walk
+lists each distinct subexpression once, operands first, as one step per
+node (a sum or product of any number of operands too), and one driver runs
+down that list with a step function per kind of node, dropping each value
+after its last use.  random_equal(), to_laurent() and to_fraction()
+evaluate in three rings: Laurent polynomials, (numerator, denominator)
+pairs of polynomials, and batches of points mod p; the identity test
+evaluates a whole batch per step as one vector of residues, divides by one
+batch inversion per vector (Montgomery's trick), and keeps the set of
+points where some step divided by zero.  render(), substitute(), hash() and
+repr() run step tables of their own, variables() reads the program's
+variable steps, and two trees are == when their roots share a step.  Only
+the parser recurses, at most MAX_NESTING levels deep.
 """
 
 from __future__ import annotations
 
 import random
 import sys
-from collections import Counter
 from dataclasses import dataclass, fields
 from functools import reduce
-from itertools import chain
 from math import prod
 from typing import Callable, Mapping, Sequence, Union
 
@@ -57,10 +56,13 @@ IDENTITY_PRIME = (1 << 61) - 1
 # 8*trials + 16 draws times the steps of the compiled program, a k-operand
 # sum or product counted as k - 1 steps and a power as one step per bit of
 # its exponent.  On a 2-vCPU Linux host with Python 3.11.7 a point-step took
-# 0.03-0.5 us (x+y+z against z+y+x; 5,000-term chains of +, - and * at 47
-# trials; x^(10^12) against itself) and up to 1.2 us in a quotient, which
-# inverts its divisor (a 5,000-term chain of /; x/y/z against x/(y*z)), so
-# this is at most about a second, or 2.5 s for a chain of quotients.
+# 0.05-0.3 us in sums, differences, products and powers (x+y+z against
+# z+y+x; 5,000-term chains of +, - and * at 47 trials; x^(10^12) against
+# itself) and 0.55-1.1 us in a quotient, which inverts its divisor (x/y/z
+# against x/(y*z); a 5,000-term chain of /), and most where few points
+# share each step's fixed cost: 1/(x-x)/x/.../x with 80,000 quotients,
+# undefined everywhere, is admitted at trials=1 (1.92*10^6 point-steps, in
+# batches of 1 and 23 points) and took 3.0-3.7 s after 0.4 s to parse.
 # Points are evaluated IDENTITY_BATCH at a time, so memory holds at most
 # one list of that many residues per live value, whatever trials is.
 MAX_IDENTITY_WORK = 2_000_000
@@ -117,15 +119,14 @@ class _Node:
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        shapes: dict[tuple, int] = {}  # one number per distinct subtree of either side
-        number = lambda node, kids: shapes.setdefault((_head(node), *kids), len(shapes))
-        return _fold(self, number) == _fold(other, number)
+        left, right = _Program(self, other).roots  # equal subtrees share a slot
+        return left == right
 
     def __hash__(self) -> int:
-        return _fold(self, lambda node, kids: hash((_head(node), *kids)))
+        return _Program(self).run(dict.fromkeys(_KINDS, lambda node, *kids: hash((_head(node), *kids))))[0]
 
     def __repr__(self) -> str:
-        return _fold(self, _repr_node)
+        return _Program(self).run(dict.fromkeys(_KINDS, _repr_node))[0]
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -167,6 +168,7 @@ class Pow(_Node):
 
 
 Expr = Union[Const, Var, Sum, Diff, Prod, Quot, Pow]
+_KINDS = (Const, Var, Sum, Diff, Prod, Quot, Pow)
 
 
 # ---------------------------------------------------------------------------
@@ -292,13 +294,13 @@ def render(e: Expr) -> str:
     for a power, 5 for a leaf and 0 for a negative constant.  An operand of
     lower precedence than its place asks is parenthesised: the first operand
     of an infix kind asks for the kind's precedence, the others one more."""
-    return _fold(e, _render_node)[0]
+    return _Program(e).run(dict.fromkeys(_KINDS, _render_node))[0][0]
 
 
 _INFIX = {Sum: (" + ", 1), Diff: (" - ", 1), Prod: ("*", 2), Quot: ("/", 2)}  # operator, precedence
 
 
-def _render_node(node: Expr, kids: list[tuple[str, int]]) -> tuple[str, int]:
+def _render_node(node: Expr, *kids: tuple[str, int]) -> tuple[str, int]:
     kind = type(node)
     if kind is Const:
         return str(node.value), 5 if node.value >= 0 else 0
@@ -315,12 +317,12 @@ def _wrap(text: tuple[str, int], min_prec: int) -> str:
     return "(" + body + ")" if prec < min_prec else body
 
 
-def _repr_node(node: Expr, kids: list[str]) -> str:
+def _repr_node(node: Expr, *kids: str) -> str:
     """The dataclass repr of a node, given its operands' reprs."""
     names = [f.name for f in fields(node)]
     if len(names) == 1 and kids:  # the operand tuple of a sum or a product
-        kids = ["(" + ", ".join(kids) + ("," if len(kids) == 1 else "") + ")"]
-    values = kids + [repr(getattr(node, name)) for name in names[len(kids):]]
+        kids = ("(" + ", ".join(kids) + ("," if len(kids) == 1 else "") + ")",)
+    values = [*kids, *(repr(getattr(node, name)) for name in names[len(kids):])]
     return f"{type(node).__name__}({', '.join(map('{}={}'.format, names, values))})"
 
 
@@ -343,44 +345,6 @@ def _operands(node: Expr) -> tuple[Expr, ...]:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def _postorder(*roots: Expr) -> list[Expr]:
-    """Each distinct node under the roots (by identity) once, after its
-    operands: an iterative walk, so a chain such as x-x-...-x needs no
-    recursion."""
-    order: list[Expr] = []
-    seen: set[int] = set()
-    stack: list = list(reversed(roots))
-    while stack:
-        node = stack.pop()
-        if type(node) is tuple:
-            order.append(node[0])
-        elif id(node) not in seen:
-            seen.add(id(node))
-            kids = _operands(node)
-            if kids:
-                stack.append((node,))
-                stack += reversed(kids)
-            else:
-                order.append(node)
-    return order
-
-
-def _fold(e: Expr, build: Callable[[Expr, list], object]):
-    """build(node, its operands' values) for each distinct node under e
-    (by identity), operands first, without recursion; each value is
-    dropped once every node that reads it is built.  Returns e's value."""
-    order = _postorder(e)
-    readers = Counter(map(id, chain.from_iterable(map(_operands, order))))
-    values: dict[int, object] = {}
-    for node in order:
-        kids = []
-        for key in map(id, _operands(node)):
-            readers[key] -= 1
-            kids.append(values[key] if readers[key] else values.pop(key))
-        values[id(node)] = build(node, kids)
-    return values[id(e)]
-
-
 # ---------------------------------------------------------------------------
 # compiled programs
 
@@ -393,11 +357,12 @@ class _Program:
     -1 for a root; roots[k] is the slot of the k-th root.
     Equal subtrees share a slot: a step is numbered by its kind, its leaf
     value or exponent and its operands' slots, so a subtree that substitute
-    shares, or that the text repeats (x^-1 in every term), is computed once.
-    Each node is one step, a k-operand sum or product too, except that a
-    sum or product of one operand is that operand.  The steps are numbered
-    in the walk that lists the nodes: iterative, each distinct node (by
-    identity) once, after its operands.
+    shares, or that the text repeats (x^-1 in every term), is computed once,
+    and two roots are equal trees exactly when they share a slot.  Each
+    node is one step, a sum or product of any number of operands too.  The
+    steps are numbered in the walk that lists the nodes: iterative, each
+    distinct node (by identity) once, after its operands.  It is the only
+    walk over a tree besides the parser.
     """
 
     __slots__ = ("nodes", "operands", "last", "roots")
@@ -418,13 +383,7 @@ class _Program:
                 node, kids = node
                 kind = type(node)
                 reads = list(map(slot.__getitem__, map(id, kids)))
-                if kind is Pow:
-                    key = (Pow, node.exponent, *reads)
-                elif len(reads) == 1:
-                    slot[id(node)] = reads[0]
-                    continue
-                else:
-                    key = (kind, *reads)
+                key = (Pow, node.exponent, *reads) if kind is Pow else (kind, *reads)
             else:
                 if id(node) not in slot:
                     kids = _operands(node)
@@ -463,7 +422,7 @@ class _Program:
 
 def variables(e: Expr) -> tuple[str, ...]:
     """Free variable names, sorted."""
-    return tuple(sorted({node.name for node in _postorder(e) if type(node) is Var}))
+    return tuple(sorted({node.name for node in _Program(e).nodes if type(node) is Var}))
 
 
 # ---------------------------------------------------------------------------
@@ -679,32 +638,29 @@ def _invert_monomial(base: LaurentPolynomial, source: Expr) -> LaurentPolynomial
 def substitute(e: Expr, bindings: Mapping[str, Expr]) -> Expr:
     """Replace variables simultaneously; folds integer constants, nothing else.
 
-    The tree is rebuilt bottom-up, each distinct node (by identity) once,
-    so a subtree shared in e is shared in the result.  A power of a
-    constant that may have more digits than sys.get_int_max_str_digits()
-    allows printing is left unfolded."""
-    new: dict[int, Expr] = {}
-    for node in _postorder(e):
+    The tree is rebuilt bottom-up, each subtree once however often it
+    occurs, so equal subtrees of e are one object in the result.  A power
+    of a constant that may have more digits than
+    sys.get_int_max_str_digits() allows printing is left unfolded."""
+
+    def fold(node: Expr, *kids: Expr) -> Expr:
         kind = type(node)
-        if kind is Var or kind is Const:
-            new[id(node)] = bindings.get(node.name, node) if kind is Var else node
-            continue
-        kids = [new[id(k)] for k in _operands(node)]
         values = [k.value for k in kids if isinstance(k, Const)]
         folds = len(values) == len(kids)  # every operand a constant
         if kind is Sum or kind is Prod:
-            out = Const(sum(values) if kind is Sum else prod(values)) if folds else kind(tuple(kids))
-        elif kind is Diff:
-            out = Const(values[0] - values[1]) if folds else Diff(*kids)
-        elif kind is Quot:
+            return Const(sum(values) if kind is Sum else prod(values)) if folds else kind(kids)
+        if kind is Diff:
+            return Const(values[0] - values[1]) if folds else Diff(*kids)
+        if kind is Quot:
             exact = folds and values[1] != 0 and values[0] % values[1] == 0
-            out = Const(values[0] // values[1]) if exact else Quot(*kids)
-        else:
-            k = node.exponent
-            folds = folds and (values[0] in (1, -1) if k < 0 else not past_digit_limit(abs(values[0]), k))
-            out = Const(values[0] ** abs(k)) if folds else Pow(kids[0], k)
-        new[id(node)] = out
-    return new[id(e)]
+            return Const(values[0] // values[1]) if exact else Quot(*kids)
+        k = node.exponent
+        folds = folds and (values[0] in (1, -1) if k < 0 else not past_digit_limit(abs(values[0]), k))
+        return Const(values[0] ** abs(k)) if folds else Pow(kids[0], k)
+
+    steps = dict.fromkeys(_KINDS, fold)
+    steps[Const], steps[Var] = (lambda node: node), (lambda node: bindings.get(node.name, node))
+    return _Program(e).run(steps)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -440,18 +440,37 @@ def test_argparse_usage_errors_exit_two() -> None:
     assert exc.value.code == 2
 
 
-def test_console_entry_point_runs() -> None:
-    # The child imports the same weaklg as this test, installed or not.
+def child_env() -> dict[str, str]:
+    """The environment of a child that imports the same weaklg as this
+    test, installed or not."""
     package_root = str(Path(weaklg.__file__).resolve().parent.parent)
-    path = os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p)}
+
+
+def test_console_entry_point_runs() -> None:
     proc = subprocess.run(
         [sys.executable, "-m", "weaklg", "series", "--poly", "x+1/x", "--terms", "2"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert "phi(2) = 2" in proc.stdout
+
+
+def test_a_closed_stdout_exits_141_quietly() -> None:
+    # the 280 KB of output overfill the pipe, so the child is still writing
+    # when the reader closes it, however the two are scheduled
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "weaklg", "series", "--poly", "x", "--terms", "20000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=child_env(),
+    )
+    assert proc.stdout.readline() == b"phi(0) = 1\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (141, b"")
 
 
 def grass_ci_model(tmp_path: Path) -> Path:

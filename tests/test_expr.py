@@ -160,10 +160,11 @@ def expr_trees() -> st.SearchStrategy:
     )
 
     def extend(children: st.SearchStrategy) -> st.SearchStrategy:
+        operands = st.lists(children, min_size=1, max_size=4).map(tuple)
         return st.one_of(
-            st.tuples(children, children).map(lambda p: Sum(p)),
+            operands.map(Sum),
             st.tuples(children, children).map(lambda p: Diff(p[0], p[1])),
-            st.tuples(children, children).map(lambda p: Prod(p)),
+            operands.map(Prod),
             st.tuples(children, children).map(lambda p: Quot(p[0], p[1])),
             st.tuples(children, st.integers(min_value=-3, max_value=3)).map(
                 lambda p: Pow(p[0], p[1])
@@ -527,6 +528,9 @@ def test_substitute_shares_what_it_shares_and_renders_it_once() -> None:
     rebuilt = substitute(shared, {"x": Var("y")})
     assert rebuilt.terms[0].factors[0] is rebuilt.terms[0].factors[1] is rebuilt.terms[1]
     assert render(rebuilt) == "(y + 1)^2*(y + 1)^2 + (y + 1)^2"
+    # equal subtrees written out twice are rebuilt once, as one object
+    square = substitute(parse("(x+1)*(x+1)"), {"x": Var("y")})
+    assert square.factors[0] is square.factors[1]
 
 
 @pytest.mark.parametrize(
@@ -562,6 +566,8 @@ def test_node_equality_sees_the_shape() -> None:
     assert Sum((x, y, z)) != Sum((Sum((x, y)), z))
     assert Sum((x, y)) != Prod((x, y)) and Pow(x, 2) != Pow(x, 3) and Sum((x, y)) != Sum((x, y, z))
     assert Sum((x, y)) == Sum((Var("x"), Var("y"))) and Const(2) != Var("x")
+    # a sum or product of one operand is a node of its own
+    assert Prod((Sum((x,)), y)) != Prod((x, y)) and Sum((Prod((x,)),)) != Sum((x,))
 
 
 @settings(deadline=None)
