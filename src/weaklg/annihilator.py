@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterator, Mapping, Sequence
 
 from .linalg import first_dependent_mod, nullspace
@@ -98,15 +98,21 @@ class DifferentialOperator:
 
 def apply_operator(op: DifferentialOperator, s: IntegerSeries) -> tuple[Fraction, ...]:
     """Coefficients of L s through the truncation order of s."""
-    out = []
-    for i in range(len(s)):
-        total = Fraction(0)
-        for (l, j), c in op.coeffs.items():
-            if i - l < 0:
-                continue
-            total += c * s[i - l] * (i - l) ** j
-        out.append(total)
-    return tuple(out)
+    # d L has integer coefficients for d the lcm of the denominators
+    d = lcm(*(c.denominator for c in op.coeffs.values()))
+    scaled = {lj: c.numerator * (d // c.denominator) for lj, c in op.coeffs.items()}
+    return tuple(Fraction(v, d) for v in _apply_integral(scaled, s))
+
+
+def _apply_integral(coeffs: Mapping[tuple[int, int], int], s: IntegerSeries) -> list[int]:
+    """Coefficients of L s through the truncation order of s, for an L with
+    integer coefficients c_(l,j): sum_(l,j) c_(l,j) s_(i-l) (i-l)^j, terms
+    with i < l dropped."""
+    out = [0] * len(s)
+    for (l, j), c in coeffs.items():
+        for k in range(len(s) - l):
+            out[k + l] += c * s[k] * k**j
+    return out
 
 
 def _strip_content(row: Sequence[int]) -> Sequence[int]:
@@ -131,7 +137,8 @@ def find_annihilator(
     Returns a basis of the solution space, each element scaled so its first
     nonzero coefficient in (l, j)-lexicographic order is 1.  An empty list
     means no such operator exists at these bounds.  Every returned operator
-    is re-checked against the series before being handed back.
+    is re-checked against the series before being handed back, with the
+    integer coefficients the nullspace gives it, before they are scaled.
     """
     if order < 0 or degree < 0:
         raise ValueError("order and degree must be >= 0")
@@ -143,10 +150,9 @@ def find_annihilator(
     ops = []
     for vec in basis:
         coeffs = {cols[k]: v for k, v in enumerate(vec) if v != 0}
-        op = DifferentialOperator(coeffs).scaled_canonical()
-        if any(apply_operator(op, s)):
+        if any(_apply_integral(coeffs, s)):
             raise ArithmeticError("solver returned an operator that fails its own equations")
-        ops.append(op)
+        ops.append(DifferentialOperator(coeffs).scaled_canonical())
     return ops
 
 

@@ -11,6 +11,7 @@ identical invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -484,8 +485,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first call, not at import, and kept: parse_args leaves
+    # the parser as it was, and each in-process call would otherwise build
+    # its 17 parsers again
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -30,24 +30,24 @@ MAX_SERIES_WORK = 10**8
 # orbits and the steps that pay for the fixed costs grow with T.  At T = 11
 # and 12 (H = 6) the rule is |f| * (|G| - 1) >= 60.  Plain kernel time over
 # forced orbit-sum time, for every corpus entry with a nontrivial G (f less
-# its constant term), on a 2-vCPU Linux host with Python 3.11.7 (best of 3;
-# * where the rule takes orbit sums; - not measured):
+# its constant term), on a 2-vCPU Linux host with Python 3.11.7 (best of 6
+# over two runs of 3; * where the rule takes orbit sums; - not measured):
 #
 #   entry  |f|  |G|  saving  T=12   T=20   T=30   T=40
-#      1    83    6    415   5.39*  3.62*    -      -
-#      2    34    6    170   2.43*  3.77*  4.77*    -
-#      3    29    2     29   1.10   1.43   1.17*    -
-#      4    26    6    130   3.02*  3.29*  3.97*  4.29*
-#      5    22    6    110   2.20*  3.01*  3.93*  4.55*
-#      8    19    6     95   2.84*  2.59*  4.21*  4.55*
-#      9    15    6     75   1.91*  2.96*  3.80*  4.37*
-#     10    13    2     13   0.78   0.67   1.44   1.30
-#     12    16    2     16   0.74   1.06   1.27   1.35
-#     13    11    2     11   0.60   0.89   1.07   1.21
-#     14    10    2     10   0.58   0.76   1.04   1.14
-#     15     7    6     35   0.92   1.52   1.96*  2.97*
-#     16     5    2      5   0.55   0.35   0.72   0.76
-#     17     4    6     20   0.55   0.79   1.27   1.41*
+#      1    83    6    415   3.60*  3.95*    -      -
+#      2    34    6    170   2.76*  3.85*  2.73*    -
+#      3    29    2     29   1.05   1.90   1.05*    -
+#      4    26    6    130   2.13*  3.21*  3.39*  4.52*
+#      5    22    6    110   1.97*  1.77*  4.00*  3.94*
+#      8    19    6     95   1.85*  1.79*  3.58*  5.52*
+#      9    15    6     75   1.33*  2.55*  2.86*  4.38*
+#     10    13    2     13   0.60   0.96   0.91   1.39
+#     12    16    2     16   0.75   1.02   1.13   1.41
+#     13    11    2     11   0.57   0.86   1.06   1.21
+#     14    10    2     10   0.46   0.64   0.88   1.06
+#     15     7    6     35   0.70   1.30   1.75*  2.40*
+#     16     5    2      5   0.32   0.40   0.51   0.67
+#     17     4    6     20   0.47   0.64   0.85   1.12*
 ORBIT_MIN_SAVING = 60
 
 # The work of a power step and of an output coefficient, in term products.
@@ -155,7 +155,10 @@ def constant_term_series(f: LaurentPolynomial, terms: int = 20) -> IntegerSeries
     b*s_plus[c], and b <= T - a puts e in f^a's box; symmetrically, e is a
     sum of a terms and a <= T - b puts -e in f^b's box.  A swap of two
     coordinates of a block fixes s_plus and s_minus, so the box is a union
-    of orbits and pruning keeps or drops whole orbits.
+    of orbits and pruning keeps or drops whole orbits.  Step a can cut only
+    coordinates c with a*s_minus[c] > (T-a)*s_plus[c] or a*s_plus[c] >
+    (T-a)*s_minus[c]: a key it forms is a sum of a terms of f, so
+    -a*s_minus[c] <= e[c] <= a*s_plus[c], inside the box on every other c.
 
     Packing.  Each monomial is keyed by one int, so multiplying two
     monomials is one integer addition and reflecting one is one integer
@@ -184,10 +187,12 @@ def constant_term_series(f: LaurentPolynomial, terms: int = 20) -> IntegerSeries
     above, leave the reflection of a kept monomial outside the digit range
     on a lopsided support, where its key borrows from the next digit.)
 
-    A step sums its products by key first; then each distinct key is
-    decoded once, dropped if a digit lies outside the box and otherwise
-    folded into its orbit's key, and zero coefficients, cancelled inside
-    the step, are dropped.
+    A step sums its products by key first.  Then each distinct key is
+    decoded up to the digit of the last coordinate the step can cut, and
+    dropped if one of those digits lies outside the box; a step that can cut
+    nothing decodes no key.  A kept key is folded into its orbit's key (a
+    key met before is looked up, not decoded again), and zero coefficients,
+    cancelled inside the step, are dropped.
 
     Budget.  The work, in term products, is bounded before any is done, for
     every f including 0: the H power steps at STEP_WORK each, the T+1
@@ -242,23 +247,28 @@ def constant_term_series(f: LaurentPolynomial, terms: int = 20) -> IntegerSeries
     g = {origin: 1}
     for a in range(1, half + 1):
         rem = terms - a
-        # (width, lowest digit, highest digit) per coordinate after this step
-        box = [(w, o - rem * sp, o + rem * sm) for w, o, sp, sm in zip(widths, offsets, s_plus, s_minus)]
-        nxt: dict[int, int] = {}
+        # (width, lowest digit, highest digit) after this step of each
+        # coordinate through the last one whose digit can leave the box
+        cut = _decoded_digits(s_plus, s_minus, a, rem)
+        box = [(w, o - rem * sp, o + rem * sm) for w, o, sp, sm in zip(widths[:cut], offsets, s_plus, s_minus)]
+        nxt = _times(g, steps)
+        if box or runs:
+            formed, nxt = nxt, {}
+            get = nxt.get
+            for key, c in formed.items():
+                rest = key
+                for w, lo, hi in box:
+                    rest, digit = divmod(rest, w)
+                    if digit < lo or digit > hi:
+                        break
+                else:
+                    if runs:
+                        k = orbit_of.get(key)
+                        if k is None:
+                            k = orbit_of[key] = canonical(key)
+                        key = k
+                    nxt[key] = get(key, 0) + c
         get = nxt.get
-        for key, c in _times(g, steps).items():
-            rest = key
-            for w, lo, hi in box:
-                rest, digit = divmod(rest, w)
-                if digit < lo or digit > hi:
-                    break
-            else:
-                if runs:
-                    k = orbit_of.get(key)
-                    if k is None:
-                        k = orbit_of[key] = canonical(key)
-                    key = k
-                nxt[key] = get(key, 0) + c
         for key in [key for key, c in nxt.items() if not c]:
             del nxt[key]
         # g = f^(a-1), the smaller power, drives the odd sum
@@ -365,6 +375,15 @@ def _reach(f: LaurentPolynomial) -> tuple[list[int], list[int]]:
     return list(map(max, *f.terms, zero)), [-c for c in map(min, *f.terms, zero)]
 
 
+def _decoded_digits(s_plus: Sequence[int], s_minus: Sequence[int], a: int, rem: int) -> int:
+    """How many leading digits power step a, with rem = T - a factors left,
+    decodes of each key it forms: through the last coordinate c with
+    a*s_minus[c] > rem*s_plus[c] or a*s_plus[c] > rem*s_minus[c], the only
+    ones whose digit can leave the box; 0 when the step can cut nothing."""
+    return max((c + 1 for c, (sp, sm) in enumerate(zip(s_plus, s_minus)) if a * sm > rem * sp or a * sp > rem * sm),
+               default=0)
+
+
 def _work_bound(f: LaurentPolynomial, terms: int) -> int:
     """An upper bound on the work of constant_term_series(f, terms) in term
     products, its power steps and coefficients counted at STEP_WORK and
@@ -373,9 +392,16 @@ def _work_bound(f: LaurentPolynomial, terms: int) -> int:
 
     Keys below prod(W[c]) fill `size` 64-bit words.  A product adds and
     looks up such keys, and counts `size`; each distinct key a step forms
-    is decoded once, up to n digits by divmods of at most `size` words,
-    and counts n * size.  Step a forms at most the multisets of a terms of
-    f, and the lattice points of a times f's reach."""
+    counts n * size, one decode of its n digits by divmods of at most
+    `size` words.  Step a forms at most the multisets of a terms of f, and
+    the lattice points of a times f's reach.
+
+    The decode charge is kept whole, although a step that can cut only some
+    coordinates decodes fewer digits and one that can cut none decodes no
+    key: it stays an upper bound, and it is what refuses an f in thousands
+    of variables, whose keys fill many words while its few terms form few
+    products.  So this bound and MAX_SERIES_WORK are those of a kernel that
+    decodes every digit of every key."""
     m, n = len(f), f.nvars
     half = (terms + 1) // 2
     work = half * STEP_WORK + (terms + 1) * COEFFICIENT_WORK

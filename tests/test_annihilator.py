@@ -58,6 +58,26 @@ def test_apply_composite_term_shifts_then_scales() -> None:
     assert apply_operator(td, IntegerSeries((4, 9, 2))) == (0, 0, 9)
 
 
+def test_apply_operator_with_fractional_coefficients_follows_the_formula() -> None:
+    # sum_(l,j) c_(l,j) s_(i-l) (i-l)^j in Fractions, 0^0 = 1, with i < l dropped
+    lop = op({(0, 0): Fraction(-2, 3), (0, 2): Fraction(1, 4), (1, 0): Fraction(-5, 2), (3, 1): Fraction(7, 6)})
+    s = IntegerSeries((3, 4, -9, 16, 25, -1))
+    expected = tuple(
+        sum((c * s[i - l] * (i - l) ** j for (l, j), c in lop.coeffs.items() if i >= l), Fraction(0))
+        for i in range(len(s))
+    )
+    got = apply_operator(lop, s)
+    assert got == expected
+    assert all(type(v) is Fraction for v in got)
+
+
+def test_find_annihilator_refuses_a_basis_vector_that_fails_its_equations(monkeypatch: pytest.MonkeyPatch) -> None:
+    # the identity operator does not kill the geometric series
+    monkeypatch.setattr(annihilator, "nullspace", lambda rows, ncols: [[1] + [0] * (ncols - 1)])
+    with pytest.raises(ArithmeticError):
+        find_annihilator(GEOMETRIC, 1, 1)
+
+
 def test_geometric_series_annihilator_is_unique_and_exact() -> None:
     ops = find_annihilator(GEOMETRIC, 1, 1)
     assert len(ops) == 1

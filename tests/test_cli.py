@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import unittest.mock
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import weaklg
+from weaklg import cli
 from weaklg.cli import main
 
 
@@ -438,6 +440,39 @@ def test_argparse_usage_errors_exit_two() -> None:
     with pytest.raises(SystemExit) as exc:
         main(["series", "--no-such-flag"])
     assert exc.value.code == 2
+
+
+def test_one_parser_serves_every_call_of_a_process() -> None:
+    calls = [
+        ("pfop", "--entry", "17", "--no-such-flag"),
+        ("pfop", "--entry", "17", "--terms", "30"),
+        ("pfop", "--entry", "17", "--terms", "30"),
+        ("verify", "--entry", "17", "--terms", "12", "--format", "json"),
+    ]
+
+    def outcomes() -> list[tuple[int, str, str]]:
+        seen = []
+        for argv in calls:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(list(argv))
+                except SystemExit as usage:
+                    code = usage.code
+            seen.append((code, out.getvalue(), err.getvalue()))
+        return seen
+
+    cli._parser.cache_clear()
+    with unittest.mock.patch.object(cli, "build_parser", wraps=cli.build_parser) as build:
+        shared = outcomes()
+    assert build.call_count == 1
+    # a freshly built parser for every call, as before the parser was kept
+    with unittest.mock.patch.object(cli, "_parser", cli.build_parser):
+        fresh = outcomes()
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [2, 0, 0, 0]
+    assert "unrecognized arguments: --no-such-flag" in shared[0][2]
+    assert shared[1] == shared[2] and shared[1][1]
 
 
 def child_env() -> dict[str, str]:

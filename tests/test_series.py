@@ -19,6 +19,7 @@ from weaklg.series import (
     ORBIT_MIN_SAVING,
     STEP_WORK,
     IntegerSeries,
+    _decoded_digits,
     _orbit_runs,
     _reach,
     _symmetric_blocks,
@@ -221,6 +222,110 @@ def test_forced_orbit_sums_agree_with_naive_on_block_symmetric_supports(data: st
         compressed = bool(_orbit_runs(f, (terms + 1) // 2, _work_bound(f, terms), reach(f))[1])
         event(f"orbit sums: {compressed}")
         assert constant_term_series(f, terms).coeffs == constant_term_series_naive(f, terms)
+
+
+def cutting_steps(f: LaurentPolynomial, terms: int) -> list[int]:
+    """The power steps of constant_term_series(f, terms) that can drop a key."""
+    s_plus, s_minus = _reach(f)
+    return [a for a in range(1, (terms + 1) // 2 + 1) if _decoded_digits(s_plus, s_minus, a, terms - a)]
+
+
+@st.composite
+def mixed_reach_polys(draw: st.DrawFn) -> LaurentPolynomial:
+    # 2-4 variables cut into random blocks.  A block reaches r both ways,
+    # so its digits cannot leave the box before the middle step, or far one
+    # way and 1 the other, so they can from an early step on.  Each drawn
+    # term is spread over its orbit with one coefficient, so every swap
+    # within a block fixes f.
+    n = draw(st.integers(2, 4))
+    k = draw(st.integers(1, n))
+    labels = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    blocks = [[c for c in range(n) if labels[c] == b] for b in sorted(set(labels))]
+    ranges = [(0, 0)] * n
+    for b in blocks:
+        if draw(st.booleans()):
+            r = draw(st.integers(1, 2))
+            reach_b = (-r, r)
+        else:
+            far = draw(st.integers(2, 3))
+            reach_b = (-1, far) if draw(st.booleans()) else (-far, 1)
+        for c in b:
+            ranges[c] = reach_b
+    coeffs = st.integers(-3, 3).filter(bool)
+    # each block's reach is attained by a term on its first coordinate
+    seeds = {tuple(x if c == b[0] else 0 for c in range(n)): draw(coeffs)
+             for b in blocks for x in ranges[b[0]]}
+    seeds.update(draw(st.dictionaries(st.tuples(*(st.integers(lo, hi) for lo, hi in ranges)), coeffs, max_size=4)))
+    terms: dict[tuple[int, ...], int] = {}
+    for e, cf in seeds.items():
+        if e not in terms:
+            terms.update(dict.fromkeys(block_orbit(e, blocks), cf))
+    return LaurentPolynomial(n, terms)
+
+
+@pytest.mark.parametrize("orbit_min_saving", [0, MAX_SERIES_WORK])
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_steps_that_cut_and_steps_that_cannot_agree_with_naive(orbit_min_saving: int, data: st.DataObject) -> None:
+    # forced orbit sums (every nontrivial G used) and the plain kernel, on
+    # truncations where some power steps can cut and others cannot
+    f = data.draw(mixed_reach_polys())
+    terms = data.draw(short_terms(f))
+    cut = cutting_steps(f, terms)
+    assume(0 < len(cut) < (terms + 1) // 2)
+    with unittest.mock.patch.object(series, "ORBIT_MIN_SAVING", orbit_min_saving):
+        event(f"orbit sums: {bool(_orbit_runs(f, (terms + 1) // 2, _work_bound(f, terms), reach(f))[1])}")
+        assert constant_term_series(f, terms).coeffs == constant_term_series_naive(f, terms)
+
+
+@settings(deadline=None, max_examples=100)
+@given(lopsided_polys(), st.integers(min_value=1, max_value=7))
+def test_a_step_cuts_no_coordinate_it_does_not_decode(f: LaurentPolynomial, terms: int) -> None:
+    # every monomial of the full power f^a lies in f^a's box on each
+    # coordinate past the digits step a decodes
+    s_plus, s_minus = _reach(f)
+    for a in range(1, (terms + 1) // 2 + 1):
+        rem = terms - a
+        decoded = _decoded_digits(s_plus, s_minus, a, rem)
+        for e in term_power(dict(f.terms), a, f.nvars):
+            assert all(-rem * s_plus[c] <= e[c] <= rem * s_minus[c] for c in range(decoded, f.nvars))
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.one_of(mixed_reach_polys(), lopsided_polys()), st.integers(min_value=1, max_value=7))
+def test_plain_kernel_keeps_each_power_exactly_in_its_box(f: LaurentPolynomial, terms: int) -> None:
+    # a step that decoded too few digits would keep monomials outside the
+    # box, which no sum needs: the series stays right, the work does not
+    kept = []
+
+    def times(g, steps):
+        kept.append(len(g))
+        return _times(g, steps)
+
+    with unittest.mock.patch.object(series, "_times", times), \
+            unittest.mock.patch.object(series, "ORBIT_MIN_SAVING", MAX_SERIES_WORK):
+        constant_term_series(f, terms)
+    s_plus, s_minus = _reach(f)
+    boxed = [
+        sum(all(-(terms - a) * sp <= x <= (terms - a) * sm for x, sp, sm in zip(e, s_plus, s_minus))
+            for e in term_power(dict(f.terms), a, f.nvars))
+        for a in range((terms + 1) // 2)
+    ]
+    assert kept == boxed
+
+
+@pytest.mark.parametrize("terms, cut", [
+    (40, {15: [], 16: [], 17: []}),
+    (12, {**dict.fromkeys([4, 5, 8, 9, 10, 14, 15, 16, 17], []), 1: [3, 4, 5, 6], 11: [3, 4, 5, 6],
+          **dict.fromkeys([2, 6, 7, 12], [4, 5, 6]), 3: [5, 6], 13: [5, 6]}),
+])
+def test_steps_that_can_cut_on_the_corpus(terms: int, cut: dict[int, list[int]]) -> None:
+    # pfop runs entries 15-17 at T = 40, and verify every entry (less its
+    # constant term) at T = 12: a step with a*s_minus[c] <= (T-a)*s_plus[c]
+    # and a*s_plus[c] <= (T-a)*s_minus[c] on every c decodes no key
+    for entry_id, steps in cut.items():
+        f = get_entry(entry_id).laurent()
+        assert cutting_steps(f - f.constant_term(), terms) == steps, entry_id
 
 
 @settings(deadline=None, max_examples=100)
