@@ -2,11 +2,12 @@
 
 Everything runs over exact integers and Fractions: convex hulls by
 beneath-beyond insertion (Edelsbrunner, Algorithms in Combinatorial
-Geometry) on points scaled to integers, with hyperplane normals from integer
-cofactors, dual polytopes as the hull of the points their facets give,
-volumes by coning the hull's boundary triangulation from a vertex, Ehrhart
-counts by integer intervals of the last coordinate along rows of the
-next-to-last.
+Geometry) on integer points over one scale (ints as they are, a dual's
+points over the lcm of its offsets' numerators), with hyperplane normals
+from integer cofactors and vertices by the rank of the facet normals through
+a boundary point, volumes by coning the hull's boundary triangulation from
+a vertex, Ehrhart counts by integer intervals of the last coordinate along
+rows of the next-to-last.
 Numerical hull libraries are avoided deliberately; a vertex reported at
 (1/3, 1/3, 1/3) has to mean exactly that.
 """
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from operator import sub
+from operator import mul, sub
 from typing import Sequence
 
 from .laurent import LaurentPolynomial
@@ -111,32 +112,22 @@ class EhrhartResult:
     polynomial: tuple[Fraction, ...]  # ascending coefficients, degree <= dim
 
 
-def _dot(a: Sequence[Coord], b: Sequence[Coord]) -> Coord:
-    return sum(x * y for x, y in zip(a, b))
+def _dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(map(mul, a, b))
 
 
-def _canon(c: Fraction) -> Coord:
-    return int(c) if c.denominator == 1 else c
-
-
-def _canon_point(p: Sequence[Coord]) -> Point:
-    return tuple(_canon(Fraction(c)) for c in p)
-
-
-def _scaled(points: Sequence[Point]) -> tuple[list[IntPoint], int]:
-    """The points times the lcm of their coordinates' denominators, and that lcm."""
-    exact = [[Fraction(c) for c in p] for p in points]
-    scale = math.lcm(*(c.denominator for p in exact for c in p))
-    return [tuple(int(c * scale) for c in p) for p in exact], scale
+def _unscaled(point: IntPoint, scale: int) -> Point:
+    """The point divided by scale, each coordinate an int where it is integral."""
+    return tuple(c // scale if c % scale == 0 else Fraction(c, scale) for c in point)
 
 
 def _differences(points: Sequence[IntPoint], base: IntPoint) -> list[list[int]]:
     return [[a - b for a, b in zip(p, base)] for p in points]
 
 
-def _hull(points: list[IntPoint]) -> tuple[dict[tuple[int, ...], Halfspace], list[Halfspace]]:
-    """Boundary of the hull of distinct, affinely spanning integer points by
-    beneath-beyond insertion.
+def _hull(points: list[IntPoint]) -> tuple[dict[tuple[int, ...], Halfspace], list[Halfspace]] | None:
+    """Boundary of the hull of distinct integer points by beneath-beyond
+    insertion, or None when the start simplex search shows they do not span.
 
     Returns the faces, n-tuples of point indices triangulating the boundary,
     each with an outward (normal, offset), and the facets: the faces'
@@ -159,6 +150,8 @@ def _hull(points: list[IntPoint]) -> tuple[dict[tuple[int, ...], Halfspace], lis
             simplex.append(i)
             if len(simplex) == n + 1:
                 break
+    else:
+        return None
     # (n+1) times the simplex centroid, strictly inside every hull built from
     # the start simplex onwards
     inside = [sum(c) for c in zip(*(points[i] for i in simplex))]
@@ -207,11 +200,20 @@ def _hull(points: list[IntPoint]) -> tuple[dict[tuple[int, ...], Halfspace], lis
 def from_points(points: Sequence[Sequence[Coord]]) -> Polytope:
     """Convex hull of finitely many exact points in any ambient dimension.
 
-    The points are scaled to integers by the lcm of their denominators.  A
-    set spanning less than the ambient space is projected onto the pivot
-    columns of its difference matrix, where it is full-dimensional and the
-    projection is injective, hulled there and lifted back.  A vertex is a
-    point on at least as many facets as the dimension it is hulled in.
+    Points of ints are hulled as they are; otherwise each coordinate not an
+    int (a Fraction, a float, a bool) is made an exact Fraction and the
+    points are scaled to integers by the lcm of the denominators.  The
+    hull's start simplex search keeps each point, farthest first, that is
+    affinely independent of those kept, so it keeps n+1 exactly when the
+    points span.  If they do not, they are projected onto the pivot columns
+    of their difference matrix, where they span and the projection is
+    injective, hulled there and lifted back.  Only points of the final
+    boundary triangulation are tested as vertices: a vertex of the set is
+    beyond some face when it is inserted, and a vertex of the hull so far is
+    a corner of each boundary simplex that holds it.  A point is a vertex
+    when the normals of the facets through it have rank d, the dimension it
+    is hulled in: the smallest face that holds it is the intersection of
+    those facets, of dimension d minus that rank.
     """
     pts = [tuple(p) for p in points]
     if not pts:
@@ -221,24 +223,36 @@ def from_points(points: Sequence[Sequence[Coord]]) -> Polytope:
         raise ValueError("ambient dimension must be >= 1")
     if any(len(p) != n for p in pts):
         raise ValueError("points have inconsistent dimension")
-    pts = sorted(set(pts))
-    if len(pts) == 1:
-        return Polytope(dim=n, vertices=(_canon_point(pts[0]),), facets=())
-    ints, scale = _scaled(pts)
-    pivots = echelon(_differences(ints[1:], ints[0]))[1]
-    if len(pivots) < n:
-        ints = [tuple(p[c] for c in pivots) for p in ints]
-    faces, facets = _hull(ints)
-    vertices = tuple(sorted(
-        _canon_point(p) for p, q in zip(pts, ints)
-        if sum(1 for normal, offset in facets if _dot(normal, q) == offset) >= len(pivots)
-    ))
-    if len(pivots) < n:
+    if all(type(c) is int for p in pts for c in p):
+        return _polytope(pts, 1)
+    exact = [[c if type(c) is int else Fraction(c) for c in p] for p in pts]
+    scale = math.lcm(*(c.denominator for p in exact for c in p))
+    return _polytope([tuple(int(c * scale) for c in p) for p in exact], scale)
+
+
+def _polytope(points: list[IntPoint], scale: int) -> Polytope:
+    """The hull of `from_points` of the integer points divided by scale."""
+    ints = sorted(set(points))
+    n = len(ints[0])
+    if len(ints) == 1:
+        return Polytope(dim=n, vertices=(_unscaled(ints[0], scale),), facets=())
+    hulled, hull = ints, _hull(ints)
+    if hull is None:
+        pivots = echelon(_differences(ints[1:], ints[0]))[1]
+        hulled = [tuple(p[c] for c in pivots) for p in ints]
+        hull = _hull(hulled)
+    faces, facets = hull
+    d = len(hulled[0])
+    vertices = tuple(
+        _unscaled(ints[i], scale) for i in sorted({i for face in faces for i in face})
+        if rank([normal for normal, offset in facets if _dot(normal, hulled[i]) == offset]) == d
+    )
+    if d < n:
         # the projection's facets bound nothing in the ambient space
         return Polytope(dim=n, vertices=vertices, facets=())
-    facets = [(normal, Fraction(offset, scale)) for normal, offset in facets]
+    facets = tuple((normal, Fraction(offset, scale)) for normal, offset in facets)
     boundary = tuple(tuple(ints[i] for i in face) for face in faces)
-    return Polytope(dim=n, vertices=vertices, facets=tuple(facets), _boundary=(scale, boundary))
+    return Polytope(dim=n, vertices=vertices, facets=facets, _boundary=(scale, boundary))
 
 
 @lru_cache(maxsize=128)
@@ -260,11 +274,17 @@ def dual_polytope(p: Polytope) -> Polytope:
     """Polar dual {y : <y, v> >= -1 for every vertex v of p}.
 
     Needs the origin strictly inside p; then every facet <normal, x> <= offset
-    of p gives the dual vertex -normal/offset, and the dual is their hull.
+    of p gives the dual vertex -normal/offset, and the dual is their hull as
+    `from_points` builds it, with no Fraction per coordinate: for offsets
+    num/den and L the lcm of the numerators, -normal/offset is the integer
+    point -normal*den*(L/num) divided by L.
     """
     if not contains_origin_interior(p):
         raise ValueError("dual polytope needs the origin strictly inside a full-dimensional polytope")
-    return from_points([tuple(-Fraction(c) / offset for c in normal) for normal, offset in p.facets])
+    ratios = [offset.as_integer_ratio() for _, offset in p.facets]
+    scale = math.lcm(*(num for num, _ in ratios))
+    points = [tuple(-c * den * (scale // num) for c in normal) for (normal, _), (num, den) in zip(p.facets, ratios)]
+    return _polytope(points, scale)
 
 
 def normalized_volume(p: Polytope) -> Fraction:

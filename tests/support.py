@@ -590,7 +590,8 @@ def hull_oracle(points: list[tuple], n: int) -> tuple[tuple, tuple]:
     in the layout of `Polytope`, by exhaustive supporting-hyperplane search:
     every n-subset whose differences leave a one-dimensional nullspace spans
     a hyperplane, which is tested against every point, so the cost is
-    O(N^(n+1)).  A vertex is a point on at least n facets."""
+    O(N^(n+1)).  A vertex is a point whose facets' normals have rank n: in
+    dimension 4 and up a point on n facets can still lie inside an edge."""
     pts = sorted(set(points))
     facets: dict[tuple[tuple[int, ...], Fraction], None] = {}
     tested: set[tuple[tuple[int, ...], Fraction]] = set()
@@ -613,7 +614,7 @@ def hull_oracle(points: list[tuple], n: int) -> tuple[tuple, tuple]:
     vertices = sorted(
         tuple(_canon(c) for c in p)
         for p in pts
-        if sum(1 for normal, offset in facet_list if _dot(normal, p) == offset) >= n
+        if oracle_rank([list(normal) for normal, offset in facet_list if _dot(normal, p) == offset]) == n
     )
     return tuple(vertices), tuple(facet_list)
 

@@ -220,6 +220,17 @@ def test_hull_face_budget_refuses_high_dimensional_moment_curve() -> None:
     assert "5000 boundary faces" in err
 
 
+def test_largest_admitted_three_variable_hull() -> None:
+    # (x+y+z+1)^37 has 9,880 terms, the highest power MAX_POWER_TERMS admits
+    start = time.perf_counter()
+    code, out, err = run("polytope", "--poly", "(x+y+z+1)^37*x^-9*y^-9*z^-9", "--dual", "--format", "json")
+    assert time.perf_counter() - start < 10.0
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert len(doc["vertices"]) == 4 and len(doc["facets"]) == 4
+    assert doc["normalized_volume"] == "37/7290"
+
+
 @pytest.mark.parametrize(
     ("argv", "limit"),
     [

@@ -120,10 +120,12 @@ def test_dual_requires_interior_origin() -> None:
 
 
 def test_dual_of_dual_returns_the_original() -> None:
-    for pts in (SYMMETRIC_CUBE, None):
+    # x^2 + 1/x^2: the dual [-1/2, 1/2] has scale 2 and Fraction offsets
+    for pts in (SYMMETRIC_CUBE, None, [(2,), (-2,)]):
         p = from_points(pts) if pts else newton_polytope(SIMPLEX)
         dd = dual_polytope(dual_polytope(p))
-        assert dd.vertices == p.vertices
+        assert dd == p and dd.to_json_dict() == p.to_json_dict()
+    assert dual_polytope(from_points([(2,), (-2,)])).vertices == ((Fraction(-1, 2),), (Fraction(1, 2),))
 
 
 def test_normalized_volume_examples() -> None:
@@ -269,10 +271,102 @@ def test_semiweak_across_whole_corpus() -> None:
 
 
 def test_dual_of_dual_across_whole_corpus() -> None:
+    # the 17 Newton polytopes and entry 11's alternate; the non-lattice duals
+    # are hulled from points over a scale, and their duals from Fraction offsets
+    non_lattice = []
     for entry in load_corpus():
-        p = newton_polytope(entry.laurent())
-        dd = dual_polytope(dual_polytope(p))
-        assert dd.vertices == p.vertices, f"entry {entry.id}"
+        for j, f in enumerate([entry.laurent(), *entry.alternate_laurents()]):
+            p = newton_polytope(f)
+            d = dual_polytope(p)
+            if not d.is_lattice:
+                non_lattice.append((entry.id, j))
+            dd = dual_polytope(d)
+            assert dd == p and dd.to_json_dict() == p.to_json_dict(), f"entry {entry.id}"
+    assert non_lattice == [(1, 0), (11, 0), (11, 1)]
+
+
+def _echelon_calls(monkeypatch: pytest.MonkeyPatch) -> list:
+    calls: list = []
+    echelon = polytopes.echelon
+
+    def counted(matrix: list) -> tuple:
+        calls.append(len(matrix))
+        return echelon(matrix)
+
+    monkeypatch.setattr(polytopes, "echelon", counted)
+    return calls
+
+
+def test_spanning_sets_make_no_whole_set_elimination(monkeypatch: pytest.MonkeyPatch) -> None:
+    # the hull's start simplex shows that a Newton polytope or a dual spans
+    calls = _echelon_calls(monkeypatch)
+    for entry in load_corpus():
+        for f in [entry.laurent(), *entry.alternate_laurents()]:
+            dual_polytope(newton_polytope.__wrapped__(f))
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "pts",
+    [
+        # the 24 points farthest from the centroid are coplanar: the start
+        # simplex meets the apex last
+        [(x, y, 0) for x in range(5) for y in range(5)] + [(2, 2, 1)],
+        # all but one point on a line
+        [(x, 0) for x in range(-3, 4)] + [(1, 1)],
+        [(x, 2 * x, 3 * x) for x in range(-3, 4)] + [(0, 0, 1), (0, 1, 0)],
+    ],
+)
+def test_start_simplex_finds_spanning_sets(monkeypatch: pytest.MonkeyPatch, pts: list) -> None:
+    calls = _echelon_calls(monkeypatch)
+    p = from_points(pts)
+    assert calls == []
+    assert (p.vertices, p.facets) == hull_oracle(pts, len(pts[0]))
+
+
+@pytest.mark.parametrize("extra", [1, 2])
+def test_planar_sets_in_space_take_the_projection(monkeypatch: pytest.MonkeyPatch, extra: int) -> None:
+    # a 2-D set lifted into 3-D and 4-D: the start simplex falls short, and
+    # one elimination over the whole set finds the plane
+    pts = [(0, 0), (4, 0), (0, 4), (1, 1), (2, 2), (4, 4), (3, 1)]
+
+    def lift(q: tuple) -> tuple:
+        return (q[0] + q[1], *q, q[0] - 2 * q[1])[: 2 + extra]
+
+    calls = _echelon_calls(monkeypatch)
+    p = from_points([lift(q) for q in pts])
+    assert calls == [len(pts) - 1]
+    assert not p.is_full_dimensional
+    vertices, _ = hull_oracle(pts, 2)
+    assert p.vertices == tuple(sorted(lift(v) for v in vertices))
+
+
+def test_point_on_four_facets_inside_an_edge_is_no_vertex() -> None:
+    # 1/(x2*x3*x4) + 1 + x4 + 1/x3 + x2 + x1 + 1/(x1*x2^2*x3^2*x4^2): the
+    # first exponent is the midpoint of the last two vertices and lies on 4
+    # facets, whose normals have rank 3
+    midpoint = (0, -1, -1, -1)
+    rest = [(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, -1, 0), (0, 1, 0, 0), (1, 0, 0, 0), (-1, -2, -2, -2)]
+    p = from_points([midpoint, *rest])
+    assert midpoint not in p.vertices
+    assert sum(1 for normal, offset in p.facets if sum(map(math.prod, zip(normal, midpoint))) == offset) == 4
+    assert p == from_points(rest)
+    assert (p.vertices, p.facets) == hull_oracle([midpoint, *rest], 4)
+
+
+def test_float_and_bool_coordinates_are_their_exact_values() -> None:
+    cases = [
+        ([(0.5, True), (0, 0), (-1.25, False), (True, -0.75)],
+         [(Fraction(1, 2), 1), (0, 0), (Fraction(-5, 4), 0), (1, Fraction(-3, 4))]),
+        ([(True, False, False), (False, True, False), (False, False, True), (-1.0, -1.0, -1.0)],
+         [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]),
+    ]
+    for loose, exact in cases:
+        p, q = from_points(loose), from_points(exact)
+        assert p == q and normalized_volume(p) == normalized_volume(q)
+        assert [_types(v) for v in p.vertices] == [_types(v) for v in q.vertices]
+        assert [(_types(a), type(b)) for a, b in p.facets] == [(_types(a), type(b)) for a, b in q.facets]
+    assert _types(from_points([(True, 0.0)]).vertices[0]) == [int, int]
 
 
 def coords(bound: int) -> st.SearchStrategy:
@@ -375,6 +469,7 @@ def test_dual_vertices_match_intersection_oracle(case: tuple[int, list[tuple]]) 
     expected = dual_vertices_oracle(p.vertices)
     assert d.vertices == expected
     assert [_types(v) for v in d.vertices] == [_types(v) for v in expected]
+    assert dual_polytope(d) == p
 
 
 def test_corpus_polytopes_match_oracles() -> None:
