@@ -114,31 +114,27 @@ def hori_vafa_ci(ambient_dim: int, degrees: Sequence[int]) -> LaurentPolynomial:
         f = prod_i (x_{i,1} + ... + x_{i,k_i - 1} + 1)^{k_i}
             / (prod x_{i,j} * prod y_s)  +  y_1 + ... + y_{k_0}
 
-    in N - r variables (r = number of degrees).
+    in N - r variables (r = number of degrees), expanded by ex.to_laurent
+    within its limits.
     """
     degs = _check_ci_data(ambient_dim, degrees)
     names = hori_vafa_variables(ambient_dim, degs)
-    n = len(names)
-    k0 = ambient_dim - sum(degs)
-    numerator = LaurentPolynomial.one(n)
-    pos = 0
+    variables = tuple(map(Var, names))
+    blocks, pos = [], 0
     for k in degs:
-        block = LaurentPolynomial.constant(n, 1)
-        for j in range(k - 1):
-            block = block + LaurentPolynomial.variable(n, pos + j)
-        numerator = numerator * block ** k
+        blocks.append(Pow(Sum((*variables[pos:pos + k - 1], Const(1))), k))
         pos += k - 1
-    denominator_exps = tuple([-1] * n)
-    f = numerator * LaurentPolynomial.monomial(n, denominator_exps)
-    for s in range(k0):
-        f = f + LaurentPolynomial.variable(n, pos + s)
-    return f
+    quotient = Quot(Prod((Const(1), *blocks)), Prod(variables))
+    return ex.to_laurent(Sum((quotient, *variables[pos:])), names)
 
 
 def grassmannian_variables(k: int, n: int) -> tuple[str, ...]:
     """Grid variables X{a}{b}, a = 1..n-k rows, b = 1..k columns, row-major."""
     if not 1 <= k < n:
         raise ValueError("need 1 <= k < N")
+    if min(k, n - k) >= 11:
+        raise ValueError("the grid names X{a}{b} collide when k and N - k are both at least 11"
+                         " (X111 would be both X_{1,11} and X_{11,1})")
     return tuple(f"X{a}{b}" for a in range(1, n - k + 1) for b in range(1, k + 1))
 
 

@@ -45,6 +45,7 @@ import sys
 from dataclasses import dataclass, fields
 from functools import reduce
 from math import prod
+from operator import sub
 from typing import Callable, Mapping, Sequence, Union
 
 from .laurent import LaurentPolynomial
@@ -55,17 +56,20 @@ IDENTITY_PRIME = (1 << 61) - 1
 # Most point-steps random_equal may evaluate, bounded before it draws: its
 # 8*trials + 16 draws times the steps of the compiled program, a k-operand
 # sum or product counted as k - 1 steps and a power as one step per bit of
-# its exponent.  On a 2-vCPU Linux host with Python 3.11.7 a point-step took
-# 0.05-0.3 us in sums, differences, products and powers (x+y+z against
+# its exponent, plus IDENTITY_STEP_WORK for each step in each batch it may
+# evaluate.  On a 2-vCPU Linux host with Python 3.11.7 a point-step took
+# 0.03-0.3 us in sums, differences, products and powers (x+y+z against
 # z+y+x; 5,000-term chains of +, - and * at 47 trials; x^(10^12) against
 # itself) and 0.55-1.1 us in a quotient, which inverts its divisor (x/y/z
-# against x/(y*z); a 5,000-term chain of /), and most where few points
-# share each step's fixed cost: 1/(x-x)/x/.../x with 80,000 quotients,
-# undefined everywhere, is admitted at trials=1 (1.92*10^6 point-steps, in
-# batches of 1 and 23 points) and took 3.0-3.7 s after 0.4 s to parse.
+# against x/(y*z); a 5,000-term chain of /).  A step also costs about 1.1 us
+# per batch in a difference and 4.9 us in a quotient, 6-10 of its
+# point-steps, whatever the batch holds: 1/(x-x)/x/.../x with 80,000
+# quotients, undefined everywhere, took 3.0-3.7 s at trials=1 (1.92*10^6
+# point-steps, in batches of 1 and 23 points) before that cost was counted.
 # Points are evaluated IDENTITY_BATCH at a time, so memory holds at most
 # one list of that many residues per live value, whatever trials is.
 MAX_IDENTITY_WORK = 2_000_000
+IDENTITY_STEP_WORK = 8
 IDENTITY_BATCH = 1_000
 
 # Deepest nesting of parentheses and unary minus signs parse accepts: the
@@ -77,10 +81,17 @@ MAX_NESTING = 100
 # (x+y+z+1)^37, with 9,880, is the highest power of x+y+z+1 allowed.
 MAX_POWER_TERMS = 10_000
 
-# Most term products one product |A|*|B|, or one power, in to_laurent may
-# form, bounded before forming them.  The corpus, the constructors' models
-# and the tests form at most 30 in a product; f^k multiplies f^j by f for
-# j < k, and (x+y+z+1)^37 forms at most 4*C(40, 4) = 365,560.
+# Most term products one to_laurent or to_fraction call may form in all its
+# products, powers and quotients by monomials together, each bounded before
+# it is formed; a term of a quotient or of a monomial's power counts as one.
+# A term product in n > 3 variables counts as (n + 8)/11 of one: in
+# LaurentPolynomial.__mul__ it took about 0.45 us plus 0.055 us per
+# coordinate (0.62 us at 3 variables, 1.2 at 8, 2.0 at 24, 7.7 at 100, 192
+# at 4,000, on a 2-vCPU Linux host with Python 3.11.7), and a power, whose
+# term products add packed keys, decodes each of its terms one coordinate
+# at a time.  f^k multiplies f^j by f for j < k, so (x+y+z+1)^37 forms at
+# most 4*C(40, 4) = 365,560; one call of a model-construction round forms
+# at most 9,520, in at most 8 variables.
 MAX_TERM_PRODUCTS = 1_000_000
 
 
@@ -433,34 +444,37 @@ def to_laurent(e: Expr, variable_order: Sequence[str]) -> LaurentPolynomial:
 
     Every quotient denominator and every negatively-powered base must expand
     to a single monomial, and all coefficient divisions must be exact over Z;
-    otherwise NotLaurentError names the offending subexpression.
+    otherwise NotLaurentError names the offending subexpression.  A step
+    that may pass MAX_POWER_TERMS or, with the steps before it,
+    MAX_TERM_PRODUCTS raises ValueError before it runs.
     """
-    constant, variable = _leaves(variable_order)
+    ring = _Ring(variable_order)
 
-    def power(node: Pow, a):
-        a = _expand(a)
-        if node.exponent < 0:
-            return _invert_monomial(a, node.base) ** -node.exponent
-        return _Power(a, node.exponent, _power_bound(a, node.exponent))
+    def raise_to(node: Pow, a: LaurentPolynomial) -> LaurentPolynomial:
+        k = node.exponent
+        return ring.power(_invert_monomial(a, node.base), -k) if k < 0 else ring.power(a, k)
 
-    def total(node: Sum, *values) -> LaurentPolynomial:
+    def quotient(node: Quot, a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
+        ring.charge(len(a), "a quotient of {} terms", len(a))  # a term product per term
+        return _divide_by_monomial(a, b, node.denominator)
+
+    def total(node: Sum, *values: LaurentPolynomial) -> LaurentPolynomial:
         out: dict[tuple[int, ...], int] = {}
         get = out.get
-        for f in map(_expand, values):
+        for f in values:
             for exps, coeff in f.terms.items():
                 out[exps] = get(exps, 0) + coeff
         return LaurentPolynomial._raw(len(variable_order), {exps: coeff for exps, coeff in out.items() if coeff})
 
-    root, = _Program(e).run({
-        Const: constant,
-        Var: variable,
+    return _Program(e).run({
+        Const: ring.constant,
+        Var: ring.variable,
         Sum: total,
-        Diff: lambda node, a, b: _expand(a) - _expand(b),
-        Prod: lambda node, *values: reduce(_product, values),
-        Quot: lambda node, a, b: _divide_by_monomial(_expand(a), _expand(b), node.denominator),
-        Pow: power,
-    })
-    return _expand(root)
+        Diff: lambda node, a, b: a - b,
+        Prod: lambda node, *values: reduce(ring.product, values),
+        Quot: quotient,
+        Pow: raise_to,
+    })[0]
 
 
 def to_fraction(e: Expr, variable_order: Sequence[str]) -> tuple[LaurentPolynomial, LaurentPolynomial]:
@@ -470,106 +484,86 @@ def to_fraction(e: Expr, variable_order: Sequence[str]) -> tuple[LaurentPolynomi
     Sums and products fold left, a/b + c/d as (a*d + c*b)/(b*d).  Dividing
     by an identically zero polynomial raises ZeroDivisionError, and a power
     or a product that may pass to_laurent's limits raises ValueError."""
-    constant, variable = _leaves(variable_order)
-    one = LaurentPolynomial.one(len(variable_order))
+    ring = _Ring(variable_order)
+    product, one = ring.product, LaurentPolynomial.one(ring.n)
 
     def quotient(node: Quot, x, y) -> tuple[LaurentPolynomial, LaurentPolynomial]:
         (ln, ld), (rn, rd) = x, y
         if not rn:
             raise ZeroDivisionError(f"denominator {render(node.denominator)} is identically zero")
-        return _product(ln, rd), _product(ld, rn)
+        return product(ln, rd), product(ld, rn)
 
-    def power(node: Pow, x) -> tuple[LaurentPolynomial, LaurentPolynomial]:
+    def raise_to(node: Pow, x) -> tuple[LaurentPolynomial, LaurentPolynomial]:
         (bn, bd), k = x, node.exponent
         if k < 0:
             if not bn:
                 raise ZeroDivisionError(f"negative power of identically zero base {render(node.base)}")
             bn, bd, k = bd, bn, -k
-        _power_bound(bn, k)
-        _power_bound(bd, k)
-        return bn ** k, bd ** k
+        return ring.power(bn, k), ring.power(bd, k)
 
     root, = _Program(e).run({
-        Const: lambda node: (constant(node), one),
-        Var: lambda node: (variable(node), one),
+        Const: lambda node: (ring.constant(node), one),
+        Var: lambda node: (ring.variable(node), one),
         Sum: lambda node, *values: reduce(
-            lambda x, y: (_product(x[0], y[1]) + _product(y[0], x[1]), _product(x[1], y[1])), values),
-        Diff: lambda node, x, y: (_product(x[0], y[1]) - _product(y[0], x[1]), _product(x[1], y[1])),
-        Prod: lambda node, *values: reduce(lambda x, y: (_product(x[0], y[0]), _product(x[1], y[1])), values),
+            lambda x, y: (product(x[0], y[1]) + product(y[0], x[1]), product(x[1], y[1])), values),
+        Diff: lambda node, x, y: (product(x[0], y[1]) - product(y[0], x[1]), product(x[1], y[1])),
+        Prod: lambda node, *values: reduce(lambda x, y: (product(x[0], y[0]), product(x[1], y[1])), values),
         Quot: quotient,
-        Pow: power,
+        Pow: raise_to,
     })
     return root
 
 
-def _leaves(variable_order: Sequence[str]) -> tuple[Callable, Callable]:
-    """The Laurent polynomial of a constant node and of a variable node."""
-    names = list(variable_order)
-    if len(set(names)) != len(names):
-        raise ValueError("variable_order contains duplicates")
-    if not names:
-        raise ValueError("variable_order must name at least one variable")
-    n, index = len(names), {name: i for i, name in enumerate(names)}
+class _Ring:
+    """The Laurent polynomials of one to_laurent or to_fraction call: the
+    value of a constant node and of a variable node, and products and
+    powers, each charged before it is formed to the call's one budget of
+    MAX_TERM_PRODUCTS term products, in which a term product in n > 3
+    variables counts as (n + 8)/11 of one."""
 
-    def variable(node: Var) -> LaurentPolynomial:
-        if node.name not in index:
+    def __init__(self, variable_order: Sequence[str]):
+        names = list(variable_order)
+        if len(set(names)) != len(names):
+            raise ValueError("variable_order contains duplicates")
+        if not names:
+            raise ValueError("variable_order must name at least one variable")
+        self.n, self.index = len(names), {name: i for i, name in enumerate(names)}
+        self.weight, self.left = max(self.n, 3) + 8, 11 * MAX_TERM_PRODUCTS  # in elevenths of a term product
+
+    def constant(self, node: Const) -> LaurentPolynomial:
+        return LaurentPolynomial.constant(self.n, node.value)
+
+    def variable(self, node: Var) -> LaurentPolynomial:
+        if node.name not in self.index:
             raise NotLaurentError(f"unknown variable {node.name!r}")
-        return LaurentPolynomial.variable(n, index[node.name])
+        return LaurentPolynomial.variable(self.n, self.index[node.name])
 
-    return (lambda node: LaurentPolynomial.constant(n, node.value)), variable
+    def charge(self, products: int, what: str, *sizes: int) -> None:
+        """Count products more term products, or raise ValueError past the
+        budget, naming what, a template that sizes fill."""
+        self.left -= self.weight * products
+        if self.left < 0:
+            raise ValueError(f"{what.format(*sizes)} in {self.n} variables may take this conversion past"
+                             f" {MAX_TERM_PRODUCTS} term products (the limit MAX_TERM_PRODUCTS)")
 
+    def product(self, a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
+        self.charge(len(a) * len(b), "a product of {} and {} terms", len(a), len(b))
+        return a * b
 
-@dataclass
-class _Power:
-    """base**exponent, which to_laurent expands when a step first reads it,
-    so that a product can bound its term products by `terms` first."""
-
-    base: LaurentPolynomial | None
-    exponent: int
-    terms: int
-    value: LaurentPolynomial | None = None
-
-    def __len__(self) -> int:
-        return self.terms
-
-
-def _product(a, b) -> LaurentPolynomial:
-    """a * b for to_laurent or to_fraction values, or ValueError if it may
-    form more than MAX_TERM_PRODUCTS term products."""
-    if len(a) * len(b) > MAX_TERM_PRODUCTS:
-        raise ValueError(
-            f"a product of {len(a)} and {len(b)} terms may form more than"
-            f" {MAX_TERM_PRODUCTS} term products (the limit MAX_TERM_PRODUCTS)"
-        )
-    return _expand(a) * _expand(b)
-
-
-def _expand(value) -> LaurentPolynomial:
-    """A to_laurent value, a power expanded once for all its readers."""
-    if type(value) is not _Power:
-        return value
-    if value.value is None:
-        value.value = value.base ** value.exponent
-        value.base, value.terms = None, len(value.value)
-    return value.value
-
-
-def _power_bound(base: LaurentPolynomial, k: int) -> int:
-    """_power_terms_bound(base, k), for k >= 0, or ValueError naming the
-    limit base**k may pass: on its terms, its term products, or the digits
-    of its coefficients, which are at most the sum of |base|'s to the k."""
-    bound = _power_terms_bound(base, k)
-    limit = past_digit_limit(sum(map(abs, base.terms.values())), k)
-    for passed, what in (
-        (bound > MAX_POWER_TERMS, f"expand to more than {MAX_POWER_TERMS} terms (the limit MAX_POWER_TERMS)"),
-        (_power_work_bound(base, k) > MAX_TERM_PRODUCTS,
-         f"form more than {MAX_TERM_PRODUCTS} term products (the limit MAX_TERM_PRODUCTS)"),
-        (limit, f"have coefficients of more than {limit} digits"
-                " (the limit sys.get_int_max_str_digits() on printing an integer)"),
-    ):
-        if passed:
-            raise ValueError(f"a power with exponent {k} of {len(base)} terms may {what}")
-    return bound
+    def power(self, base: LaurentPolynomial, k: int) -> LaurentPolynomial:
+        """base**k for k >= 0, or ValueError naming the limit it may pass: on
+        its terms, its term products, or the digits of its coefficients,
+        which are at most the sum of |base|'s to the k."""
+        what = "a power with exponent {} of {} terms"
+        if _power_terms_bound(base, k) > MAX_POWER_TERMS:
+            raise ValueError(f"{what.format(k, len(base))} may expand to more than {MAX_POWER_TERMS} terms"
+                             " (the limit MAX_POWER_TERMS)")
+        self.charge(max(_power_work_bound(base, k), len(base)), what, k, len(base))  # a monomial in closed form: one
+        limit = past_digit_limit(sum(map(abs, base.terms.values())), k)
+        if limit:
+            raise ValueError(f"{what.format(k, len(base))} may have coefficients of more than {limit} digits"
+                             " (the limit sys.get_int_max_str_digits() on printing an integer)")
+        return base ** k
 
 
 def _power_terms_bound(base: LaurentPolynomial, k: int) -> int:
@@ -617,8 +611,8 @@ def _divide_by_monomial(num: LaurentPolynomial, den: LaurentPolynomial, source: 
             raise NotLaurentError(
                 f"coefficient {coeff} is not divisible by {dcoeff} in quotient by {render(source)}"
             )
-        out[tuple(a - b for a, b in zip(exps, dexps))] = q
-    return LaurentPolynomial(num.nvars, out)
+        out[tuple(map(sub, exps, dexps))] = q
+    return LaurentPolynomial._raw(num.nvars, out)
 
 
 def _invert_monomial(base: LaurentPolynomial, source: Expr) -> LaurentPolynomial:
@@ -769,7 +763,8 @@ def random_equal(
     neither the verdict nor trials nor the witness, and memory, which holds
     one batch at a time, does not grow with trials.
     A ValueError refuses trials whose draws may evaluate more than
-    MAX_IDENTITY_WORK point-steps, a k-operand step counted as k - 1.
+    MAX_IDENTITY_WORK point-steps, a k-operand step counted as k - 1 and
+    each step of each batch as IDENTITY_STEP_WORK more.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -779,9 +774,11 @@ def random_equal(
         max(1, abs(node.exponent).bit_length() if type(node) is Pow else len(reads) - 1)
         for node, reads in zip(program.nodes, program.operands)
     )
-    if budget * steps > MAX_IDENTITY_WORK:
+    batches = -(-budget // IDENTITY_BATCH) + 1  # the trials points, then the rest of the draws
+    if budget * steps + batches * len(program.nodes) * IDENTITY_STEP_WORK > MAX_IDENTITY_WORK:
         raise ValueError(
-            f"{trials} trials may evaluate {budget} points of {steps} program steps each,"
+            f"{trials} trials may evaluate {budget} points of {steps} program steps each, in up to"
+            f" {batches} batches of {len(program.nodes)} steps at {IDENTITY_STEP_WORK} each,"
             f" more than {MAX_IDENTITY_WORK} point-steps (the limit MAX_IDENTITY_WORK)"
         )
     names = sorted({node.name for node in program.nodes if type(node) is Var})

@@ -232,25 +232,46 @@ def test_largest_admitted_three_variable_hull() -> None:
 
 
 @pytest.mark.parametrize(
-    ("argv", "limit"),
+    ("argv", "limit", "seconds"),
     [
-        (("series", "--poly", "(x+y+z+1)^100000"), "10000 terms (the limit MAX_POWER_TERMS)"),
-        (("series", "--entry", "17", "--terms", "100000"), "100000000 term products (the limit MAX_SERIES_WORK)"),
+        (("series", "--poly", "(x+y+z+1)^100000"), "10000 terms (the limit MAX_POWER_TERMS)", 1.0),
+        (("series", "--entry", "17", "--terms", "100000"), "100000000 term products (the limit MAX_SERIES_WORK)", 1.0),
         # few term products, but 10^8 power steps and 2*10^8 coefficients
-        (("series", "--poly", "x", "--terms", "200000000"), "100000000 term products (the limit MAX_SERIES_WORK)"),
-        (("series", "--poly", "0", "--terms", "200000000"), "100000000 term products (the limit MAX_SERIES_WORK)"),
-        # each power is allowed; their product is refused before either is expanded
+        (("series", "--poly", "x", "--terms", "200000000"), "100000000 term products (the limit MAX_SERIES_WORK)", 1.0),
+        (("series", "--poly", "0", "--terms", "200000000"), "100000000 term products (the limit MAX_SERIES_WORK)", 1.0),
+        # each power is allowed, and the one subexpression is built once;
+        # their product is refused before it is formed
         (("series", "--poly", "(x+y+z+1)^37*(x+y+z+1)^37", "--terms", "1"),
-         "1000000 term products (the limit MAX_TERM_PRODUCTS)"),
+         "1000000 term products (the limit MAX_TERM_PRODUCTS)", 1.0),
         # 10,000 terms at most, but about 10^8 term products to build them
-        (("series", "--poly", "(x+1)^9999", "--terms", "1"), "1000000 term products (the limit MAX_TERM_PRODUCTS)"),
+        (("series", "--poly", "(x+1)^9999", "--terms", "1"),
+         "1000000 term products (the limit MAX_TERM_PRODUCTS)", 1.0),
         # few term products, but 3^10000 has 4772 digits
-        (("series", "--poly", "3", "--terms", "10000"), "digits (the limit sys.get_int_max_str_digits()"),
+        (("series", "--poly", "3", "--terms", "10000"), "digits (the limit sys.get_int_max_str_digits()", 1.0),
         # solving the model's constraint for w multiplies its two 1771-term powers
-        (("eliminate", "--plan", "0:w"), "1000000 term products (the limit MAX_TERM_PRODUCTS)"),
+        (("eliminate", "--plan", "0:w"), "1000000 term products (the limit MAX_TERM_PRODUCTS)", 1.0),
+        # (x1+...+x11+1)^12 has C(23, 11) terms; this once printed 84 MB in 17.6 s
+        (("construct", "ci", "--n", "12", "--degrees", "12"), "10000 terms (the limit MAX_POWER_TERMS)", 1.0),
+        # chains of products, once admitted and run for 1.4-7.7 s: their last
+        # product, 177147 by 3 terms, now counts (n + 8)/11 times in n variables
+        (("series", "--poly", "*".join(f"(a{i}+b{i}+1)" for i in range(12)), "--terms", "1"),
+         "1000000 term products (the limit MAX_TERM_PRODUCTS)", 1.0),
+        (("series", "--poly", "*".join(f"(a{i}+1)^2" for i in range(13)), "--terms", "1"),
+         "1000000 term products (the limit MAX_TERM_PRODUCTS)", 1.0),
+        (("construct", "ci", "--n", "30", "--degrees", ",".join(["2"] * 12)),
+         "1000000 term products (the limit MAX_TERM_PRODUCTS)", 1.0),
+        # 4,000 quotients of 4,000-entry monomials, once 4.6 s: each term of
+        # a quotient is charged as a term product, and about 2,700 of them
+        # fill the budget at 4,000 variables, 0.7-1.0 s in all
+        (("series", "--poly", "+".join(f"x{i}/x{i % 4000 + 1}" for i in range(1, 4001)), "--terms", "2"),
+         "1000000 term products (the limit MAX_TERM_PRODUCTS)", 2.0),
+        # 1.92*10^6 point-steps, but 80,004 steps in each of two batches: once
+        # 3.3 s of evaluation, now refused after about 0.8 s of parsing and compiling
+        (("identity", "--left", "1/(x-x)" + "/x" * 80000, "--right", "x", "--trials", "1"),
+         "(the limit MAX_IDENTITY_WORK)", 2.0),
     ],
 )
-def test_series_budgets_refuse_up_front(tmp_path: Path, argv: tuple[str, ...], limit: str) -> None:
+def test_series_budgets_refuse_up_front(tmp_path: Path, argv: tuple[str, ...], limit: str, seconds: float) -> None:
     if argv[0] == "eliminate":
         model_file = tmp_path / "wide.json"
         model_file.write_text(
@@ -260,7 +281,7 @@ def test_series_budgets_refuse_up_front(tmp_path: Path, argv: tuple[str, ...], l
         argv = (*argv, "--model", str(model_file))
     start = time.perf_counter()
     code, out, err = run(*argv)
-    assert time.perf_counter() - start < 1.0
+    assert time.perf_counter() - start < seconds
     assert code == 2 and out == ""
     assert limit in err
 
@@ -363,6 +384,17 @@ def test_construct_ci_and_grassmannian() -> None:
     assert code == 0 and "x11" in out
     code, out, _ = run("construct", "grassmannian", "--k", "2", "--n", "6")
     assert code == 0 and "X42" in out
+
+
+@pytest.mark.parametrize("command", [("grassmannian",), ("grass-ci", "--sections", "2")])
+def test_grassmannian_grid_names_stay_distinct(command: tuple[str, ...]) -> None:
+    # with k and N - k both 11 or more, X{a}{b} names X111 twice; that was
+    # refused as "variable_order contains duplicates"
+    code, out, err = run("construct", *command, "--k", "10", "--n", "21")
+    assert code == 0 and err == "" and "X1110" in out
+    code, out, err = run("construct", *command, "--k", "11", "--n", "22")
+    assert code == 2 and out == ""
+    assert "collide when k and N - k are both at least 11" in err
 
 
 def test_construct_weighted_model_json() -> None:
@@ -606,15 +638,17 @@ def test_series_budget_counts_the_variables() -> None:
     # x1*x2^2 + x2*x3^2 + ... + x4000*x1^2: 4,000 terms and a bound of
     # 4,032 term products at T = 2 before keys were charged by their size,
     # but 4,000 decodes of 4,000-digit keys, and the call took about 16 s.
-    # It now takes about 2.5 s, nearly all in to_laurent building 4,000
-    # exponent tuples of 4,000 entries and in reading their reach.
+    # Refused later by MAX_SERIES_WORK, it took 2.5-4 s, nearly all in
+    # to_laurent building 4,000 exponent tuples of 4,000 entries.  Each
+    # term product there now counts (4000 + 8)/11 times, so to_laurent
+    # stops about a third of the way through, some 0.7 s in.
     n = 4000
     poly = "+".join(f"x{i}*x{i % n + 1}^2" for i in range(1, n + 1))
     start = time.perf_counter()
     code, out, err = run("series", "--poly", poly, "--terms", "2")
     assert time.perf_counter() - start < 10.0
     assert code == 2 and out == ""
-    assert "(the limit MAX_SERIES_WORK)" in err
+    assert "(the limit MAX_TERM_PRODUCTS)" in err
 
 
 # A small grammar of hostile inputs.  Every polynomial it draws is tiny or

@@ -63,6 +63,9 @@ def test_hori_vafa_ci_matches_written_out_forms() -> None:
         (4, (3,), "(x11+x12+1)^3/(x11*x12*y1) + y1"),
         (3, (), "y1 + y2 + y3 + 1/(y1*y2*y3)"),
         (4, (4,), "(x11+x12+x13+1)^4/(x11*x12*x13)"),
+        (6, (2, 2, 2), "(x11+1)^2*(x21+1)^2*(x31+1)^2/(x11*x21*x31)"),
+        (5, (2, 2), "(x11+1)^2*(x21+1)^2/(x11*x21*y1) + y1"),
+        (4, (2,), "(x11+1)^2/(x11*y1*y2) + y1 + y2"),
     ]
     for ambient, degrees, text in cases:
         names = hori_vafa_variables(ambient, degrees)

@@ -251,6 +251,20 @@ def test_product_budget_is_checked_before_expanding() -> None:
     assert to_laurent(parse("(x+y+1)^3*(x-y)^3"), xyz) == to_laurent(parse("((x+y+1)*(x-y))^3"), xyz)
 
 
+def test_one_product_budget_covers_each_conversion() -> None:
+    # (x+1)^3 forms 2 * (1 + 2 + 3) = 12 term products and (x+y)*(x-y) 4, all
+    # charged to one total per call; in n > 3 variables each counts (n + 8)/11
+    xyz = ("x", "y", "z")
+    text = "(x+1)^3 + (y+1)^3 + (x+y)*(x-y)"
+    expected = to_laurent(parse(text), xyz)
+    with unittest.mock.patch.object(expr, "MAX_TERM_PRODUCTS", 28):
+        assert to_laurent(parse(text), xyz) == expected
+        for refused, names in ((text, (*xyz, "w")), ("(x+1)^3 + (y+1)^3 + (z+1)^3", xyz)):
+            for convert in (to_laurent, to_fraction):
+                with pytest.raises(ValueError, match="MAX_TERM_PRODUCTS"):
+                    convert(parse(refused), names)
+
+
 @settings(deadline=None, max_examples=60)
 @given(
     st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), st.integers(-2, 2).filter(bool), max_size=5),
@@ -442,7 +456,9 @@ def test_random_equal_refuses_work_past_its_budget() -> None:
     assert random_equal(left, right, trials=100).equal
     with pytest.raises(ValueError, match="the limit MAX_IDENTITY_WORK"):
         random_equal(left, right, trials=most + 1)
-    with unittest.mock.patch.object(expr, "MAX_IDENTITY_WORK", (8 * 50 + 16) * steps):
+    # 416 draws of 7 point-steps each, and 7 steps in each of up to two batches
+    work = (8 * 50 + 16) * steps + 2 * steps * expr.IDENTITY_STEP_WORK
+    with unittest.mock.patch.object(expr, "MAX_IDENTITY_WORK", work):
         assert random_equal(left, right, trials=50).equal
         with pytest.raises(ValueError, match="the limit MAX_IDENTITY_WORK"):
             random_equal(left, right, trials=51)
