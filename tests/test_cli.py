@@ -231,45 +231,50 @@ def test_largest_admitted_three_variable_hull() -> None:
     assert doc["normalized_volume"] == "37/7290"
 
 
+BUDGET_CASES = [
+    (("series", "--poly", "(x+y+z+1)^100000"), "10000 terms (the limit MAX_POWER_TERMS)", 1.0),
+    (("series", "--entry", "17", "--terms", "100000"), "100000000 term products (the limit MAX_SERIES_WORK)", 1.0),
+    # few term products, but 10^8 power steps and 2*10^8 coefficients
+    (("series", "--poly", "x", "--terms", "200000000"), "100000000 term products (the limit MAX_SERIES_WORK)", 1.0),
+    (("series", "--poly", "0", "--terms", "200000000"), "100000000 term products (the limit MAX_SERIES_WORK)", 1.0),
+    # each power is allowed, and the one subexpression is built once;
+    # their product is refused before it is formed
+    (("series", "--poly", "(x+y+z+1)^37*(x+y+z+1)^37", "--terms", "1"),
+     "1000000 term products (the limit MAX_TERM_PRODUCTS)", 1.0),
+    # 10,000 terms at most, but about 10^8 term products to build them
+    (("series", "--poly", "(x+1)^9999", "--terms", "1"),
+     "1000000 term products (the limit MAX_TERM_PRODUCTS)", 1.0),
+    # few term products, but 3^10000 has 4772 digits
+    (("series", "--poly", "3", "--terms", "10000"), "digits (the limit sys.get_int_max_str_digits()", 1.0),
+    # solving the model's constraint for w multiplies its two 1771-term powers
+    (("eliminate", "--plan", "0:w"), "1000000 term products (the limit MAX_TERM_PRODUCTS)", 1.0),
+    # (x1+...+x11+1)^12 has C(23, 11) terms; this once printed 84 MB in 17.6 s
+    (("construct", "ci", "--n", "12", "--degrees", "12"), "10000 terms (the limit MAX_POWER_TERMS)", 1.0),
+    # chains of products, once admitted and run for 1.4-7.7 s: their last
+    # product, 177147 by 3 terms, now counts (n + 8)/11 times in n variables
+    (("series", "--poly", "*".join(f"(a{i}+b{i}+1)" for i in range(12)), "--terms", "1"),
+     "1000000 term products (the limit MAX_TERM_PRODUCTS)", 1.0),
+    (("series", "--poly", "*".join(f"(a{i}+1)^2" for i in range(13)), "--terms", "1"),
+     "1000000 term products (the limit MAX_TERM_PRODUCTS)", 1.0),
+    (("construct", "ci", "--n", "30", "--degrees", ",".join(["2"] * 12)),
+     "1000000 term products (the limit MAX_TERM_PRODUCTS)", 1.0),
+    # 4,000 quotients of 4,000-entry monomials, once 4.6 s: each term of
+    # a quotient is charged as a term product, and about 2,700 of them
+    # fill the budget at 4,000 variables, 0.7-1.0 s in all
+    (("series", "--poly", "+".join(f"x{i}/x{i % 4000 + 1}" for i in range(1, 4001)), "--terms", "2"),
+     "1000000 term products (the limit MAX_TERM_PRODUCTS)", 2.0),
+    # 1.92*10^6 point-steps, but 80,004 steps in each of two batches: once
+    # 3.3 s of evaluation, now refused after about 0.8 s of parsing and compiling
+    (("identity", "--left", "1/(x-x)" + "/x" * 80000, "--right", "x", "--trials", "1"),
+     "(the limit MAX_IDENTITY_WORK)", 2.0),
+]
+
+
+# the ids leave out the time bound, so a case keeps its name when its bound changes
 @pytest.mark.parametrize(
     ("argv", "limit", "seconds"),
-    [
-        (("series", "--poly", "(x+y+z+1)^100000"), "10000 terms (the limit MAX_POWER_TERMS)", 1.0),
-        (("series", "--entry", "17", "--terms", "100000"), "100000000 term products (the limit MAX_SERIES_WORK)", 1.0),
-        # few term products, but 10^8 power steps and 2*10^8 coefficients
-        (("series", "--poly", "x", "--terms", "200000000"), "100000000 term products (the limit MAX_SERIES_WORK)", 1.0),
-        (("series", "--poly", "0", "--terms", "200000000"), "100000000 term products (the limit MAX_SERIES_WORK)", 1.0),
-        # each power is allowed, and the one subexpression is built once;
-        # their product is refused before it is formed
-        (("series", "--poly", "(x+y+z+1)^37*(x+y+z+1)^37", "--terms", "1"),
-         "1000000 term products (the limit MAX_TERM_PRODUCTS)", 1.0),
-        # 10,000 terms at most, but about 10^8 term products to build them
-        (("series", "--poly", "(x+1)^9999", "--terms", "1"),
-         "1000000 term products (the limit MAX_TERM_PRODUCTS)", 1.0),
-        # few term products, but 3^10000 has 4772 digits
-        (("series", "--poly", "3", "--terms", "10000"), "digits (the limit sys.get_int_max_str_digits()", 1.0),
-        # solving the model's constraint for w multiplies its two 1771-term powers
-        (("eliminate", "--plan", "0:w"), "1000000 term products (the limit MAX_TERM_PRODUCTS)", 1.0),
-        # (x1+...+x11+1)^12 has C(23, 11) terms; this once printed 84 MB in 17.6 s
-        (("construct", "ci", "--n", "12", "--degrees", "12"), "10000 terms (the limit MAX_POWER_TERMS)", 1.0),
-        # chains of products, once admitted and run for 1.4-7.7 s: their last
-        # product, 177147 by 3 terms, now counts (n + 8)/11 times in n variables
-        (("series", "--poly", "*".join(f"(a{i}+b{i}+1)" for i in range(12)), "--terms", "1"),
-         "1000000 term products (the limit MAX_TERM_PRODUCTS)", 1.0),
-        (("series", "--poly", "*".join(f"(a{i}+1)^2" for i in range(13)), "--terms", "1"),
-         "1000000 term products (the limit MAX_TERM_PRODUCTS)", 1.0),
-        (("construct", "ci", "--n", "30", "--degrees", ",".join(["2"] * 12)),
-         "1000000 term products (the limit MAX_TERM_PRODUCTS)", 1.0),
-        # 4,000 quotients of 4,000-entry monomials, once 4.6 s: each term of
-        # a quotient is charged as a term product, and about 2,700 of them
-        # fill the budget at 4,000 variables, 0.7-1.0 s in all
-        (("series", "--poly", "+".join(f"x{i}/x{i % 4000 + 1}" for i in range(1, 4001)), "--terms", "2"),
-         "1000000 term products (the limit MAX_TERM_PRODUCTS)", 2.0),
-        # 1.92*10^6 point-steps, but 80,004 steps in each of two batches: once
-        # 3.3 s of evaluation, now refused after about 0.8 s of parsing and compiling
-        (("identity", "--left", "1/(x-x)" + "/x" * 80000, "--right", "x", "--trials", "1"),
-         "(the limit MAX_IDENTITY_WORK)", 2.0),
-    ],
+    BUDGET_CASES,
+    ids=[f"argv{i}-{limit}" for i, (_, limit, _) in enumerate(BUDGET_CASES)],
 )
 def test_series_budgets_refuse_up_front(tmp_path: Path, argv: tuple[str, ...], limit: str, seconds: float) -> None:
     if argv[0] == "eliminate":
