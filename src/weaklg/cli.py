@@ -390,12 +390,26 @@ def _add_common(sub: argparse.ArgumentParser, *, entry: bool = False, poly: bool
     sub.add_argument("--format", choices=("text", "json"), default="text")
 
 
-def build_parser() -> argparse.ArgumentParser:
+class _Unbuilt:
+    """A parser that ignores every call, for a command that argparse will
+    not dispatch to: the top-level help and usage read only its name."""
+
+    def __getattr__(self, name: str):
+        return lambda *args, **kwargs: self
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of `lg`; given a command, those of the others are unbuilt."""
+
+    def subparser(**kwargs) -> argparse.ArgumentParser | _Unbuilt:
+        # prog is "lg <command>" or "lg <command> <recipe>"
+        return argparse.ArgumentParser(**kwargs) if command in (None, kwargs["prog"].split()[1]) else _Unbuilt()
+
     parser = argparse.ArgumentParser(
         prog="lg",
         description="Construct and verify Laurent-polynomial mirror candidates for Fano threefolds.",
     )
-    subs = parser.add_subparsers(dest="command", required=True)
+    subs = parser.add_subparsers(dest="command", required=True, parser_class=subparser)
 
     p = subs.add_parser("list", help="list the bundled models")
     _add_common(p, corpus=True)
@@ -434,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_pfop)
 
     construct = subs.add_parser("construct", help="build a model from a recipe")
-    csubs = construct.add_subparsers(dest="recipe", required=True)
+    csubs = construct.add_subparsers(dest="recipe", required=True, parser_class=subparser)
 
     p = csubs.add_parser("toric", help="one monomial per fan ray")
     p.add_argument("--rays", required=True, help="semicolon-separated integer vectors, e.g. '1,0,0;0,1,0;0,0,1;-1,-1,-1'")
@@ -485,16 +499,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # built on the first call, not at import, and kept: parse_args leaves
-    # the parser as it was, and each in-process call would otherwise build
-    # its 17 parsers again
-    return build_parser()
+# built on a command's first call, not at import, and kept: parse_args
+# leaves the parser as it was
+_parser = functools.cache(build_parser)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # the command is the first argument that is not an option
+    args = _parser(next((a for a in argv if not a.startswith("-")), None)).parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -42,13 +42,19 @@ def _mixed_radix(widths: Sequence[int]) -> Callable[[Sequence[int]], int]:
 def _times(g: Mapping[int, int], steps: Sequence[tuple[int, int]]) -> dict[int, int]:
     """The product of two polynomials on packed keys, g and the (key,
     coefficient) pairs `steps`: every key kg + kf with the sum of its
-    products cg * cf, zero sums kept."""
+    products cg * cf, zero sums kept.  Each cg is multiplied once per
+    distinct cf, and not by a cf of 1."""
+    groups: dict[int, list[int]] = {}
+    for kf, cf in steps:
+        groups.setdefault(cf, []).append(kf)
     out: dict[int, int] = {}
     get = out.get
-    for kg, cg in g.items():
-        for kf, cf in steps:
-            k = kg + kf
-            out[k] = get(k, 0) + cg * cf
+    for cf, keys in groups.items():
+        scaled = g.items() if cf == 1 else [(kg, cg * cf) for kg, cg in g.items()]
+        for kf in keys:
+            for kg, c in scaled:
+                k = kg + kf
+                out[k] = get(k, 0) + c
     return out
 
 

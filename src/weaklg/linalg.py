@@ -7,11 +7,12 @@ pivot, so every intermediate entry is a minor of the input and stays integral
 without growing in length per step.  `det`, `rank` and `nullspace` read their
 answers off that form, in integers throughout.  `first_dependent_mod` is the
 one elimination modulo a prime, a cheap screen that proves full column rank
-over the rationals without an exact solve.
+over the rationals without an exact solve; `axis_generator`, over the integers.
 """
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Iterable, Sequence
 
 Matrix = Sequence[Sequence[int]]
@@ -49,6 +50,28 @@ def echelon(matrix: Matrix) -> tuple[list[list[int]], list[int], int]:
         prev = pv
         pivots.append(col)
     return work, pivots, sign
+
+
+def axis_generator(matrix: Matrix) -> int:
+    """The d >= 0 with dZ = {i : (0, ..., 0, i) is an integer combination of
+    the rows of an integer matrix}.
+
+    Adding a multiple of one row to another keeps the rows' integer span.
+    In each column but the last, Euclid's algorithm on the rows nonzero
+    there leaves one such row, which no combination vanishing there uses,
+    so it is set aside.  The rows left are 0 but in the last column."""
+    work = [list(row) for row in matrix]
+    for col in range(len(work[0]) - 1 if work else 0):
+        live = [row for row in work if row[col]]
+        while len(live) > 1:
+            top = min(live, key=lambda row: abs(row[col]))
+            for row in live:
+                if row is not top:
+                    q = row[col] // top[col]
+                    row[:] = [a - q * b for a, b in zip(row, top)]
+            live = [row for row in live if row[col]]
+        work = [row for row in work if not row[col]]
+    return gcd(*(row[-1] for row in work))
 
 
 def det(matrix: Matrix) -> int:

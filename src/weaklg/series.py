@@ -10,10 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, factorial, prod
+from operator import eq
 from typing import Sequence
 
 from .constructors import _check_ci_data
 from .laurent import LaurentPolynomial, _mixed_radix, _times
+from .linalg import axis_generator
 
 # The plain kernel forms sum_a |f^a| * |f| term products, one dict update
 # each.  Entry 1 of the corpus at T = 36 (83 terms after its shift) is
@@ -24,31 +26,33 @@ MAX_SERIES_WORK = 10**8
 
 # The kernel keeps one key per orbit of the coordinate swaps that fix f when
 # |f| * (|G| - 1) * H >= 6 * ORBIT_MIN_SAVING, where |f| * (|G| - 1) is the
-# term products a full orbit of G saves in a step and H = ceil(T/2) is the
+# term products a full orbit of G saves in a step and H = ceil(T*/2) is the
 # number of power steps.  Folding each key a step forms into its orbit's
 # costs more than a small orbit saves, and both the share of keys in full
 # orbits and the steps that pay for the fixed costs grow with T.  At T = 11
-# and 12 (H = 6) the rule is |f| * (|G| - 1) >= 60.  Plain kernel time over
-# forced orbit-sum time, for every corpus entry with a nontrivial G (f less
-# its constant term), on a 2-vCPU Linux host with Python 3.11.7 (best of 6
-# over two runs of 3; * where the rule takes orbit sums; - not measured):
+# and 12 (H = 6) the rule is |f| * (|G| - 1) >= 70, above 400 / 6, so that
+# entry 17 at T = 40 (a saving of 20 in each of 20 steps), which runs faster
+# plain, stays plain.  Plain kernel time over forced orbit-sum time, for
+# every corpus entry with a nontrivial G (f less its constant term), on a
+# 2-vCPU Linux host with Python 3.11.7 (best of 6 to 9 in alternating runs;
+# * where the rule takes orbit sums; - not measured):
 #
 #   entry  |f|  |G|  saving  T=12   T=20   T=30   T=40
-#      1    83    6    415   3.60*  3.95*    -      -
-#      2    34    6    170   2.76*  3.85*  2.73*    -
-#      3    29    2     29   1.05   1.90   1.05*    -
-#      4    26    6    130   2.13*  3.21*  3.39*  4.52*
-#      5    22    6    110   1.97*  1.77*  4.00*  3.94*
-#      8    19    6     95   1.85*  1.79*  3.58*  5.52*
-#      9    15    6     75   1.33*  2.55*  2.86*  4.38*
-#     10    13    2     13   0.60   0.96   0.91   1.39
-#     12    16    2     16   0.75   1.02   1.13   1.41
-#     13    11    2     11   0.57   0.86   1.06   1.21
-#     14    10    2     10   0.46   0.64   0.88   1.06
-#     15     7    6     35   0.70   1.30   1.75*  2.40*
-#     16     5    2      5   0.32   0.40   0.51   0.67
-#     17     4    6     20   0.47   0.64   0.85   1.12*
-ORBIT_MIN_SAVING = 60
+#      1    83    6    415   3.19*  4.74*    -      -
+#      2    34    6    170   2.53*  3.84*  4.57*    -
+#      3    29    2     29   1.09   1.42   1.54*    -
+#      4    26    6    130   1.99*  3.01*  3.89*  4.43*
+#      5    22    6    110   2.07*  2.90*  3.94*  4.36*
+#      8    19    6     95   1.70*  2.75*  3.76*  3.98*
+#      9    15    6     75   1.54*  2.51*  3.52*  3.73*
+#     10    13    2     13   0.67   0.92   1.17   1.29
+#     12    16    2     16   0.70   0.95   1.24   1.28
+#     13    11    2     11   0.58   0.78   0.97   1.18
+#     14    10    2     10   0.48   0.65   0.91   1.03
+#     15     7    6     35   0.67   1.09   1.59*  2.09*
+#     16     5    2      5   0.34   0.37   0.46   0.61
+#     17     4    6     20   0.44   0.53   0.70   0.92
+ORBIT_MIN_SAVING = 70
 
 # The work of a power step and of an output coefficient, in term products.
 # On a 2-vCPU Linux host with Python 3.11.7 a term product took 0.28-0.39 us
@@ -121,6 +125,14 @@ def constant_term_series(f: LaurentPolynomial, terms: int = 20) -> IntegerSeries
         phi(2a)   = sum_e [f^a]_e [f^a]_(-e)      (when 2a <= T),
 
     and only f^(a-1) and f^a are alive at any time.
+
+    Grading.  Let d >= 0 generate the i with (0, i) an integer combination
+    of the vectors (e, 1), e in f's support (linalg.axis_generator).  If
+    phi_f(i) != 0, some i terms of f sum to the origin and their (e, 1) to
+    (0, i), so d | i; if d = 0, phi_f(i) = 0 for every i >= 1.  The kernel
+    runs to T* = d * floor(T/d) in place of T, so H = ceil(T*/2), and forms
+    no sum for an i that d does not divide.  For a corpus polynomial less
+    its constant term, d is the Fano index.
 
     Orbit sums.  Coordinates i and j are in one block when swapping them
     fixes f, coefficients included.  This is an equivalence, transitive since
@@ -204,10 +216,14 @@ def constant_term_series(f: LaurentPolynomial, terms: int = 20) -> IntegerSeries
     _work_bound).  Past MAX_SERIES_WORK a ValueError names the limit.
     """
     work = check_series_budget(f, terms)
-    if not f.terms:
-        return IntegerSeries(tuple([1] + [0] * terms))
+    out = [1] + [0] * terms
+    # d = 1 skips nothing, where the grading's |f| * (n+1)^2 row steps pass the work bound
+    d = axis_generator([(*e, 1) for e in f.terms]) if len(f) * (f.nvars + 1) ** 2 <= work else 1
+    top = d * (terms // d) if d else 0
+    if not top:
+        return IntegerSeries(tuple(out))
     s_plus, s_minus = _reach(f)
-    half = (terms + 1) // 2
+    half = (top + 1) // 2
     order, runs = _orbit_runs(f, half, work, list(zip(s_plus, s_minus)))
     s_plus, s_minus = [s_plus[c] for c in order], [s_minus[c] for c in order]
     offsets = [half * max(sp, sm) for sp, sm in zip(s_plus, s_minus)]
@@ -219,6 +235,7 @@ def constant_term_series(f: LaurentPolynomial, terms: int = 20) -> IntegerSeries
 
     orbit_of: dict[int, int] = {}  # a key's canonical key
     twins = {origin: (origin, 1)}  # canonical key: (that of -e, |orbit(e)|)
+    sizes: dict[tuple[bool, ...], int] = {}  # |orbit(e)| by which neighbouring digits tie
 
     def canonical(key: int) -> int:
         # the key with its digits sorted within each run; the first time a
@@ -231,30 +248,33 @@ def constant_term_series(f: LaurentPolynomial, terms: int = 20) -> IntegerSeries
             digits[lo:hi] = sorted(digits[lo:hi])
         k = pack(digits)
         if k not in twins:
-            size = 1
+            # the ties within a sorted run give its digits' multiplicities
+            ties = tuple(map(eq, digits, digits[1:]))
+            if ties not in sizes:
+                sorted_runs = [digits[lo:hi] for lo, hi in runs]
+                sizes[ties] = prod(factorial(len(r)) // prod(factorial(r.count(x)) for x in set(r)) for r in sorted_runs)
             for lo, hi in runs:
-                run = digits[lo:hi]
-                size *= factorial(hi - lo) // prod(factorial(run.count(x)) for x in set(run))
-                digits[lo:hi] = run[::-1]
+                digits[lo:hi] = digits[lo:hi][::-1]
             # 2*O[c] - d[c] = W[c] - 1 - d[c] sorts each reversed run again
-            twins[k] = (mirror - pack(digits), size)
+            twins[k] = (mirror - pack(digits), sizes[ties])
         return k
 
-    def orbit_dot(left: dict[int, int], right: dict[int, int]) -> int:
-        return sum(c * (right.get(kt, 0) // n) for key, c in left.items() for kt, n in (twins[key],))
+    def dot(left: dict[int, int], right: dict[int, int]) -> int:
+        get = right.get
+        if runs:
+            return sum(c * (get(kt, 0) // n) for key, c in left.items() for kt, n in (twins[key],))
+        return sum(c * get(mirror - key, 0) for key, c in left.items())
 
-    out = [1] + [0] * terms
     g = {origin: 1}
     for a in range(1, half + 1):
-        rem = terms - a
+        rem = top - a
         # (width, lowest digit, highest digit) after this step of each
         # coordinate through the last one whose digit can leave the box
         cut = _decoded_digits(s_plus, s_minus, a, rem)
         box = [(w, o - rem * sp, o + rem * sm) for w, o, sp, sm in zip(widths[:cut], offsets, s_plus, s_minus)]
         nxt = _times(g, steps)
-        if box or runs:
+        if box:
             formed, nxt = nxt, {}
-            get = nxt.get
             for key, c in formed.items():
                 rest = key
                 for w, lo, hi in box:
@@ -262,24 +282,21 @@ def constant_term_series(f: LaurentPolynomial, terms: int = 20) -> IntegerSeries
                     if digit < lo or digit > hi:
                         break
                 else:
-                    if runs:
-                        k = orbit_of.get(key)
-                        if k is None:
-                            k = orbit_of[key] = canonical(key)
-                        key = k
-                    nxt[key] = get(key, 0) + c
-        get = nxt.get
+                    nxt[key] = c
+        if runs:
+            formed, nxt = nxt, {}
+            get = nxt.get
+            for key, c in formed.items():
+                k = orbit_of.get(key)
+                if k is None:
+                    k = orbit_of[key] = canonical(key)
+                nxt[k] = get(k, 0) + c
         for key in [key for key, c in nxt.items() if not c]:
             del nxt[key]
         # g = f^(a-1), the smaller power, drives the odd sum
-        if runs:
-            out[2 * a - 1] = orbit_dot(g, nxt)
-            if 2 * a <= terms:
-                out[2 * a] = orbit_dot(nxt, nxt)
-        else:
-            out[2 * a - 1] = sum(cg * get(mirror - kg, 0) for kg, cg in g.items())
-            if 2 * a <= terms:
-                out[2 * a] = sum(c * get(mirror - key, 0) for key, c in nxt.items())
+        for i, left in ((2 * a - 1, g), (2 * a, nxt)):
+            if i <= top and not i % d:
+                out[i] = dot(left, nxt)
         g = nxt
     return IntegerSeries(tuple(out))
 

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import coefficient_in_power, determinant_3x3, random_unimodular
-from weaklg.laurent import LaurentPolynomial
+from support import coefficient_in_power, convolve_terms, determinant_3x3, random_unimodular
+from weaklg.laurent import LaurentPolynomial, _times
 
 import random
 
@@ -21,6 +21,22 @@ def laurent_polys(nvars: int) -> st.SearchStrategy[LaurentPolynomial]:
     return st.dictionaries(exponents(nvars), coeff, max_size=6).map(
         lambda d: LaurentPolynomial(nvars, d)
     )
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.dictionaries(st.integers(-4, 4), st.integers(-3, 3), max_size=6),
+       st.dictionaries(st.integers(-4, 4), st.sampled_from([-2, -1, 1, 1, 1, 2, 3]), max_size=6))
+def test_packed_product_by_coefficient_groups_matches_convolution(g: dict[int, int], f: dict[int, int]) -> None:
+    # one-variable exponents are their own packed keys; f's coefficients
+    # repeat, so most groups have several keys, and small signed
+    # coefficients make sums cancel
+    def vectors(keyed: dict[int, int]) -> dict[tuple[int, ...], int]:
+        return {(k,): c for k, c in keyed.items() if c}
+
+    out = _times(g, list(f.items()))
+    # every sum kg + kf is kept, zero sums included
+    assert set(out) == {kg + kf for kg in g for kf in f}
+    assert vectors(out) == convolve_terms(vectors(g), vectors(f))
 
 
 def test_zero_coefficients_are_dropped() -> None:

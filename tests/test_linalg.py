@@ -15,7 +15,31 @@ from support import (
     oracle_rank,
     random_unimodular,
 )
-from weaklg.linalg import det, first_dependent_mod, nullspace, rank
+from weaklg.linalg import axis_generator, det, first_dependent_mod, nullspace, rank
+
+
+def test_axis_generator_examples() -> None:
+    # rows (e, 1): x^2 + 1/x^4 and x + 1/x^2 reach the origin in three
+    # terms, x + y + z + 1/(x*y*z) in four, x alone never
+    assert axis_generator(((2, 1), (-4, 1))) == 3
+    assert axis_generator(((1, 1), (-2, 1))) == 3
+    assert axis_generator(((1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1), (-1, -1, -1, 1))) == 4
+    assert axis_generator(((1, 1),)) == 0
+    assert axis_generator(()) == 0
+    assert axis_generator(((0, 0, 1), (1, 2, 1))) == 1
+
+
+@given(st.integers(min_value=0, max_value=2**32))
+def test_axis_generator_keeps_the_row_span_and_the_axis(seed: int) -> None:
+    # a unimodular change of the rows keeps their span, and one of the
+    # columns but the last keeps the axis (0, ..., 0, i) pointwise
+    rng = random.Random(seed)
+    n = rng.randint(1, 3)
+    rows = [[rng.randint(-3, 3) for _ in range(n)] + [rng.randint(-2, 2)] for _ in range(n + 1)]
+    u, v = random_unimodular(rng, n + 1), random_unimodular(rng, n) if n > 1 else ((1,),)
+    mixed = [[sum(u[i][k] * rows[k][j] for k in range(n + 1)) for j in range(n + 1)] for i in range(n + 1)]
+    moved = [[sum(v[j][k] * row[k] for k in range(n)) for j in range(n)] + [row[-1]] for row in mixed]
+    assert axis_generator(moved) == axis_generator(rows)
 
 
 def test_det_examples() -> None:

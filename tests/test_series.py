@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import unittest.mock
 
 import pytest
@@ -13,6 +14,7 @@ from weaklg.corpus import get_entry, load_corpus
 from weaklg.expr import parse, to_laurent
 from weaklg import series
 from weaklg.laurent import LaurentPolynomial, _times
+from weaklg.linalg import axis_generator
 from weaklg.series import (
     COEFFICIENT_WORK,
     MAX_SERIES_WORK,
@@ -224,6 +226,14 @@ def test_forced_orbit_sums_agree_with_naive_on_block_symmetric_supports(data: st
         assert constant_term_series(f, terms).coeffs == constant_term_series_naive(f, terms)
 
 
+def graded_truncation(f: LaurentPolynomial, terms: int) -> int:
+    """d * floor(T/d), the last index at most T that f's grading d admits
+    (0 when d = 0): constant_term_series runs its power steps to that.  It
+    takes d = 1 when the grading's |f| * (n+1)^2 steps pass its work bound."""
+    d = axis_generator([(*e, 1) for e in f.terms]) if len(f) * (f.nvars + 1) ** 2 <= _work_bound(f, terms) else 1
+    return d * (terms // d) if d else 0
+
+
 def cutting_steps(f: LaurentPolynomial, terms: int) -> list[int]:
     """The power steps of constant_term_series(f, terms) that can drop a key."""
     s_plus, s_minus = _reach(f)
@@ -295,7 +305,9 @@ def test_a_step_cuts_no_coordinate_it_does_not_decode(f: LaurentPolynomial, term
 @given(st.one_of(mixed_reach_polys(), lopsided_polys()), st.integers(min_value=1, max_value=7))
 def test_plain_kernel_keeps_each_power_exactly_in_its_box(f: LaurentPolynomial, terms: int) -> None:
     # a step that decoded too few digits would keep monomials outside the
-    # box, which no sum needs: the series stays right, the work does not
+    # box, which no sum needs: the series stays right, the work does not.
+    # The kernel runs to the last index its grading d can make nonzero,
+    # d * floor(T/d), and prunes for that truncation.
     kept = []
 
     def times(g, steps):
@@ -306,10 +318,11 @@ def test_plain_kernel_keeps_each_power_exactly_in_its_box(f: LaurentPolynomial, 
             unittest.mock.patch.object(series, "ORBIT_MIN_SAVING", MAX_SERIES_WORK):
         constant_term_series(f, terms)
     s_plus, s_minus = _reach(f)
+    top = graded_truncation(f, terms)
     boxed = [
-        sum(all(-(terms - a) * sp <= x <= (terms - a) * sm for x, sp, sm in zip(e, s_plus, s_minus))
+        sum(all(-(top - a) * sp <= x <= (top - a) * sm for x, sp, sm in zip(e, s_plus, s_minus))
             for e in term_power(dict(f.terms), a, f.nvars))
-        for a in range((terms + 1) // 2)
+        for a in range((top + 1) // 2)
     ]
     assert kept == boxed
 
@@ -366,14 +379,15 @@ def test_detected_groups_of_the_corpus() -> None:
     (12, {1, 2, 4, 5, 8, 9}),
     (20, {1, 2, 4, 5, 8, 9}),
     (30, {1, 2, 3, 4, 5, 8, 9, 15}),
-    (40, {1, 2, 3, 4, 5, 8, 9, 15, 17}),
+    (40, {1, 2, 3, 4, 5, 8, 9, 15}),
+    (42, {1, 2, 3, 4, 5, 8, 9, 15, 17}),
 ])
 def test_orbit_rule_on_the_corpus_depends_on_the_truncation(terms: int, chosen: set[int]) -> None:
     # |f| * (|G| - 1) * ceil(T/2) >= 6 * ORBIT_MIN_SAVING: at T = 11, 12 the
-    # S3 entries of 15 terms or more; at T = 40 also entries 15 (saving 35)
-    # and 17 (saving 20), not entry 16 (saving 5).  f is the polynomial less
-    # its constant term, as verify runs it; entries 15-17 have none, as
-    # pfop runs them.
+    # S3 entries of 15 terms or more; from T = 30 also entries 3 (saving
+    # 29) and 15 (saving 35), from 21 steps on entry 17 (saving 20), never
+    # entry 16 (saving 5).  f is the polynomial less its constant term, as
+    # verify runs it; entries 15-17 have none, as pfop runs them.
     half = (terms + 1) // 2
     for entry in load_corpus():
         f = entry.laurent()
@@ -409,6 +423,71 @@ def test_orbit_sums_on_interleaved_blocks_of_two_and_three() -> None:
     assert _symmetric_blocks(f) == [[0, 2], [1, 3, 4]]
     assert _orbit_runs(f, 3, MAX_SERIES_WORK, reach(f)) == ([0, 2, 1, 3, 4], [(0, 2), (2, 5)])
     assert constant_term_series(f, 5).coeffs == constant_term_series_naive(f, 5)
+
+
+@st.composite
+def graded_polys(draw: st.DrawFn, symmetric: bool) -> tuple[LaurentPolynomial, int]:
+    """(f, d) with <w, e> = 1 (mod d) on f's support for some w, d in
+    {2, 3, 4}: i terms of f sum to the origin only if d | i.  With
+    `symmetric`, w is constant on random blocks and each drawn term is
+    spread over its orbit, so every swap within a block fixes f."""
+    d = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.integers(1, 3))
+    if symmetric:
+        labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        blocks = [[c for c in range(n) if labels[c] == b] for b in sorted(set(labels))]
+    else:
+        blocks = [[c] for c in range(n)]
+    w = [0] * n
+    for i, b in enumerate(blocks):
+        weight = 1 if i == 0 else draw(st.integers(0, d - 1))
+        for c in b:
+            w[c] = weight
+    seeds = draw(st.dictionaries(st.tuples(*(st.integers(-1, 1) for _ in range(n))), st.integers(-3, 3).filter(bool),
+                                 min_size=1, max_size=5))
+    terms: dict[tuple[int, ...], int] = {}
+    for e, cf in seeds.items():
+        # w = 1 on the first block's first coordinate: move e onto the coset
+        e = list(e)
+        e[blocks[0][0]] += (1 - sum(map(operator.mul, w, e))) % d
+        if tuple(e) not in terms:
+            terms.update(dict.fromkeys(block_orbit(tuple(e), blocks), cf))
+    return LaurentPolynomial(n, terms), d
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_supports_on_an_affine_sublattice_agree_with_naive(symmetric: bool, data: st.DataObject) -> None:
+    f, d = data.draw(graded_polys(symmetric))
+    grading = axis_generator([(*e, 1) for e in f.terms])
+    assert grading % d == 0
+    terms = data.draw(short_terms(f))
+    # a truncation that d divides and one it does not
+    for t in {terms, terms - 1 if terms % d == 0 else d * (terms // d)} - {0}:
+        event(f"d divides T: {t % d == 0}")
+        naive = constant_term_series_naive(f, t)
+        assert constant_term_series(f, t).coeffs == naive
+        with unittest.mock.patch.object(series, "ORBIT_MIN_SAVING", 0):
+            assert constant_term_series(f, t).coeffs == naive
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.one_of(small_polys(), lopsided_polys(), graded_polys(False).map(lambda fd: fd[0])),
+       st.integers(min_value=1, max_value=8))
+def test_every_nonzero_coefficient_index_is_a_multiple_of_the_grading(f: LaurentPolynomial, terms: int) -> None:
+    assume(len(f) ** min(terms, 4) <= 10**4)
+    grading = axis_generator([(*e, 1) for e in f.terms])
+    event(f"grading {grading}")
+    naive = constant_term_series_naive(f, terms)
+    assert all(not c for i, c in enumerate(naive) if i and (not grading or i % grading))
+
+
+def test_grading_of_the_corpus_is_the_fano_index() -> None:
+    for entry in load_corpus():
+        f = entry.laurent()
+        f = f - f.constant_term()
+        assert axis_generator([(*e, 1) for e in f.terms]) == entry.fano_index, entry.id
 
 
 @pytest.mark.parametrize("terms", [1, 2, 3, 4])
