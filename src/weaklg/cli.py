@@ -106,13 +106,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
                 "degree": e.degree,
                 "description": e.description,
                 "polynomial": e.polynomial,
-                "checks": sorted(
-                    name
-                    for name, present in (
-                        ("reference", e.reference), ("ci", e.ci), ("alternates", e.alternates),
-                    )
-                    if present
-                ),
+                "checks": e.series_check_keys(),
             }
             for e in entries
         ]
@@ -136,7 +130,8 @@ def _cmd_series(args: argparse.Namespace) -> int:
         )
     s = constant_term_series(f, args.terms)
     if args.format == "json":
-        # the bytes _emit prints for {"terms": T, "series": s.to_json()},
+        # the bytes _emit prints for {"terms": T, "series": [str(c), ...]}
+        # (decimal strings: the integers overflow doubles long before T=20),
         # written a coefficient at a time instead of as one document
         write = sys.stdout.write
         sep = '\n    '
@@ -150,30 +145,11 @@ def _cmd_series(args: argparse.Namespace) -> int:
     return 0
 
 
-def _report_lines(report) -> list[str]:
-    def check(label: str, m) -> str:
-        return f"  {label}: ok" if m.matched else f"  {label}: MISMATCH at t^{m.first_mismatch}: {m.left} != {m.right}"
-
-    lines = [f"entry {report.entry_id}: shift {report.shift}"]
-    lines.append("  series " + ", ".join(str(c) for c in report.series[: min(8, len(report.series))])
-                 + (", ..." if len(report.series) > 8 else ""))
-    if report.reference is not None:
-        lines.append(check("reference", report.reference))
-    if report.ci is not None:
-        lines.append(check("closed form", report.ci))
-    lines += [check(f"alternate {i}", alt) for i, alt in enumerate(report.alternates)]
-    lines.append(f"  origin interior: {report.origin_interior}")
-    sw = report.semiweak
-    detail = f"dual volume {sw.dual_volume} vs degree {sw.expected}" if sw.dual_volume is not None else (sw.reason or "")
-    lines.append(f"  semiweak: {'yes' if sw.ok else 'no'} ({detail})")
-    lines.append(f"  passed: {report.passed}")
-    return lines
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
-    entry = get_entry(args.entry, args.corpus)
-    report = verify_entry(entry, args.terms)
-    _emit(args, report.to_json_dict(), _report_lines(report))
+    if args.entry is None:
+        raise ValueError("--entry is required")
+    report = verify_entry(get_entry(args.entry, args.corpus), args.terms)
+    _emit(args, report.to_json_dict(), report.text_lines())
     return 0 if report.passed else 1
 
 
@@ -183,7 +159,7 @@ def _cmd_verify_all(args: argparse.Namespace) -> int:
     payload = {"passed": all_passed, "reports": [r.to_json_dict() for r in reports]}
     lines = []
     for r in reports:
-        lines.extend(_report_lines(r))
+        lines.extend(r.text_lines())
     lines.append(f"overall: {'pass' if all_passed else 'FAIL'}")
     _emit(args, payload, lines)
     return 0 if all_passed else 1
@@ -204,9 +180,9 @@ def _cmd_polytope(args: argparse.Namespace) -> int:
 
 
 def _cmd_semiweak(args: argparse.Namespace) -> int:
+    f, _ = _input_polynomial(args)
     if args.entry is None and args.target is None:
         raise ValueError("--target is required with --poly")
-    f, _ = _input_polynomial(args)
     target = args.target if args.target is not None else get_entry(args.entry, args.corpus).degree
     report = semiweak_check(f, target)
     payload = report.to_json_dict()

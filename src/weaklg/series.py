@@ -86,10 +86,6 @@ class IntegerSeries:
     def __len__(self) -> int:
         return len(self.coeffs)
 
-    def to_json(self) -> list[str]:
-        # Decimal strings: the integers overflow doubles long before T=20.
-        return [str(c) for c in self.coeffs]
-
 
 @dataclass(frozen=True)
 class MatchReport:

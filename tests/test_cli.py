@@ -188,6 +188,8 @@ def test_semiweak_exit_codes() -> None:
     assert run("semiweak", "--poly", "x+y+1/(x*y)", "--target", "99")[0] == 1
     code, out, err = run("semiweak", "--entry", "3", "--poly", "x+y")
     assert code == 2 and out == "" and "give either --entry or --poly, not both" in err
+    assert run("semiweak") == (2, "", "error: one of --entry or --poly is required\n")
+    assert run("semiweak", "--poly", "x+1/x") == (2, "", "error: --target is required with --poly\n")
 
 
 def test_ehrhart_counts_and_interpolation() -> None:
@@ -473,6 +475,7 @@ def test_error_paths_exit_two() -> None:
     assert code == 2 and err.startswith("error:")
     code, _, err = run("verify", "--entry", "99")
     assert code == 2 and "no entry 99" in err
+    assert run("verify", "--terms", "8") == (2, "", "error: --entry is required\n")
     code, _, err = run("series", "--entry", "17", "--corpus", "/nonexistent.json")
     assert code == 2
     code, _, err = run("construct", "toric", "--rays", "1,0;1,0")
@@ -682,13 +685,15 @@ def test_series_budget_counts_the_variables() -> None:
 
 
 # A small grammar of hostile inputs.  Every polynomial it draws is tiny or
-# refused by a budget, and every --kmax or series --terms above 41 that it
-# draws is past the budgets, so each call ends within the wall bound below: those
-# budgets admit work of up to some tens of seconds, which a fuzz test cannot
-# afford per example.  series --terms also draws the admitted 13, 30 and 41,
-# which take milliseconds on these polynomials.  pfop --terms and identity
-# --trials range over sizes their budgets admit and refuse, since those
-# budgets admit at most seconds.
+# refused by a budget, and every series --terms above 41 that it draws is past
+# the budgets, so each call ends within the wall bound below: those budgets
+# admit work of up to some tens of seconds, which a fuzz test cannot afford
+# per example.  series --terms also draws the admitted 13, 30 and 41, which
+# take milliseconds on these polynomials.  ehrhart --kmax draws 40, 100 and
+# 400 besides, with or without --dual: the budget admits some of them (x+1/x
+# at 400, x+y+z+1/(x*y*z) --dual at 40), each within some 0.06 s, and refuses
+# the rest.  pfop --terms and identity --trials range over sizes their budgets
+# admit and refuse, since those budgets admit at most seconds.
 EXPONENTS = st.sampled_from(["0", "1", "2", "-1", "-99999", "99999", "30000000", "1000000000000"])
 CHAINS = st.builds(lambda op, n: op.join(["x"] * n), st.sampled_from("+-*/"), st.sampled_from([2, 99, 5000]))
 NESTS = st.builds(lambda opener, depth: opener * depth + "x" + ")" * depth * (opener == "("),
@@ -701,6 +706,8 @@ JUNK = st.text(alphabet="xy+-*/^()019 ", max_size=20)
 POLYS = st.one_of(CHAINS, NESTS, POWERS, PLAIN, JUNK)
 SIZES = st.sampled_from(["-1", "0", "1", "2", "12", "1000000000", "1000000000000"])
 SERIES_TERMS = st.one_of(SIZES, st.sampled_from(["13", "30", "41"]))
+KMAX = st.one_of(SIZES, st.sampled_from(["40", "100", "400"]))
+DUAL = st.sampled_from([[], ["--dual"]])
 SWEEP_TERMS = st.sampled_from(["-1", "0", "1", "8", "30", "60", "100", "800", "1000000000"])
 TRIALS = st.sampled_from(["-1", "0", "1", "20", "100", "1000", "100000", "1000000000000"])
 PLANS = st.sampled_from(["0:a", "0:b", "0:X11;4:X42", "", ":", "0:", "x:a", "-1:a", "99:a", "0:a;0:a", "0:a;1:a"])
@@ -716,9 +723,9 @@ def hostile_argv(draw) -> tuple[list[str], str | None]:
     if command == "identity":
         return ["identity", "--left", draw(POLYS), "--right", draw(POLYS), "--trials", draw(TRIALS)], None
     if command == "polytope":
-        return ["polytope", "--poly", draw(POLYS), *draw(st.sampled_from([[], ["--dual"]]))], None
+        return ["polytope", "--poly", draw(POLYS), *draw(DUAL)], None
     if command == "ehrhart":
-        return ["ehrhart", "--poly", draw(POLYS), "--kmax", draw(SIZES)], None
+        return ["ehrhart", "--poly", draw(POLYS), "--kmax", draw(KMAX), *draw(DUAL)], None
     if command == "pfop":
         return ["pfop", "--poly", draw(POLYS), "--terms", draw(SWEEP_TERMS)], None
     model = draw(st.one_of(

@@ -180,13 +180,20 @@ def test_load_corpus_rejects_inconsistent_ci_block(tmp_path: Path) -> None:
         load_corpus(write_corpus(tmp_path, doc))
 
 
+def details(report) -> dict:
+    return {c.key: c.detail for c in report.checks}
+
+
 def test_verify_entry_passes_on_published_series() -> None:
     r = verify_entry(get_entry(7), terms=6)
     assert r.passed and bool(r)
     assert r.shift == 4
-    assert r.reference is not None and r.reference.matched
-    assert r.origin_interior
-    assert r.semiweak.ok
+    assert [c.key for c in r.checks] == ["reference", "origin_interior", "semiweak"]
+    assert all(c.passed for c in r.checks)
+    checks = details(r)
+    assert checks["reference"].matched
+    assert checks["origin_interior"] is True
+    assert checks["semiweak"].ok
     d = r.to_json_dict()
     assert d["passed"] is True
     assert d["series"][0] == "1"
@@ -201,19 +208,34 @@ def test_verify_entry_catches_a_tampered_reference() -> None:
     )
     r = verify_entry(tampered, terms=6)
     assert not r.passed
-    assert r.reference is not None
-    assert not r.reference.matched
-    assert r.reference.first_mismatch == 3
+    reference = r.checks[0]
+    assert reference.key == "reference" and not reference.passed
+    assert not reference.detail.matched
+    assert reference.detail.first_mismatch == 3
+    assert reference.lines[0].startswith("reference: MISMATCH at t^3: ")
+    assert [c.passed for c in r.checks[1:]] == [True, True]
 
 
 def test_verify_entry_checks_ci_and_alternates() -> None:
     r11 = verify_entry(get_entry(11), terms=8)
     assert r11.passed
-    assert r11.alternates and all(m.matched for m in r11.alternates)
+    alternates = details(r11)["alternates"]
+    assert alternates and all(m.matched for m in alternates)
     assert r11.series[2] == 120
     r13 = verify_entry(get_entry(13), terms=8)
     assert r13.passed
-    assert r13.ci is not None and r13.ci.matched
+    assert details(r13)["ci"].matched
+
+
+def test_report_json_and_text_iterate_the_checks() -> None:
+    r = verify_entry(get_entry(11), terms=8)
+    assert hash(r) == hash(verify_entry(get_entry(11), terms=8))
+    d = r.to_json_dict()
+    assert set(d) == {"entry", "terms", "shift", "series", "passed", *(c.key for c in r.checks)}
+    assert d["alternates"] == [{"matched": True, "upto": 8}]
+    lines = r.text_lines()
+    assert lines[2:-1] == ["  " + line for c in r.checks for line in c.lines]
+    assert lines[-1] == "  passed: True"
 
 
 def test_verify_entry_is_deterministic() -> None:
@@ -229,6 +251,23 @@ def test_verify_entry_requires_enough_terms() -> None:
 def test_entry_laurent_matches_direct_parse() -> None:
     e = get_entry(9)
     assert e.laurent() == to_laurent(parse(e.polynomial), ("x", "y", "z"))
+
+
+def test_corpus_polynomial_refusals_name_the_entry_and_field(tmp_path: Path) -> None:
+    for field, bad, cause in (
+        ("polynomial", "(x+1)^99999", "MAX_POWER_TERMS"),
+        ("polynomial", "a+b", "unknown variable 'a'"),
+        ("polynomial", "1/(x-x)", "non-monomial denominator"),
+        ("alternates", ["x+1/x", "x+y^"], "expected an integer"),
+    ):
+        doc = builtin_doc()
+        doc["entries"][2][field] = bad
+        with pytest.raises(CorpusError) as err:
+            load_corpus(write_corpus(tmp_path, doc))
+        message = str(err.value)
+        assert message.startswith("entry 3: field 'polynomial'" if field == "polynomial"
+                                  else "entry 3: field 'alternates[1]'"), message
+        assert cause in message, message
 
 
 def test_fano_entry_rejects_wrong_variables() -> None:

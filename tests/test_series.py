@@ -58,10 +58,6 @@ def test_integer_series_validation() -> None:
         IntegerSeries((1, 0.5))  # type: ignore[arg-type]
 
 
-def test_integer_series_to_json_uses_decimal_strings() -> None:
-    assert IntegerSeries((1, 0, -12)).to_json() == ["1", "0", "-12"]
-
-
 def test_central_binomial_series() -> None:
     f = LaurentPolynomial(1, {(1,): 1, (-1,): 1})
     s = constant_term_series(f, 10)
