@@ -231,7 +231,10 @@ def check_sweep_budget(terms: int, bits: int, max_order: int = 4, max_degree: in
     entries, so the bound covers find_annihilator(s, max_order, max_degree)
     alone as well.  The sweep solves a second cell only after a candidate
     that is dependent mod p but not over the rationals, and charges it then.
+    Negative bounds are refused as find_annihilator refuses them.
     """
+    if max_order < 0 or max_degree < 0:
+        raise ValueError("order and degree must be >= 0")
     rows = terms + 1
     work = _solve_work(terms, bits, max_order, max_degree)
     for m in range(max_order + 1):

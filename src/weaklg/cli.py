@@ -31,7 +31,7 @@ from .constructors import (
     toric_polynomial,
     weighted_hypersurface_system,
 )
-from .corpus import CORPUS_VARIABLES, CorpusError, get_entry, load_corpus, verify_entry
+from .corpus import CorpusError, get_entry, load_corpus, semiweak_line, verify_entry
 from .laurent import LaurentPolynomial
 from .polytopes import (
     Polytope,
@@ -42,7 +42,7 @@ from .polytopes import (
     normalized_volume,
     semiweak_check,
 )
-from .series import check_series_budget, constant_term_series
+from .series import constant_term_series
 
 
 def _emit(args: argparse.Namespace, payload: dict, text_lines: Iterable[str]) -> None:
@@ -63,32 +63,20 @@ def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
         raise ValueError(f"{what} must be a comma-separated integer list, got {text!r}") from None
 
 
-def _input_polynomial(args: argparse.Namespace) -> tuple[LaurentPolynomial, tuple[str, ...]]:
-    """Resolve --entry/--poly to a Laurent polynomial and variable names."""
+def _input_polynomial(args: argparse.Namespace) -> LaurentPolynomial:
+    """Resolve --entry/--poly to a Laurent polynomial."""
     if getattr(args, "entry", None) is not None and getattr(args, "poly", None):
         raise ValueError("give either --entry or --poly, not both")
     if getattr(args, "entry", None) is not None:
-        entry = get_entry(args.entry, args.corpus)
-        return entry.laurent(), CORPUS_VARIABLES
+        return get_entry(args.entry, args.corpus).laurent()
     if getattr(args, "poly", None):
         e = ex.parse(args.poly)
-        names = tuple(ex.variables(e)) or ("x",)
-        return ex.to_laurent(e, names), names
+        return ex.to_laurent(e, tuple(ex.variables(e)) or ("x",))
     raise ValueError("one of --entry or --poly is required")
 
 
-def _polytope_payload(p: Polytope) -> dict:
-    payload = p.to_json_dict()
-    payload["origin_interior"] = contains_origin_interior(p)
-    if p.is_full_dimensional:
-        vol = normalized_volume(p)
-        payload["normalized_volume"] = str(vol.numerator) if vol.denominator == 1 else str(vol)
-    return payload
-
-
 def _selected_polytope(args: argparse.Namespace) -> Polytope:
-    f, _ = _input_polynomial(args)
-    p = newton_polytope(f)
+    p = newton_polytope(_input_polynomial(args))
     if getattr(args, "dual", False):
         p = dual_polytope(p)
     return p
@@ -119,16 +107,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_series(args: argparse.Namespace) -> int:
-    f, _ = _input_polynomial(args)
-    check_series_budget(f, args.terms)
-    # Python refuses to print an int past the digit limit; |phi(i)| <= norm^i
-    limit = ex.past_digit_limit(sum(abs(c) for c in f.terms.values()), args.terms)
-    if limit:
-        raise ValueError(
-            f"the series to t^{args.terms} may have coefficients of more than {limit} digits"
-            f" (the limit sys.get_int_max_str_digits() on printing an integer)"
-        )
-    s = constant_term_series(f, args.terms)
+    s = constant_term_series(_input_polynomial(args), args.terms)
     if args.format == "json":
         # the bytes _emit prints for {"terms": T, "series": [str(c), ...]}
         # (decimal strings: the integers overflow doubles long before T=20),
@@ -167,10 +146,13 @@ def _cmd_verify_all(args: argparse.Namespace) -> int:
 
 def _cmd_polytope(args: argparse.Namespace) -> int:
     p = _selected_polytope(args)
-    payload = _polytope_payload(p)
+    payload = p.to_json_dict()
+    payload["origin_interior"] = contains_origin_interior(p)
     lines = [f"dim {p.dim}, {len(p.vertices)} vertices, {len(p.facets)} facets"]
     lines += ["vertex " + " ".join(str(c) for c in v) for v in p.vertices]
-    if "normalized_volume" in payload:
+    if p.is_full_dimensional:
+        vol = normalized_volume(p)
+        payload["normalized_volume"] = str(vol.numerator) if vol.denominator == 1 else str(vol)
         lines.append(f"origin interior: {payload['origin_interior']}")
         lines.append(f"normalized volume: {payload['normalized_volume']}")
     else:
@@ -180,19 +162,12 @@ def _cmd_polytope(args: argparse.Namespace) -> int:
 
 
 def _cmd_semiweak(args: argparse.Namespace) -> int:
-    f, _ = _input_polynomial(args)
+    f = _input_polynomial(args)
     if args.entry is None and args.target is None:
         raise ValueError("--target is required with --poly")
     target = args.target if args.target is not None else get_entry(args.entry, args.corpus).degree
     report = semiweak_check(f, target)
-    payload = report.to_json_dict()
-    if report.ok:
-        lines = [f"semiweak: yes (dual volume {report.dual_volume} == degree {target})"]
-    elif report.dual_volume is not None:
-        lines = [f"semiweak: no (dual volume {report.dual_volume} != degree {target})"]
-    else:
-        lines = [f"semiweak: no ({report.reason})"]
-    _emit(args, payload, lines)
+    _emit(args, report.to_json_dict(), [semiweak_line(report)])
     return 0 if report.ok else 1
 
 
@@ -210,17 +185,13 @@ def _cmd_ehrhart(args: argparse.Namespace) -> int:
 
 
 def _cmd_pfop(args: argparse.Namespace) -> int:
-    f, _ = _input_polynomial(args)
+    f = _input_polynomial(args)
     if (args.order is None) != (args.degree is None):
         raise ValueError("--order and --degree must be given together")
-    check_series_budget(f, args.terms)
     # |phi(i)| <= norm^i < 2^(i * bitlen(norm^64) / 64), and phi(0) = 1
     norm = sum(abs(c) for c in f.terms.values())
     bits = max(1, -(-args.terms * (norm**64).bit_length() // 64))
-    if args.order is not None:
-        check_sweep_budget(args.terms, bits, args.order, args.degree)
-    else:
-        check_sweep_budget(args.terms, bits)
+    check_sweep_budget(args.terms, bits, *(() if args.order is None else (args.order, args.degree)))
     s = constant_term_series(f, args.terms)
     if args.order is not None:
         order, degree, basis = args.order, args.degree, find_annihilator(s, args.order, args.degree)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -77,10 +77,15 @@ class FanoEntry:
     weighted: WeightedHypersurface | None = None
 
     def laurent(self) -> LaurentPolynomial:
-        return _to_corpus_laurent(self.polynomial)
+        return self._laurents[0]
 
     def alternate_laurents(self) -> tuple[LaurentPolynomial, ...]:
-        return tuple(_to_corpus_laurent(a) for a in self.alternates)
+        return self._laurents[1:]
+
+    @cached_property
+    def _laurents(self) -> tuple[LaurentPolynomial, ...]:
+        # the polynomial, then each alternate; _parse_entry keeps those it validated
+        return tuple(map(_to_corpus_laurent, (self.polynomial, *self.alternates)))
 
     def series_check_keys(self) -> list[str]:
         """Sorted keys of the series checks that this entry's data admits."""
@@ -159,13 +164,12 @@ def _as_int(value: object, entry_id: object, field: str) -> int:
     return value  # type: ignore[return-value]
 
 
-def _parse_polynomial(text: object, entry_id: object, field: str) -> str:
+def _parse_polynomial(text: object, entry_id: object, field: str) -> LaurentPolynomial:
     _require(isinstance(text, str) and bool(text), entry_id, field, "must be a nonempty string")
     try:
-        _to_corpus_laurent(text)  # type: ignore[arg-type]
+        return _to_corpus_laurent(text)  # type: ignore[arg-type]
     except ValueError as err:  # a parse error, a stray name, a non-monomial denominator or a budget
         raise CorpusError(f"entry {entry_id}: field {field!r} is refused as a Laurent polynomial in x, y, z: {err}") from err
-    return text  # type: ignore[return-value]
 
 
 def _parse_entry(raw: object, position: int) -> FanoEntry:
@@ -187,13 +191,10 @@ def _parse_entry(raw: object, position: int) -> FanoEntry:
     _require(degree > 0, eid, "degree", "must be positive")
     description = raw["description"]
     _require(isinstance(description, str) and bool(description), eid, "description", "must be a nonempty string")
-    polynomial = _parse_polynomial(raw["polynomial"], eid, "polynomial")
-
-    alternates: list[str] = []
-    if "alternates" in raw:
-        _require(isinstance(raw["alternates"], list), eid, "alternates", "must be a list")
-        for i, alt in enumerate(raw["alternates"]):
-            alternates.append(_parse_polynomial(alt, eid, f"alternates[{i}]"))
+    laurents = [_parse_polynomial(raw["polynomial"], eid, "polynomial")]
+    alternates = raw.get("alternates", [])
+    _require(isinstance(alternates, list), eid, "alternates", "must be a list")
+    laurents += (_parse_polynomial(alt, eid, f"alternates[{i}]") for i, alt in enumerate(alternates))
 
     reference = None
     if "reference_series" in raw:
@@ -246,17 +247,19 @@ def _parse_entry(raw: object, position: int) -> FanoEntry:
             raise CorpusError(f"entry {eid}: field 'weighted' is invalid: {err}") from err
         weighted = WeightedHypersurface(weights, d, partition)
 
-    return FanoEntry(
+    entry = FanoEntry(
         id=eid,
         fano_index=fano_index,
         degree=degree,
         description=description,
-        polynomial=polynomial,
+        polynomial=raw["polynomial"],
         alternates=tuple(alternates),
         reference=reference,
         ci=ci,
         weighted=weighted,
     )
+    object.__setattr__(entry, "_laurents", tuple(laurents))  # converted once, when validated
+    return entry
 
 
 def load_corpus(path: str | Path | None = None) -> tuple[FanoEntry, ...]:
@@ -273,7 +276,8 @@ def load_corpus(path: str | Path | None = None) -> tuple[FanoEntry, ...]:
 
 @cache
 def _load_bundled() -> tuple[FanoEntry, ...]:
-    # Safe to share: a tuple of frozen dataclasses holding only tuples.
+    # Safe to share: a tuple of frozen dataclasses holding only tuples and
+    # Laurent polynomials, which are immutable.
     return _parse_corpus(resources.files("weaklg").joinpath("data/corpus.json").read_text("utf-8"))
 
 
@@ -336,11 +340,16 @@ def verify_entry(entry: FanoEntry, terms: int = 20) -> VerificationReport:
         checks.append(Check("alternates", all(m.matched for m in alternates), alternates,
                             tuple(_match_line(f"alternate {i}", m) for i, m in enumerate(alternates))))
     sw = semiweak_check(f, entry.degree)
-    volume = f"dual volume {sw.dual_volume} vs degree {sw.expected}" if sw.dual_volume is not None else (sw.reason or "")
     checks.append(Check("origin_interior", sw.origin_interior, sw.origin_interior,
                         (f"origin interior: {sw.origin_interior}",)))
-    checks.append(Check("semiweak", sw.ok, sw, (f"semiweak: {'yes' if sw.ok else 'no'} ({volume})",)))
+    checks.append(Check("semiweak", sw.ok, sw, (semiweak_line(sw),)))
     return VerificationReport(entry.id, terms, shift, tuple(canonical.coeffs), tuple(checks))
+
+
+def semiweak_line(sw: SemiweakReport) -> str:
+    """The text verdict of a semiweak check, as `lg verify` and `lg semiweak` print it."""
+    volume = f"dual volume {sw.dual_volume} vs degree {sw.expected}" if sw.dual_volume is not None else sw.reason
+    return f"semiweak: {'yes' if sw.ok else 'no'} ({volume})"
 
 
 def _match_line(label: str, m: MatchReport) -> str:

@@ -14,6 +14,7 @@ from operator import eq
 from typing import Sequence
 
 from .constructors import _check_ci_data
+from .expr import past_digit_limit
 from .laurent import LaurentPolynomial, _mixed_radix, _times
 from .linalg import axis_generator
 
@@ -209,7 +210,8 @@ def constant_term_series(f: LaurentPolynomial, terms: int = 20) -> IntegerSeries
     C(a+|f|-1, |f|-1) of multisets of a terms, and at most the number of
     lattice points in f^a's box that lie within a steps of the origin on
     every coordinate; products and decodes count by the keys' size (see
-    _work_bound).  Past MAX_SERIES_WORK a ValueError names the limit.
+    _work_bound).  Past MAX_SERIES_WORK a ValueError names the limit, as
+    one does when a coefficient may have more digits than Python prints.
     """
     work = check_series_budget(f, terms)
     out = [1] + [0] * terms
@@ -299,8 +301,9 @@ def constant_term_series(f: LaurentPolynomial, terms: int = 20) -> IntegerSeries
 
 def check_series_budget(f: LaurentPolynomial, terms: int) -> int:
     """Raise ValueError if constant_term_series(f, terms) would be refused:
-    terms < 1, or work past MAX_SERIES_WORK.  Return the bound on its work
-    otherwise."""
+    terms < 1, work past MAX_SERIES_WORK, or coefficients that may have more
+    digits than Python prints (|phi(i)| <= norm^i, norm the sum of |f|'s
+    coefficients).  Return the bound on its work otherwise."""
     if terms < 1:
         raise ValueError("terms must be >= 1")
     work = _work_bound(f, terms)
@@ -309,6 +312,12 @@ def check_series_budget(f: LaurentPolynomial, terms: int) -> int:
             f"the series to t^{terms} may need more than {MAX_SERIES_WORK} term products"
             f" (the limit MAX_SERIES_WORK), counting each power step as {STEP_WORK},"
             f" each coefficient as {COEFFICIENT_WORK}, and each product and key decode by its key's size"
+        )
+    limit = past_digit_limit(sum(map(abs, f.terms.values())), terms)
+    if limit:
+        raise ValueError(
+            f"the series to t^{terms} may have coefficients of more than {limit} digits"
+            f" (the limit sys.get_int_max_str_digits() on printing an integer)"
         )
     return work
 

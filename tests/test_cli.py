@@ -136,25 +136,37 @@ def test_verify_reports_mismatch_with_exit_one(tmp_path: Path) -> None:
     assert code == 1
 
 
-def test_verify_counts_the_semiweak_verdict(tmp_path: Path) -> None:
-    # entry 2's dual polytope has normalized volume 4; a corpus that claims
-    # degree 6 fails only the semiweak check
+def corpus_copy(tmp_path: Path, changes: dict[int, dict]) -> Path:
+    """The bundled corpus with the fields in changes[id] replaced, written
+    under tmp_path."""
     import importlib.resources as res
 
     with (res.files("weaklg") / "data" / "corpus.json").open() as fh:
         doc = json.load(fh)
     for e in doc["entries"]:
-        if e["id"] == 2:
-            e["degree"] = 6
-    bad = tmp_path / "corpus.json"
-    bad.write_text(json.dumps(doc))
-    code, out, _ = run("verify", "--entry", "2", "--terms", "6", "--corpus", str(bad))
-    assert code == 1
-    assert "  semiweak: no (dual volume 4 vs degree 6)" in out.splitlines()
-    assert "  passed: False" in out.splitlines()
-    code, out, _ = run("verify", "--entry", "2", "--terms", "6", "--corpus", str(bad), "--format", "json")
-    assert code == 1 and json.loads(out)["passed"] is False
-    code, _, _ = run("verify-all", "--terms", "6", "--corpus", str(bad))
+        e.update(changes.get(e["id"], {}))
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_verify_counts_the_semiweak_verdict(tmp_path: Path) -> None:
+    # entry 2's dual polytope has normalized volume 4; a corpus that claims
+    # degree 6 fails only the semiweak check.  x+y+z spans a triangle.
+    bad = str(corpus_copy(tmp_path, {2: {"degree": 6}, 3: {"polynomial": "x+y+z"}}))
+    for entry, line in ((2, "semiweak: no (dual volume 4 vs degree 6)"),
+                        (3, "semiweak: no (newton polytope is not full-dimensional)"),
+                        (17, "semiweak: yes (dual volume 64 vs degree 64)")):
+        passed = entry == 17
+        code, out, _ = run("verify", "--entry", str(entry), "--terms", "6", "--corpus", bad)
+        assert code == (0 if passed else 1)
+        assert "  " + line in out.splitlines()
+        assert f"  passed: {passed}" in out.splitlines()
+        code, out, _ = run("verify", "--entry", str(entry), "--terms", "6", "--corpus", bad, "--format", "json")
+        assert code == (0 if passed else 1) and json.loads(out)["passed"] is passed
+        # lg semiweak prints lg verify's line
+        assert run("semiweak", "--entry", str(entry), "--corpus", bad) == (0 if passed else 1, line + "\n", "")
+    code, _, _ = run("verify-all", "--terms", "6", "--corpus", bad)
     assert code == 1
 
 
@@ -269,6 +281,13 @@ BUDGET_CASES = [
     # 3.3 s of evaluation, now refused after about 0.8 s of parsing and compiling
     (("identity", "--left", "1/(x-x)" + "/x" * 80000, "--right", "x", "--trials", "1"),
      "(the limit MAX_IDENTITY_WORK)", 2.0),
+    # a corpus whose entry 1 has a coefficient of 10^400: few term products,
+    # but |phi(60)| may reach about 10^24000; this once ran 20 s in the kernel
+    # and then failed to print
+    *((("verify", "--entry", "1", "--terms", "60", *fmt), "digits (the limit sys.get_int_max_str_digits()", 1.0)
+      for fmt in ((), ("--format", "json"))),
+    *((("verify-all", "--terms", "30", *fmt), "digits (the limit sys.get_int_max_str_digits()", 1.0)
+      for fmt in ((), ("--format", "json"))),
 ]
 
 
@@ -286,6 +305,8 @@ def test_series_budgets_refuse_up_front(tmp_path: Path, argv: tuple[str, ...], l
             ' "potential": "x+y+z+w"}'
         )
         argv = (*argv, "--model", str(model_file))
+    if argv[0] in ("verify", "verify-all"):
+        argv = (*argv, "--corpus", str(corpus_copy(tmp_path, {1: {"polynomial": "10^400*x+1/x+y+z+1/(y*z)"}})))
     start = time.perf_counter()
     code, out, err = run(*argv)
     assert time.perf_counter() - start < seconds
@@ -482,6 +503,11 @@ def test_error_paths_exit_two() -> None:
     assert code == 2
     code, _, err = run("construct", "ci", "--n", "0", "--degrees", "")
     assert code == 2 and err == "error: ambient dimension must be >= 1\n"
+    # refused before the series, which takes about 2 s
+    start = time.perf_counter()
+    assert run("pfop", "--entry", "1", "--order", "-1", "--degree", "2", "--terms", "36") == (
+        2, "", "error: order and degree must be >= 0\n")
+    assert time.perf_counter() - start < 1.0
 
 
 def test_argparse_usage_errors_exit_two() -> None:
@@ -622,6 +648,8 @@ def test_constant_powers_are_bounded_by_the_digit_limit(tmp_path: Path, argv: tu
         model_file = tmp_path / "big.json"
         model_file.write_text('{"variables": ["a", "b"], "constraints": ["b"], "potential": "a^30000000 + b"}')
         argv = (*argv, "--model", str(model_file))
+    if argv[0] in ("verify", "verify-all"):
+        argv = (*argv, "--corpus", str(corpus_copy(tmp_path, {1: {"polynomial": "10^400*x+1/x+y+z+1/(y*z)"}})))
     start = time.perf_counter()
     code, out, err = run(*argv)
     assert time.perf_counter() - start < 1.0

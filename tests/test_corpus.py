@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import unittest.mock
 from pathlib import Path
 
 import pytest
@@ -251,6 +252,15 @@ def test_verify_entry_requires_enough_terms() -> None:
 def test_entry_laurent_matches_direct_parse() -> None:
     e = get_entry(9)
     assert e.laurent() == to_laurent(parse(e.polynomial), ("x", "y", "z"))
+
+
+def test_each_corpus_text_is_converted_once(tmp_path: Path) -> None:
+    # validation converts each polynomial and alternate; verify_entry reuses them
+    path = write_corpus(tmp_path, builtin_doc())
+    with unittest.mock.patch("weaklg.expr.to_laurent", wraps=to_laurent) as convert:
+        for e in load_corpus(path):
+            verify_entry(e, terms=12)
+    assert convert.call_count == 18
 
 
 def test_corpus_polynomial_refusals_name_the_entry_and_field(tmp_path: Path) -> None:
