@@ -116,14 +116,8 @@ def _apply_integral(coeffs: Mapping[tuple[int, int], int], s: IntegerSeries) -> 
 
 
 def _strip_content(row: Sequence[int]) -> Sequence[int]:
-    g = 0
-    for v in row:
-        g = gcd(g, abs(v))
-        if g == 1:
-            return row
-    if g > 1:
-        return [v // g for v in row]
-    return row
+    g = gcd(*row)
+    return row if g == 1 else [v // g for v in row]
 
 
 def find_annihilator(

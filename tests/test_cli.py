@@ -170,6 +170,16 @@ def test_verify_counts_the_semiweak_verdict(tmp_path: Path) -> None:
     assert code == 1
 
 
+def test_semiweak_reads_and_converts_its_corpus_once(tmp_path: Path) -> None:
+    # lg verify's counts: the entry gives both the polynomial and the degree
+    path = str(corpus_copy(tmp_path, {}))
+    for command in ("semiweak", "verify"):
+        with unittest.mock.patch("weaklg.corpus._parse_corpus", wraps=weaklg.corpus._parse_corpus) as parse, \
+                unittest.mock.patch("weaklg.expr.to_laurent", wraps=weaklg.expr.to_laurent) as convert:
+            code, _, _ = run(command, "--entry", "5", "--corpus", path)
+        assert (code, parse.call_count, convert.call_count) == (0, 1, 18)
+
+
 def test_verify_json_reports_structure() -> None:
     code, out, _ = run("verify", "--entry", "13", "--terms", "8", "--format", "json")
     assert code == 0
@@ -202,6 +212,8 @@ def test_semiweak_exit_codes() -> None:
     assert code == 2 and out == "" and "give either --entry or --poly, not both" in err
     assert run("semiweak") == (2, "", "error: one of --entry or --poly is required\n")
     assert run("semiweak", "--poly", "x+1/x") == (2, "", "error: --target is required with --poly\n")
+    assert run("semiweak", "--poly", "x+y+z+x*y*z", "--target", "1") == (
+        1, "semiweak: no (origin is not interior to the newton polytope)\n", "")
 
 
 def test_ehrhart_counts_and_interpolation() -> None:
@@ -397,6 +409,9 @@ def test_pfop_exits_one_when_nothing_found() -> None:
         "pfop", "--entry", "17", "--order", "1", "--degree", "1", "--terms", "12"
     )
     assert code == 1
+    sweep = ("pfop", "--poly", "x+y+z+1/(x*y)+1/(y*z)+x*z/y+2*y", "--terms", "48")
+    assert run(*sweep) == (1, "no annihilator found in the sweep\n", "")
+    assert run(*sweep, "--format", "json") == (1, '{\n  "operators": []\n}\n', "")
 
 
 def test_construct_toric() -> None:
@@ -405,6 +420,8 @@ def test_construct_toric() -> None:
     )
     assert code == 0
     assert out.strip() == "x + y + z + x^-1*y^-1*z^-1"
+    # an empty chunk between semicolons is skipped
+    assert run("construct", "toric", "--rays", "1,0;;0,1;-1,-1") == (0, "x + y + x^-1*y^-1\n", "")
 
 
 def test_construct_ci_and_grassmannian() -> None:
@@ -491,7 +508,7 @@ def test_identity_agreement_is_seed_stable() -> None:
     assert a == b and a[0] == 0
 
 
-def test_error_paths_exit_two() -> None:
+def test_error_paths_exit_two(tmp_path: Path) -> None:
     code, _, err = run("series", "--poly", "x+(")
     assert code == 2 and err.startswith("error:")
     code, _, err = run("verify", "--entry", "99")
@@ -508,6 +525,30 @@ def test_error_paths_exit_two() -> None:
     assert run("pfop", "--entry", "1", "--order", "-1", "--degree", "2", "--terms", "36") == (
         2, "", "error: order and degree must be >= 0\n")
     assert time.perf_counter() - start < 1.0
+    assert run("series", "--poly", "") == (2, "", "error: unexpected end of input (offset 0)\n")
+    assert run("series", "--entry", "5", "--poly", "") == (2, "", "error: give either --entry or --poly, not both\n")
+    assert run("pfop", "--entry", "17", "--order", "3") == (
+        2, "", "error: --order and --degree must be given together\n")
+    assert run("series", "--poly", "x/(2*y)") == (
+        2, "", "error: coefficient 1 is not divisible by 2 in quotient by 2*y\n")
+    assert run("series", "--poly", "(2*x)^-1") == (
+        2, "", "error: negative power of monomial with non-unit coefficient 2: 2*x\n")
+    corpus = tmp_path / "corpus.json"
+    for text, message in (('{"entries": [1]}', "entry at position 0 is not an object"),
+                          ("{", "corpus is not valid JSON: Expecting property name enclosed in double quotes"),
+                          ("{}", "corpus must be an object with an 'entries' list")):
+        corpus.write_text(text)
+        code, out, err = run("series", "--entry", "1", "--corpus", str(corpus))
+        assert (code, out) == (2, "") and err.startswith(f"error: {message}"), err
+    assert run("construct", "toric", "--rays", "1,a") == (
+        2, "", "error: each ray must be a comma-separated integer list, got '1,a'\n")
+    assert run("construct", "toric", "--rays", ";") == (
+        2, "", "error: --rays must list at least one ray, e.g. '1,0;0,1;-1,-1'\n")
+    model = str(grass_ci_model(tmp_path))
+    assert run("eliminate", "--model", model, "--plan", ";") == (
+        2, "", "error: --plan must list at least one step, e.g. '0:X11;4:X42'\n")
+    assert run("eliminate", "--model", model, "--plan", "0:X11", "--subs", "y1") == (
+        2, "", "error: substitution 'y1' must look like NAME=EXPRESSION\n")
 
 
 def test_argparse_usage_errors_exit_two() -> None:

@@ -37,11 +37,11 @@ def test_toric_polynomial_line_fan() -> None:
 
 
 def test_toric_polynomial_rejects_duplicates_and_ragged_rays() -> None:
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="duplicate ray"):
         toric_polynomial([(1, 0), (1, 0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="rays have inconsistent dimension"):
         toric_polynomial([(1, 0), (1,)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need at least one ray"):
         toric_polynomial([])
 
 
@@ -73,11 +73,11 @@ def test_hori_vafa_ci_matches_written_out_forms() -> None:
 
 
 def test_hori_vafa_ci_validates_input() -> None:
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="all degrees must be >= 2"):
         hori_vafa_ci(4, (1,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"sum of degrees must be <= ambient dimension \(Fano condition\)"):
         hori_vafa_ci(3, (4,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="ambient dimension must be >= 1"):
         hori_vafa_ci(0, ())
 
 
@@ -119,9 +119,9 @@ def test_grassmannian_polynomial_matches_the_term_by_term_oracle(n: int) -> None
 
 
 def test_grassmannian_polynomial_validates_input() -> None:
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need 1 <= k < N"):
         grassmannian_polynomial(0, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need 1 <= k < N"):
         grassmannian_polynomial(3, 3)
 
 
@@ -166,19 +166,21 @@ def test_hyperplane_system_accepts_zero_sections() -> None:
 
 
 def test_hyperplane_system_rejects_too_many_sections() -> None:
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sections must be between 0 and 6"):
         grassmannian_hyperplane_system(2, 6, 7)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sections must be between 0 and 6"):
         grassmannian_hyperplane_system(2, 6, -1)
 
 
 def test_constrained_model_validation() -> None:
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="model variables must be distinct"):
         ConstrainedModel(("u", "u"), (), Var("u"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need fewer constraints than variables"):
         ConstrainedModel(("u",), (Var("u"),), Var("u"))  # nothing left free
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"constraint 0 uses undeclared variables \['w'\]"):
         ConstrainedModel(("u", "v"), (Var("w"),), Var("u"))  # undeclared name
+    with pytest.raises(ValueError, match=r"potential uses undeclared variables \['w'\]"):
+        ConstrainedModel(("u", "v"), (Var("u"),), Var("w"))
 
 
 def test_constrained_model_json_round_trip() -> None:
@@ -199,14 +201,18 @@ def test_weighted_hypersurface_layout() -> None:
 
 
 def test_weighted_hypersurface_partition_must_be_trailing() -> None:
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"partition \(1, 1, 3, 1\) must match the trailing weights"):
         weighted_hypersurface_system((1, 1, 1, 1, 3), 6, (1, 1, 3, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"partition \(1, 1, 3\) does not sum to the degree 6"):
         weighted_hypersurface_system((1, 1, 1, 2, 3), 6, (1, 1, 3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"partition \(1, 1, 1, 3\) does not sum to the degree 7"):
         weighted_hypersurface_system((1, 1, 1, 1, 3), 7, (1, 1, 1, 3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="partition must be nonempty"):
         weighted_hypersurface_system((1, 1, 1, 1, 3), 6, ())
+    with pytest.raises(ValueError, match="weights must be positive"):
+        weighted_hypersurface_system((0, 1, 1, 1, 3), 6, (1, 1, 1, 3))
+    with pytest.raises(ValueError, match="partition longer than the weight vector"):
+        weighted_hypersurface_system((1, 1, 1), 4, (1, 1, 1, 1))
 
 
 def test_eliminate_single_linear_constraint() -> None:
@@ -218,15 +224,15 @@ def test_eliminate_single_linear_constraint() -> None:
 
 def test_eliminate_validates_plan() -> None:
     m = grassmannian_hyperplane_system(2, 6, 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="plan step 1: constraint 0 already used"):
         eliminate(m, [(0, "X11"), (0, "X12")])  # constraint reused
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="plan step 1: variable 'X11' already eliminated"):
         eliminate(m, [(0, "X11"), (1, "X11")])  # variable reused
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="plan step 0: no constraint 9"):
         eliminate(m, [(9, "X11")])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="plan step 0: unknown variable 'nope'"):
         eliminate(m, [(0, "nope")])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="plan step 0: constraint 0 does not involve 'X42' after substitution"):
         eliminate(m, [(0, "X42")])  # constraint does not involve X42
     noop = eliminate(m, [])
     assert noop.bindings == {}

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 import unittest.mock
 from pathlib import Path
 
@@ -110,9 +111,9 @@ def test_reference_provenances() -> None:
 
 
 def test_get_entry_unknown_id() -> None:
-    with pytest.raises(CorpusError):
+    with pytest.raises(CorpusError, match="no entry 99"):
         get_entry(99)
-    with pytest.raises(CorpusError):
+    with pytest.raises(CorpusError, match="no entry 0"):
         get_entry(0)
 
 
@@ -125,59 +126,65 @@ def test_bundled_corpus_is_parsed_once_but_files_on_every_call(tmp_path: Path) -
     doc = builtin_doc()
     doc["entries"][0]["degree"] = -2
     write_corpus(tmp_path, doc)
-    with pytest.raises(CorpusError):
+    with pytest.raises(CorpusError, match="entry 1: field 'degree' must be positive"):
         load_corpus(path)
 
 
 def test_load_corpus_rejects_missing_entry(tmp_path: Path) -> None:
     doc = builtin_doc()
     doc["entries"] = [e for e in doc["entries"] if e["id"] != 5]
-    with pytest.raises(CorpusError) as err:
+    with pytest.raises(CorpusError, match=re.escape("must contain ids 1..17 exactly once: missing ids [5]")):
         load_corpus(write_corpus(tmp_path, doc))
-    assert "5" in str(err.value)
 
 
 def test_load_corpus_rejects_duplicate_ids(tmp_path: Path) -> None:
     doc = builtin_doc()
     doc["entries"].append(dict(doc["entries"][0]))
-    with pytest.raises(CorpusError):
+    with pytest.raises(CorpusError, match=re.escape("duplicate ids [1]")):
         load_corpus(write_corpus(tmp_path, doc))
 
 
 def test_load_corpus_rejects_malformed_fields(tmp_path: Path) -> None:
     cases = [
-        ("polynomial", 12),
-        ("polynomial", "x + w"),
-        ("degree", -2),
-        ("fano_index", 0),
-        ("description", ""),
+        ("polynomial", 12, "must be a nonempty string"),
+        ("polynomial", "x + w", "is refused as a Laurent polynomial in x, y, z: unknown variable 'w'"),
+        ("degree", -2, "must be positive"),
+        ("fano_index", 0, "must be 1, 2, 3, or 4"),
+        ("description", "", "must be a nonempty string"),
     ]
-    for field, bad in cases:
+    for field, bad, cause in cases:
         doc = builtin_doc()
         doc["entries"][0][field] = bad
-        with pytest.raises(CorpusError) as err:
+        with pytest.raises(CorpusError, match=re.escape(f"entry 1: field '{field}' {cause}")):
             load_corpus(write_corpus(tmp_path, doc))
-        assert "entry 1" in str(err.value)
 
 
 def test_load_corpus_rejects_bad_reference_blocks(tmp_path: Path) -> None:
-    for bad in (
-        {"coeffs": ["2", "4"], "provenance": "published"},
-        {"coeffs": ["1", "x"], "provenance": "published"},
-        {"coeffs": ["1", "4"], "provenance": "guesswork"},
-        {"coeffs": [], "provenance": "published"},
+    for bad, cause in (
+        ({"coeffs": ["2", "4"], "provenance": "published"}, "'reference_series.coeffs' must start with 1"),
+        ({"coeffs": ["1", "x"], "provenance": "published"}, "'reference_series.coeffs[1]' is not a decimal integer"),
+        ({"coeffs": ["1", "4"], "provenance": "guesswork"},
+         "'reference_series.provenance' must be one of ('published', 'regression')"),
+        ({"coeffs": [], "provenance": "published"}, "'reference_series.coeffs' must be a nonempty list"),
     ):
         doc = builtin_doc()
         doc["entries"][6]["reference_series"] = bad
-        with pytest.raises(CorpusError) as err:
+        with pytest.raises(CorpusError, match=re.escape(f"entry 7: field {cause}")):
             load_corpus(write_corpus(tmp_path, doc))
-        assert "entry 7" in str(err.value)
 
 
 def test_load_corpus_rejects_inconsistent_ci_block(tmp_path: Path) -> None:
     doc = builtin_doc()
-    doc["entries"][1]["complete_intersection"] = {"ambient_dim": 4, "degrees": [1]}
-    with pytest.raises(CorpusError):
+    doc["entries"][1]["ci"] = {"N": 4, "degrees": [1]}
+    with pytest.raises(CorpusError, match=re.escape("entry 2: field 'ci' is invalid: all degrees must be >= 2")):
+        load_corpus(write_corpus(tmp_path, doc))
+
+
+def test_load_corpus_rejects_inconsistent_weighted_block(tmp_path: Path) -> None:
+    doc = builtin_doc()
+    doc["entries"][0]["weighted"]["d"] = 7
+    with pytest.raises(CorpusError, match=re.escape(
+            "entry 1: field 'weighted' is invalid: partition (1, 1, 1, 3) does not sum to the degree 7")):
         load_corpus(write_corpus(tmp_path, doc))
 
 
@@ -245,7 +252,7 @@ def test_verify_entry_is_deterministic() -> None:
 
 
 def test_verify_entry_requires_enough_terms() -> None:
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="terms must be >= 6"):
         verify_entry(get_entry(17), terms=5)
 
 
@@ -283,7 +290,7 @@ def test_corpus_polynomial_refusals_name_the_entry_and_field(tmp_path: Path) -> 
 def test_fano_entry_rejects_wrong_variables() -> None:
     from weaklg.expr import NotLaurentError
 
-    with pytest.raises(NotLaurentError):
+    with pytest.raises(NotLaurentError, match="unknown variable 'a'"):
         FanoEntry(
             id=1,
             fano_index=1,
