@@ -12,11 +12,11 @@ computation modulo SCREEN_PRIME cannot rule out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator, Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterator, Mapping, Sequence
 
+from ._frozen import frozen
 from .linalg import first_dependent_mod, nullspace
 from .series import IntegerSeries
 
@@ -33,7 +33,7 @@ SCREEN_PRIME = (1 << 61) - 1
 MAX_SWEEP_WORK = 2 * 10**8
 
 
-@dataclass(frozen=True)
+@frozen
 class DifferentialOperator:
     """Operator sum c_{l,j} t^l D^j with exact rational coefficients.
 

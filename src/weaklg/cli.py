@@ -15,8 +15,9 @@ import functools
 import json
 import os
 import sys
+from collections.abc import Iterable
+from math import lcm
 from pathlib import Path
-from typing import Iterable
 
 from . import expr as ex
 from .annihilator import check_sweep_budget, find_annihilator, find_minimal_annihilator
@@ -177,12 +178,14 @@ def _cmd_semiweak(args: argparse.Namespace) -> int:
 def _cmd_ehrhart(args: argparse.Namespace) -> int:
     p = _selected_polytope(args)
     result = ehrhart_counts(p, args.kmax)
-    payload = {
-        "counts": [str(c) for c in result.counts],
-        "polynomial": [str(c) for c in result.polynomial],
-    }
+    payload: dict = {"counts": [str(c) for c in result.counts]}
     lines = [f"L({k}) = {c}" for k, c in enumerate(result.counts)]
-    lines.append("polynomial coefficients (ascending): " + ", ".join(str(c) for c in result.polynomial))
+    if p.is_lattice:
+        payload["polynomial"] = [str(c) for c in result.polynomial]
+        lines.append("polynomial coefficients (ascending): " + ", ".join(payload["polynomial"]))
+    else:  # a quasi-polynomial in k, whose period divides this lcm
+        payload["period"] = lcm(*(c.denominator for v in p.vertices for c in v))
+        lines.append(f"period {payload['period']} (lcm of the vertex denominators): the counts are a quasi-polynomial")
     _emit(args, payload, lines)
     return 0
 

@@ -10,15 +10,15 @@ from which variables are eliminated one linear solve at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 from . import expr as ex
+from ._frozen import frozen
 from .expr import Const, Expr, Pow, Prod, Quot, Sum, Var
 from .laurent import LaurentPolynomial
 
 
-@dataclass(frozen=True)
+@frozen
 class ConstrainedModel:
     """A potential function together with constraints, each set equal to 1."""
 
@@ -65,7 +65,7 @@ class ConstrainedModel:
         )
 
 
-@dataclass(frozen=True)
+@frozen
 class EliminationResult:
     """Final potential plus the solved-variable bindings that produced it."""
 

@@ -18,12 +18,11 @@ threefold where phi(1) = 24), so that comparison is raw against raw.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cache, cached_property
-from importlib import resources
 from pathlib import Path
 
 from . import expr as ex
+from ._frozen import frozen
 from .constructors import weighted_hypersurface_system
 from .laurent import LaurentPolynomial
 from .polytopes import SemiweakReport, semiweak_check
@@ -45,26 +44,26 @@ class CorpusError(ValueError):
     """Corpus file violates the schema; message names the entry and field."""
 
 
-@dataclass(frozen=True)
+@frozen
 class ReferenceSeries:
     coeffs: tuple[int, ...]
     provenance: str
 
 
-@dataclass(frozen=True)
+@frozen
 class CompleteIntersection:
     ambient_dim: int
     degrees: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@frozen
 class WeightedHypersurface:
     weights: tuple[int, ...]
     degree: int
     partition: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@frozen
 class FanoEntry:
     id: int
     fano_index: int
@@ -93,7 +92,7 @@ class FanoEntry:
                                             ("alternates", self.alternates)) if data)
 
 
-@dataclass(frozen=True)
+@frozen
 class Check:
     """One named check of a verification report: what it measured, which
     the JSON report holds under `key`, and its lines of the text report.
@@ -110,7 +109,7 @@ class Check:
         return self.detail if isinstance(self.detail, bool) else self.detail.to_json_dict()
 
 
-@dataclass(frozen=True)
+@frozen
 class VerificationReport:
     """Everything verify_entry measured for one entry.
 
@@ -276,9 +275,9 @@ def load_corpus(path: str | Path | None = None) -> tuple[FanoEntry, ...]:
 
 @cache
 def _load_bundled() -> tuple[FanoEntry, ...]:
-    # Safe to share: a tuple of frozen dataclasses holding only tuples and
+    # Safe to share: a tuple of frozen entries holding only tuples and
     # Laurent polynomials, which are immutable.
-    return _parse_corpus(resources.files("weaklg").joinpath("data/corpus.json").read_text("utf-8"))
+    return _parse_corpus((Path(__file__).parent / "data" / "corpus.json").read_text("utf-8"))
 
 
 def _parse_corpus(text: str) -> tuple[FanoEntry, ...]:

@@ -42,13 +42,15 @@ from __future__ import annotations
 
 import random
 import sys
-from dataclasses import dataclass, fields
+from collections.abc import Callable, Mapping, Sequence
 from functools import reduce
 from math import prod
 from operator import sub
-from typing import Callable, Mapping, Sequence, Union
 
+from ._frozen import frozen, refuse_assignment
 from .laurent import LaurentPolynomial
+
+_set = object.__setattr__  # how a node's __init__ sets its fields, as nodes refuse assignment
 
 # Fixed public prime 2^61 - 1 (Mersenne), used by random_equal.
 IDENTITY_PRIME = (1 << 61) - 1
@@ -125,7 +127,8 @@ def past_digit_limit(base: int, exponent: int) -> int:
 class _Node:
     """Structural ==, hash() and repr() without recursion, so that a 5,000-term
     chain x-x-...-x compares, hashes and prints: two nodes are equal when
-    their heads (_head) are and their operands are, in order."""
+    their heads (_head) are and their operands are, in order.  A node is
+    frozen: assigning to or deleting a field raises AttributeError."""
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
@@ -139,46 +142,48 @@ class _Node:
     def __repr__(self) -> str:
         return _Program(self).run(dict.fromkeys(_KINDS, _repr_node))[0]
 
+    __setattr__ = __delattr__ = refuse_assignment
 
-@dataclass(frozen=True, eq=False, repr=False)
+
 class Const(_Node):
-    value: int
+    def __init__(self, value: int):
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Var(_Node):
-    name: str
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Sum(_Node):
-    terms: tuple["Expr", ...]
+    def __init__(self, terms: tuple[Expr, ...]):
+        _set(self, "terms", terms)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Diff(_Node):
-    left: "Expr"
-    right: "Expr"
+    def __init__(self, left: Expr, right: Expr):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Prod(_Node):
-    factors: tuple["Expr", ...]
+    def __init__(self, factors: tuple[Expr, ...]):
+        _set(self, "factors", factors)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Quot(_Node):
-    numerator: "Expr"
-    denominator: "Expr"
+    def __init__(self, numerator: Expr, denominator: Expr):
+        _set(self, "numerator", numerator)
+        _set(self, "denominator", denominator)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Pow(_Node):
-    base: "Expr"
-    exponent: int
+    def __init__(self, base: Expr, exponent: int):
+        _set(self, "base", base)
+        _set(self, "exponent", exponent)
 
 
-Expr = Union[Const, Var, Sum, Diff, Prod, Quot, Pow]
+Expr = Const | Var | Sum | Diff | Prod | Quot | Pow
 _KINDS = (Const, Var, Sum, Diff, Prod, Quot, Pow)
 
 
@@ -329,8 +334,8 @@ def _wrap(text: tuple[str, int], min_prec: int) -> str:
 
 
 def _repr_node(node: Expr, *kids: str) -> str:
-    """The dataclass repr of a node, given its operands' reprs."""
-    names = [f.name for f in fields(node)]
+    """A node's repr, Kind(field=value, ...), given its operands' reprs."""
+    names = list(vars(node))
     if len(names) == 1 and kids:  # the operand tuple of a sum or a product
         kids = ("(" + ", ".join(kids) + ("," if len(kids) == 1 else "") + ")",)
     values = [*kids, *(repr(getattr(node, name)) for name in names[len(kids):])]
@@ -660,7 +665,7 @@ def substitute(e: Expr, bindings: Mapping[str, Expr]) -> Expr:
 # ---------------------------------------------------------------------------
 # randomized identity testing
 
-@dataclass(frozen=True)
+@frozen
 class IdentityResult:
     """Outcome of a randomized equality test.
 

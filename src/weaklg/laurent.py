@@ -11,10 +11,10 @@ All values are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from itertools import repeat
 from operator import add, mul
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
 
 from .linalg import det
 
@@ -92,6 +92,9 @@ class LaurentPolynomial:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("LaurentPolynomial is immutable")
+
+    def __reduce__(self) -> tuple:  # copy and pickle rebuild through __init__: __setattr__ refuses
+        return LaurentPolynomial, (self._nvars, self._terms)
 
     @classmethod
     def _raw(cls, nvars: int, terms: dict[ExponentVector, int]) -> "LaurentPolynomial":

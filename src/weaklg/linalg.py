@@ -12,8 +12,8 @@ over the rationals without an exact solve; `axis_generator`, over the integers.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from math import gcd
-from typing import Iterable, Sequence
 
 Matrix = Sequence[Sequence[int]]
 

@@ -15,13 +15,13 @@ Numerical hull libraries are avoided deliberately; a vertex reported at
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from operator import mul, sub
-from typing import Sequence
 
+from ._frozen import frozen
 from .laurent import LaurentPolynomial
 from .linalg import det, echelon, nullspace, rank
 
@@ -42,7 +42,7 @@ MAX_HULL_FACES = 5_000
 MAX_EHRHART_POINTS = 10**8
 
 
-@dataclass(frozen=True)
+@frozen
 class Polytope:
     """Convex polytope with exact vertices and facet halfspaces.
 
@@ -57,8 +57,8 @@ class Polytope:
     facets: tuple[Facet, ...]
     # (scale, boundary simplices of the hull that built the polytope, in
     # coordinates times scale), kept for the volume; None when no hull built
-    # it.  Equality, hashing and JSON ignore it.
-    _boundary: tuple[int, tuple[tuple[IntPoint, ...], ...]] | None = field(default=None, compare=False, repr=False)
+    # it.  Equality, hashing, repr() and JSON ignore it.
+    _boundary: tuple[int, tuple[tuple[IntPoint, ...], ...]] | None = None
 
     @property
     def is_full_dimensional(self) -> bool:
@@ -78,7 +78,7 @@ class Polytope:
         }
 
 
-@dataclass(frozen=True)
+@frozen
 class SemiweakReport:
     """Result of the dual-volume test against the anticanonical degree."""
 
@@ -104,7 +104,7 @@ class SemiweakReport:
         return out
 
 
-@dataclass(frozen=True)
+@frozen
 class EhrhartResult:
     """Lattice point counts of dilations plus the interpolating polynomial."""
 

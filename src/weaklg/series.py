@@ -8,11 +8,11 @@ exactly and with a pruning strategy that provably loses nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from math import comb, factorial, prod
 from operator import eq
-from typing import Sequence
 
+from ._frozen import frozen
 from .constructors import _check_ci_data
 from .expr import past_digit_limit
 from .laurent import LaurentPolynomial, _mixed_radix, _times
@@ -64,7 +64,7 @@ STEP_WORK = 20
 COEFFICIENT_WORK = 4
 
 
-@dataclass(frozen=True)
+@frozen
 class IntegerSeries:
     """Truncated integer power series a_0, ..., a_T."""
 
@@ -88,7 +88,7 @@ class IntegerSeries:
         return len(self.coeffs)
 
 
-@dataclass(frozen=True)
+@frozen
 class MatchReport:
     """Outcome of comparing two series up to an order."""
 

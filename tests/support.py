@@ -10,9 +10,9 @@ substitute and (numerator, denominator) walkers that the package replaced
 by iterative passes and one compiled-program driver are kept verbatim.
 So are the exhaustive annihilator sweep that a mod-p screen replaced, the
 term-by-term ladder polynomial that the sum of its hyperplane-class factors
-replaced, the recursive == and repr() that expression nodes had as
-frozen dataclasses, and the character-level parser that the token-list
-parser replaced.
+replaced, the recursive == and repr() of expression nodes (compared and
+printed field by field, as a frozen value class does), and the
+character-level parser that the token-list parser replaced.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Mapping, Sequence
@@ -388,23 +387,28 @@ def substitute(e: Expr, bindings: Mapping[str, Expr]) -> Expr:
     raise TypeError(f"not an expression node: {e!r}")
 
 
+# The fields of each kind of expression node, in constructor order.
+NODE_FIELDS = {Const: ("value",), Var: ("name",), Sum: ("terms",), Diff: ("left", "right"),
+               Prod: ("factors",), Quot: ("numerator", "denominator"), Pow: ("base", "exponent")}
+
+
 def expr_equal(a, b) -> bool:
-    """The == that frozen dataclasses generate, by recursion: the same node
-    class and equal fields, tuples of operands compared element by element."""
+    """Structural == by recursion: the same node class and equal fields,
+    tuples of operands compared element by element."""
     if isinstance(a, tuple):
         return type(b) is tuple and len(a) == len(b) and all(map(expr_equal, a, b))
-    if not isinstance(a, (Const, Var, Sum, Diff, Prod, Quot, Pow)):
+    if type(a) not in NODE_FIELDS:
         return a == b
-    return type(a) is type(b) and all(expr_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+    return type(a) is type(b) and all(expr_equal(getattr(a, f), getattr(b, f)) for f in NODE_FIELDS[type(a)])
 
 
 def expr_repr(e) -> str:
-    """The repr() that frozen dataclasses generate, by recursion."""
+    """The repr() Kind(field=value, ...) by recursion."""
     if isinstance(e, tuple):
         return "(" + ", ".join(map(expr_repr, e)) + ("," if len(e) == 1 else "") + ")"
-    if not isinstance(e, (Const, Var, Sum, Diff, Prod, Quot, Pow)):
+    if type(e) not in NODE_FIELDS:
         return repr(e)
-    return f"{type(e).__name__}(" + ", ".join(f"{f.name}={expr_repr(getattr(e, f.name))}" for f in fields(e)) + ")"
+    return f"{type(e).__name__}(" + ", ".join(f"{f}={expr_repr(getattr(e, f))}" for f in NODE_FIELDS[type(e)]) + ")"
 
 
 def _expr_to_fraction(e: Expr, names: Sequence[str]) -> tuple[LaurentPolynomial, LaurentPolynomial]:

@@ -132,8 +132,20 @@ def test_verify_reports_mismatch_with_exit_one(tmp_path: Path) -> None:
     bad.write_text(json.dumps(doc))
     code, out, _ = run("verify", "--entry", "7", "--terms", "6", "--corpus", str(bad))
     assert code == 1
-    code, _, _ = run("verify-all", "--terms", "6", "--corpus", str(bad))
+    assert "  reference: MISMATCH at t^3: 312 != 313" in out.splitlines()
+    code, out, _ = run("verify-all", "--terms", "6", "--corpus", str(bad))
     assert code == 1
+    verdicts = [line for line in out.splitlines() if line.startswith(("entry ", "  passed: "))]
+    assert [line.split(":")[0] for line in verdicts[0::2]] == [f"entry {k}" for k in range(1, 18)]
+    assert verdicts[1::2] == ["  passed: " + str(k != 7) for k in range(1, 18)]
+    assert out.endswith("overall: FAIL\n")
+    code, out, _ = run("verify-all", "--terms", "6", "--corpus", str(bad), "--format", "json")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["passed"] is False
+    assert [r["entry"] for r in doc["reports"] if not r["passed"]] == [7]
+    assert doc["reports"][6]["reference"] == {
+        "first_mismatch": 3, "left": "312", "matched": False, "right": "313", "upto": 6}
 
 
 def corpus_copy(tmp_path: Path, changes: dict[int, dict]) -> Path:
@@ -224,6 +236,23 @@ def test_ehrhart_counts_and_interpolation() -> None:
     doc = json.loads(out)
     assert doc["counts"] == ["1", "35", "165", "455"]
     assert doc["polynomial"][-1] == "32/3"
+    assert run("ehrhart", "--entry", "17", "--dual", "--kmax", "3")[1].splitlines()[-1] == (
+        "polynomial coefficients (ascending): 1, 22/3, 16, 32/3")
+
+
+@pytest.mark.parametrize("source, counts, period", [
+    # ROADMAP item 13's control: the cubic through L(0..3) gives 273 at k = 4
+    (("--poly", "1/(x*z)+z/x+y^2/(x*z)+y^2*z/x+x^2*z/y^2"), ["1", "11", "49", "131", "277"], 2),
+    (("--entry", "1"), ["1", "4", "10", "21", "39"], 3),
+])
+def test_ehrhart_of_a_rational_polytope_gives_a_period_and_no_polynomial(source, counts, period) -> None:
+    code, out, err = run("ehrhart", *source, "--dual", "--kmax", "4", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"counts": counts, "period": period}
+    code, out, _ = run("ehrhart", *source, "--dual", "--kmax", "4")
+    assert code == 0
+    assert out.splitlines() == [*(f"L({k}) = {c}" for k, c in enumerate(counts)),
+                                f"period {period} (lcm of the vertex denominators): the counts are a quasi-polynomial"]
 
 
 def test_ehrhart_total_budget_refuses_huge_kmax_up_front() -> None:

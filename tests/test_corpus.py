@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import json
 import re
 import unittest.mock
@@ -211,9 +210,8 @@ def test_verify_entry_catches_a_tampered_reference() -> None:
     entry = get_entry(7)
     coeffs = list(entry.reference.coeffs)
     coeffs[3] += 1
-    tampered = dataclasses.replace(
-        entry, reference=ReferenceSeries(tuple(coeffs), "published")
-    )
+    tampered = FanoEntry(entry.id, entry.fano_index, entry.degree, entry.description, entry.polynomial,
+                         entry.alternates, ReferenceSeries(tuple(coeffs), "published"), entry.ci, entry.weighted)
     r = verify_entry(tampered, terms=6)
     assert not r.passed
     reference = r.checks[0]

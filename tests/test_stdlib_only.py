@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -24,3 +25,16 @@ def test_package_imports_only_the_standard_library() -> None:
                 if top != "weaklg" and top not in sys.stdlib_module_names:
                     offenders.append(f"{path.name}:{node.lineno}: {module}")
     assert offenders == []
+
+
+def test_import_and_first_corpus_load_pull_in_no_slow_modules() -> None:
+    # dataclasses generates code with exec and imports inspect and ast;
+    # typing and importlib.resources (with zipfile) cost start-up as well,
+    # which every lg call pays
+    slow = ["dataclasses", "inspect", "typing", "importlib.resources", "zipfile"]
+    code = ("import sys, weaklg, weaklg.cli; weaklg.corpus.load_corpus(); "
+            f"print([m for m in {slow!r} if m in sys.modules])")
+    src = str(Path(weaklg.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={"PYTHONPATH": src}, timeout=60)
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", "[]\n")
