@@ -14,7 +14,6 @@ from collections.abc import Sequence
 
 from . import expr as ex
 from ._frozen import frozen
-from .expr import Const, Expr, Pow, Prod, Quot, Sum, Var
 from .laurent import LaurentPolynomial
 
 
@@ -23,8 +22,8 @@ class ConstrainedModel:
     """A potential function together with constraints, each set equal to 1."""
 
     variables: tuple[str, ...]
-    constraints: tuple[Expr, ...]
-    potential: Expr
+    constraints: tuple[ex.Expr, ...]
+    potential: ex.Expr
 
     def __post_init__(self) -> None:
         if len(set(self.variables)) != len(self.variables):
@@ -69,8 +68,8 @@ class ConstrainedModel:
 class EliminationResult:
     """Final potential plus the solved-variable bindings that produced it."""
 
-    expression: Expr
-    bindings: dict[str, Expr]
+    expression: ex.Expr
+    bindings: dict[str, ex.Expr]
 
 
 def toric_polynomial(rays: Sequence[Sequence[int]]) -> LaurentPolynomial:
@@ -114,18 +113,17 @@ def hori_vafa_ci(ambient_dim: int, degrees: Sequence[int]) -> LaurentPolynomial:
         f = prod_i (x_{i,1} + ... + x_{i,k_i - 1} + 1)^{k_i}
             / (prod x_{i,j} * prod y_s)  +  y_1 + ... + y_{k_0}
 
-    in N - r variables (r = number of degrees), expanded by ex.to_laurent
-    within its limits.
+    in N - r variables (r = number of degrees), written as text, parsed and
+    expanded by ex.to_laurent within its limits.
     """
     degs = _check_ci_data(ambient_dim, degrees)
     names = hori_vafa_variables(ambient_dim, degs)
-    variables = tuple(map(Var, names))
-    blocks, pos = [], 0
+    blocks, pos = ["1"], 0
     for k in degs:
-        blocks.append(Pow(Sum((*variables[pos:pos + k - 1], Const(1))), k))
+        blocks.append(f"({' + '.join(names[pos:pos + k - 1])} + 1)^{k}")
         pos += k - 1
-    quotient = Quot(Prod((Const(1), *blocks)), Prod(variables))
-    return ex.to_laurent(Sum((quotient, *variables[pos:])), names)
+    text = "*".join(blocks) + f"/({'*'.join(names)})" + "".join(f" + {y}" for y in names[pos:])
+    return ex.to_laurent(ex.parse(text), names)
 
 
 def grassmannian_variables(k: int, n: int) -> tuple[str, ...]:
@@ -146,10 +144,10 @@ def grassmannian_polynomial(k: int, n: int) -> LaurentPolynomial:
     where out-of-grid entries are dropped: the sum of the N hyperplane-class
     factors.
     """
-    return ex.to_laurent(Sum(grassmannian_hyperplane_factors(k, n)), grassmannian_variables(k, n))
+    return ex.to_laurent(ex.parse(" + ".join(_ladder_factors(k, n))), grassmannian_variables(k, n))
 
 
-def grassmannian_hyperplane_factors(k: int, n: int) -> tuple[Expr, ...]:
+def grassmannian_hyperplane_factors(k: int, n: int) -> tuple[ex.Expr, ...]:
     """The N factors of the ladder polynomial that each represent one
     hyperplane class of G(k, N) in its minimal embedding.
 
@@ -160,21 +158,19 @@ def grassmannian_hyperplane_factors(k: int, n: int) -> tuple[Expr, ...]:
     Taking a prefix of this list reproduces the published hyperplane-section
     systems; any other subset can be assembled from the full list directly.
     """
+    return tuple(map(ex.parse, _ladder_factors(k, n)))
+
+
+def _ladder_factors(k: int, n: int) -> list[str]:
+    """The text of each of grassmannian_hyperplane_factors, in its order."""
     grassmannian_variables(k, n)  # validates the (k, N) pair
     rows, cols = n - k, k
-
-    def quotient(a1: int, b1: int, a0: int, b0: int) -> Expr:
-        return Quot(Var(f"X{a1}{b1}"), Var(f"X{a0}{b0}"))
-
-    factors: list[Expr] = [Var("X11")]
-    for j in range(1, rows):
-        parts = tuple(quotient(j + 1, b, j, b) for b in range(1, cols + 1))
-        factors.append(parts[0] if len(parts) == 1 else Sum(parts))
-    factors.append(Quot(Const(1), Var(f"X{rows}{cols}")))
-    for i in range(2, cols + 1):
-        parts = tuple(quotient(a, i, a, i - 1) for a in range(1, rows + 1))
-        factors.append(parts[0] if len(parts) == 1 else Sum(parts))
-    return tuple(factors)
+    return [
+        "X11",
+        *(" + ".join(f"X{j + 1}{b}/X{j}{b}" for b in range(1, cols + 1)) for j in range(1, rows)),
+        f"1/X{rows}{cols}",
+        *(" + ".join(f"X{a}{i}/X{a}{i - 1}" for a in range(1, rows + 1)) for i in range(2, cols + 1)),
+    ]
 
 
 def grassmannian_hyperplane_system(k: int, n: int, sections: int) -> ConstrainedModel:
@@ -184,12 +180,10 @@ def grassmannian_hyperplane_system(k: int, n: int, sections: int) -> Constrained
     if not 0 <= sections <= n:
         raise ValueError(f"sections must be between 0 and {n}")
     names = grassmannian_variables(k, n)
-    factors = grassmannian_hyperplane_factors(k, n)
-    potential = ex.laurent_to_expr(ex.to_laurent(Sum(factors), names), names)
     return ConstrainedModel(
         variables=names,
-        constraints=factors[:sections],
-        potential=potential,
+        constraints=grassmannian_hyperplane_factors(k, n)[:sections],
+        potential=ex.parse(grassmannian_polynomial(k, n).render(names)),
     )
 
 
@@ -220,17 +214,11 @@ def weighted_hypersurface_system(
             f"partition {part} must match the trailing weights of {ws}; reorder the weights"
         )
     names = tuple(f"y{i}" for i in range(len(ws)))
-    monomial_factors = tuple(
-        Var(name) if w == 1 else Pow(Var(name), w) for name, w in zip(names, ws)
-    )
-    monomial: Expr = monomial_factors[0] if len(monomial_factors) == 1 else Prod(monomial_factors)
-    selected = names[len(ws) - len(part):]
-    total: Expr = Var(selected[0]) if len(selected) == 1 else Sum(tuple(Var(s) for s in selected))
-    potential: Expr = Var(names[0]) if len(names) == 1 else Sum(tuple(Var(s) for s in names))
+    monomial = "*".join(name if w == 1 else f"{name}^{w}" for name, w in zip(names, ws))
     return ConstrainedModel(
         variables=names,
-        constraints=(monomial, total),
-        potential=potential,
+        constraints=(ex.parse(monomial), ex.parse(" + ".join(names[len(ws) - len(part):]))),
+        potential=ex.parse(" + ".join(names)),
     )
 
 
@@ -270,7 +258,7 @@ def eliminate(model: ConstrainedModel, plan: Sequence[tuple[int, str]]) -> Elimi
     with the bindings.
     """
     names = model.variables
-    bindings: dict[str, Expr] = {}
+    bindings: dict[str, ex.Expr] = {}
     used_constraints: set[int] = set()
     for step, (ci, var) in enumerate(plan):
         if not 0 <= ci < len(model.constraints):
@@ -290,10 +278,7 @@ def eliminate(model: ConstrainedModel, plan: Sequence[tuple[int, str]]) -> Elimi
             raise ValueError(
                 f"plan step {step}: constraint {ci} does not involve {var!r} after substitution"
             )
-        rhs = ex.substitute(
-            Quot(ex.laurent_to_expr(-a_part, names), ex.laurent_to_expr(b_part, names)),
-            {},
-        )
+        rhs = ex.substitute(ex.parse(f"({(-a_part).render(names)})/({b_part.render(names)})"), {})
         new_binding = {var: rhs}
         bindings = {u: ex.substitute(b, new_binding) for u, b in bindings.items()}
         bindings[var] = rhs

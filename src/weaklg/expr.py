@@ -4,8 +4,8 @@ The text grammar (whitespace-insensitive, explicit ``*`` required):
 
     expr   := term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
-    factor := atom ['^' ['-'] integer]
-    atom   := integer | name | '(' expr ')' | '-' atom
+    factor := '-' factor | atom ['^' ['-'] integer]
+    atom   := integer | name | '(' expr ')'
     name   := letter (letter|digit)*
 
 Trees are built from integer constants, variables, n-ary sums and products,
@@ -262,6 +262,11 @@ class _Parser:
             self.pos += 1
 
     def factor(self) -> Expr:
+        if self.tokens[self.pos][0] == "-":  # -x^2 is -(x^2)
+            self.enter()
+            inner = self.factor()
+            self.nesting -= 1
+            return Const(-inner.value) if type(inner) is Const else Prod((Const(-1), inner))
         base = self.atom()
         if self.tokens[self.pos][0] != "^":
             return base
@@ -278,32 +283,35 @@ class _Parser:
         if kind is Var or kind is Const:
             self.pos += 1
             return Var(value) if kind is Var else Const(int(value))
-        if kind == "(" or kind == "-":
-            if self.nesting == MAX_NESTING:
-                raise ParseError(f"expression nested too deeply (the limit is {MAX_NESTING} levels)", offset)
-            self.nesting += 1
+        if kind == "(":
+            self.enter()
+            node = self.infix(0)
+            close, _, offset = self.tokens[self.pos]
+            if close != ")":
+                raise ParseError("expected ')'", offset)
             self.pos += 1
-            if kind == "(":
-                node = self.infix(0)
-                close, _, offset = self.tokens[self.pos]
-                if close != ")":
-                    raise ParseError("expected ')'", offset)
-                self.pos += 1
-            else:
-                inner = self.atom()
-                node = Const(-inner.value) if type(inner) is Const else Prod((Const(-1), inner))
             self.nesting -= 1
             return node
         if not kind:
             raise ParseError("unexpected end of input", offset)
         raise ParseError(f"unexpected character {kind!r}", offset)
 
+    def enter(self) -> None:
+        """Step past a '(' or a unary '-', one more level of nesting."""
+        if self.nesting == MAX_NESTING:
+            raise ParseError(f"expression nested too deeply (the limit is {MAX_NESTING} levels)",
+                             self.tokens[self.pos][2])
+        self.nesting += 1
+        self.pos += 1
+
 
 # ---------------------------------------------------------------------------
 # rendering
 
 def render(e: Expr) -> str:
-    """Canonical text form; parse(render(e)) reproduces e exactly.
+    """Canonical text form; parse(render(e)) reproduces e when e is a tree
+    in the parser's normal form.  substitute can build others: x + c with x
+    bound to a + b renders as a + b + c, which parses as one flat sum.
 
     Each distinct node is written once, after its operands, with its
     precedence: 1 for a sum or difference, 2 for a product or quotient, 3
@@ -350,8 +358,6 @@ def _head(node: Expr) -> tuple:
 
 def _operands(node: Expr) -> tuple[Expr, ...]:
     kind = type(node)
-    if kind is Var or kind is Const:
-        return ()
     if kind is Sum or kind is Prod:
         return node.terms if kind is Sum else node.factors
     if kind is Diff or kind is Quot:
@@ -806,7 +812,3 @@ def random_equal(
         f"exhausted {budget} draws with only {done}/{trials} defined evaluations"
     )
 
-
-def laurent_to_expr(f: LaurentPolynomial, names: Sequence[str] | None = None) -> Expr:
-    """Expression tree for a Laurent polynomial (via its canonical rendering)."""
-    return parse(f.render(names))

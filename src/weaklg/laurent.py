@@ -301,14 +301,7 @@ class LaurentPolynomial:
             else:
                 body = "*".join([str(mag)] + factors)
             if not pieces:
-                if coeff > 0:
-                    pieces.append(body)
-                elif factors and mag == 1 and "^" in factors[0]:
-                    # a bare leading "-" would bind to the first factor's
-                    # base, turning -y^4 into (-y)^4 when reparsed
-                    pieces.append("-1*" + body)
-                else:
-                    pieces.append("-" + body)
+                pieces.append(body if coeff > 0 else "-" + body)
             else:
                 pieces.append(("+ " if coeff > 0 else "- ") + body)
         return " ".join(pieces)

@@ -177,10 +177,11 @@ def random_equal_oracle(left: Expr, right: Expr, trials: int = 20, seed: int = 0
 
 # The character-level parser weaklg.expr had before it lexed the text into a
 # token list, kept as an oracle: parse_oracle(text) must give the same tree,
-# or a ParseError with the same message and offset.  The one change is that
+# or a ParseError with the same message and offset.  Two things changed since:
 # integers are read with str.isdecimal, which accepts exactly the digits int()
 # does, instead of str.isdigit, which also accepts '²' and then raised a bare
-# ValueError from int().
+# ValueError from int(); and a unary minus is taken by the factor, not the
+# atom, so -x^2 is -(x^2) as the grammar of weaklg.expr now says.
 
 class _Tokenizer:
     def __init__(self, text: str):
@@ -265,6 +266,11 @@ def _parse_term(tok: _Tokenizer) -> Expr:
 
 
 def _parse_factor(tok: _Tokenizer) -> Expr:
+    if tok.peek() == "-":
+        _enter(tok)
+        inner = _parse_factor(tok)
+        tok.nesting -= 1
+        return Const(-inner.value) if isinstance(inner, Const) else Prod((Const(-1), inner))
     base = _parse_atom(tok)
     if tok.peek() == "^":
         tok.take()
@@ -277,23 +283,24 @@ def _parse_factor(tok: _Tokenizer) -> Expr:
     return base
 
 
+def _enter(tok: _Tokenizer) -> None:
+    """Take a '(' or a unary '-', one more level of nesting."""
+    if tok.nesting == ex.MAX_NESTING:
+        raise ex.ParseError(f"expression nested too deeply (the limit is {ex.MAX_NESTING} levels)", tok.pos)
+    tok.nesting += 1
+    tok.take()
+
+
 def _parse_atom(tok: _Tokenizer) -> Expr:
     ch = tok.peek()
     if ch == "":
         raise ex.ParseError("unexpected end of input", tok.pos)
-    if ch in "(-":
-        if tok.nesting == ex.MAX_NESTING:
-            raise ex.ParseError(f"expression nested too deeply (the limit is {ex.MAX_NESTING} levels)", tok.pos)
-        tok.nesting += 1
+    if ch == "(":
+        _enter(tok)
+        node = _parse_expr(tok)
+        if tok.peek() != ")":
+            raise ex.ParseError("expected ')'", tok.pos)
         tok.take()
-        if ch == "(":
-            node = _parse_expr(tok)
-            if tok.peek() != ")":
-                raise ex.ParseError("expected ')'", tok.pos)
-            tok.take()
-        else:
-            inner = _parse_atom(tok)
-            node = Const(-inner.value) if isinstance(inner, Const) else Prod((Const(-1), inner))
         tok.nesting -= 1
         return node
     if ch.isdecimal():

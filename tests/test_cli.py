@@ -36,6 +36,9 @@ def test_series_text_output() -> None:
         "phi(3) = 0",
         "phi(4) = 6",
     ]
+    # a leading minus takes the whole power: -x^2 + 1/x^2 is 1/x^2 - x^2
+    for poly in ("--poly=-x^2+1/x^2", "--poly=1/x^2-x^2"):
+        assert run("series", poly, "--terms", "2") == (0, "phi(0) = 1\nphi(1) = 0\nphi(2) = -2\n", "")
 
 
 def test_series_json_output_is_decimal_strings() -> None:

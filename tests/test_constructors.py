@@ -192,6 +192,16 @@ def test_constrained_model_json_round_trip() -> None:
     assert render(again.potential) == render(m.potential)
 
 
+def test_built_models_are_the_trees_their_json_text_parses_to() -> None:
+    # k = 1 ladders have one-term factors, and a one-weight partition sums one variable
+    models = [grassmannian_hyperplane_system(k, n, sections)
+              for k, n, sections in ((1, 2, 0), (1, 4, 2), (1, 6, 4), (2, 4, 3), (2, 6, 5), (3, 6, 4), (4, 7, 2))]
+    models += [weighted_hypersurface_system(weights, sum(partition), partition) for weights, partition in (
+        ((1, 1, 3), (3,)), ((2, 1, 1), (1,)), ((1, 1, 1, 1, 3), (1, 1, 1, 3)), ((1, 1, 1, 2, 3), (1, 2, 3)))]
+    for m in models:
+        assert ConstrainedModel.from_json_dict(json.loads(json.dumps(m.to_json_dict()))) == m
+
+
 def test_weighted_hypersurface_layout() -> None:
     m = weighted_hypersurface_system((1, 1, 1, 1, 3), 6, (1, 1, 1, 3))
     assert m.variables == ("y0", "y1", "y2", "y3", "y4")

@@ -27,7 +27,6 @@ from weaklg.expr import (
     Quot,
     Sum,
     Var,
-    laurent_to_expr,
     parse,
     past_digit_limit,
     random_equal,
@@ -69,10 +68,12 @@ def test_power_binds_tighter_than_product_and_sum() -> None:
 
 
 def test_unary_minus_binds_the_whole_power_atom() -> None:
-    # the grammar hangs '^' off an atom, so -y^4 is (-y)^4
+    # a unary minus takes a whole factor, so -y^4 is -(y^4), and 2*-y^4 is -2*y^4
     env = {"y": Fraction(2)}
-    assert evaluate_exactly(parse("-y^4"), env) == 16
-    assert evaluate_exactly(parse("-1*y^4"), env) == -16
+    assert evaluate_exactly(parse("-y^4"), env) == -16
+    assert evaluate_exactly(parse("(-y)^4"), env) == 16
+    assert evaluate_exactly(parse("2*-y^4"), env) == -32
+    assert parse("-y^4*z") == parse("-1*y^4*z") == Prod((Const(-1), Pow(Var("y"), 4), Var("z")))
 
 
 def test_subtraction_is_left_associative() -> None:
@@ -124,6 +125,7 @@ def _parsed(parser, text: str):
     [
         "", " ", "x", " \t x \n", "x y", "2x", "x+", "x++y", "x--y", "x-+y", "x^-y", "x ^ - 2", "x^--2", "x^",
         "(x", "(x))", "()", "-", "--x", "-(-x)", "-2^2", "-x^2*y", "(x+y)+z", "x+(y+z)", "(x*y)*z", "(x+y)-z+w",
+        "2*-x^2", "-x^2^3", "(-x)^2", "x^-2*-y", "x*-",
         "x*y/z*w", "a-b+c-d", "x$", "x$+1", "1/(x*y*z)", "x1y2 + éa + Ωβ", "x\u00a0+\u2003y", "½", "x½",
         "(" * 100 + "x" + ")" * 100, "(" * 101 + "x" + ")" * 101, "-" * 100 + "x", "-" * 101 + "x",
     ],
@@ -205,6 +207,11 @@ def test_to_laurent_cancels_to_zero() -> None:
 def test_to_laurent_respects_variable_order() -> None:
     f = to_laurent(parse("x*y^2"), ("y", "x"))
     assert f == LaurentPolynomial(2, {(2, 1): 1})
+    for convert in (to_laurent, to_fraction):
+        with pytest.raises(ValueError, match="variable_order contains duplicates"):
+            convert(parse("x"), ("x", "x"))
+        with pytest.raises(ValueError, match="variable_order must name at least one variable"):
+            convert(parse("1"), ())
 
 
 def test_to_laurent_rejects_non_monomial_denominator() -> None:
@@ -213,6 +220,14 @@ def test_to_laurent_rejects_non_monomial_denominator() -> None:
     assert "x + 1" in str(err.value)
     with pytest.raises(NotLaurentError):
         to_laurent(parse("(x+y)^-1"), ("x", "y"))
+    with pytest.raises(ZeroDivisionError, match="negative power of identically zero base x - x"):
+        to_fraction(parse("(x-x)^-2"), ("x",))
+
+
+def test_a_tree_holding_a_non_node_is_refused() -> None:
+    for walk in (render, variables, lambda e: to_laurent(e, ("x",))):
+        with pytest.raises(TypeError, match="not an expression node: 3"):
+            walk(Sum((Var("x"), 3)))
 
 
 def test_power_budget_is_checked_before_expanding() -> None:
@@ -314,6 +329,10 @@ def test_random_equal_accepts_binomial_square() -> None:
     assert r.equal and bool(r)
     assert r.witness is None
     assert r.trials == 20
+    # products of more than eight factors are reduced eight, then seven, at a time
+    for n in (9, 15, 16, 23):
+        assert random_equal(parse("*".join(["x", "y"] * n)), parse(f"x^{n}*y^{n}")).equal
+        assert not random_equal(parse("*".join(["x", "y"] * n)), parse(f"x^{n}*y^{n + 1}")).equal
 
 
 def test_random_equal_rejects_with_witness() -> None:
@@ -344,12 +363,11 @@ def test_random_equal_rejects_bad_parameters() -> None:
         random_equal(parse("x"), parse("x"), trials=0)
 
 
-def test_laurent_to_expr_round_trip() -> None:
+def test_parse_of_a_named_rendering_round_trips() -> None:
     f = LaurentPolynomial(2, {(1, -2): 3, (0, 0): -1})
-    e = laurent_to_expr(f)
-    assert to_laurent(e, ("x", "y")) == f
-    named = laurent_to_expr(f, ("u", "v"))
-    assert "u" in render(named)
+    assert to_laurent(parse(f.render()), ("x", "y")) == f
+    assert render(parse(f.render(("u", "v")))) == "3*u*v^-2 - 1"
+    assert to_laurent(parse(f.render(("u", "v"))), ("u", "v")) == f
 
 
 @settings(deadline=None)

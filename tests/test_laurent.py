@@ -55,6 +55,14 @@ def test_terms_accepts_pairs_but_rejects_duplicates() -> None:
 def test_exponent_arity_is_checked() -> None:
     with pytest.raises(ValueError):
         LaurentPolynomial(2, {(1,): 1})
+    with pytest.raises(ValueError, match="nvars must be a positive integer"):
+        LaurentPolynomial(0, {})
+    with pytest.raises(ValueError, match="has non-integer entries"):
+        LaurentPolynomial(1, {(1.0,): 1})
+    with pytest.raises(ValueError, match="coefficient 0.5 is not an integer"):
+        LaurentPolynomial(1, {(1,): 0.5})
+    with pytest.raises(ValueError, match="variable index 2 out of range for 2 variables"):
+        LaurentPolynomial.variable(2, 2)
 
 
 def test_equality_and_hash() -> None:
@@ -63,6 +71,10 @@ def test_equality_and_hash() -> None:
     assert f == g
     assert hash(f) == hash(g)
     assert f != LaurentPolynomial(2, {(1, -1): 3})
+    assert LaurentPolynomial.constant(2, 3) == 3 and f != 3 and LaurentPolynomial(2, {}) == 0
+    assert f != "2*x*y^-1"  # __eq__ defers to the other operand, then == is identity
+    with pytest.raises(AttributeError, match="LaurentPolynomial is immutable"):
+        f._terms = {}
 
 
 def test_arithmetic_small_example() -> None:
@@ -78,6 +90,8 @@ def test_mixed_arity_arithmetic_rejected() -> None:
     g = LaurentPolynomial(2, {(1, 0): 1})
     with pytest.raises(ValueError):
         _ = f + g
+    with pytest.raises(TypeError, match="cannot combine LaurentPolynomial with str"):
+        _ = f * "x"
 
 
 @given(laurent_polys(2), laurent_polys(2), laurent_polys(2))
@@ -135,6 +149,8 @@ def test_negative_power_rejected() -> None:
     f = LaurentPolynomial(1, {(1,): 1})
     with pytest.raises(ValueError):
         _ = f ** (-1)
+    with pytest.raises(TypeError, match="exponent must be an integer"):
+        _ = f ** 2.0
 
 
 def test_constant_term_of_quartic_simplex_power() -> None:
@@ -181,6 +197,9 @@ def test_substitute_monomial_rejects_singular_and_non_unimodular() -> None:
         f.substitute_monomial(((1, 0), (2, 0)))
     with pytest.raises(ValueError):
         f.substitute_monomial(((2, 0), (0, 1)))
+    for matrix in (((1,),), ((1, 0), (0, 1), (0, 0)), ((1, 0), (0,))):
+        with pytest.raises(ValueError, match="matrix must be 2x2"):
+            f.substitute_monomial(matrix)
 
 
 @settings(deadline=None)
@@ -196,16 +215,21 @@ def test_render_examples() -> None:
     assert f.render() == "x + y + z + x^-1*y^-1*z^-1"
     assert LaurentPolynomial(1, {}).render() == "0"
     assert LaurentPolynomial(2, {(0, 0): -7}).render() == "-7"
+    assert str(f) == f.render()
+    assert repr(f) == "LaurentPolynomial(3, 'x + y + z + x^-1*y^-1*z^-1')"
+    with pytest.raises(ValueError, match="need 3 variable names, got 2"):
+        f.render(("u", "v"))
 
 
 def test_render_leading_negative_power_survives_round_trip() -> None:
-    # a bare "-a^4" would reparse as (-a)^4, so the renderer must guard it
+    # a unary minus takes the whole factor, so "-x^4*y" reparses as -(x^4)*y
     from weaklg.expr import parse, to_laurent
 
     f = LaurentPolynomial(2, {(4, 1): -1, (0, 0): 2})
     text = f.render()
-    assert text == "-1*x^4*y + 2"
+    assert text == "-x^4*y + 2"
     assert to_laurent(parse(text), f.default_names()) == f
+    assert parse(text) == parse("-1*x^4*y + 2")
 
 
 @given(laurent_polys(3))

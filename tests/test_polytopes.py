@@ -84,6 +84,8 @@ def test_from_points_deduplicates_and_validates() -> None:
         from_points([])
     with pytest.raises(ValueError):
         from_points([(0, 0), (1,)])
+    with pytest.raises(ValueError, match="ambient dimension must be >= 1"):
+        from_points([()])
 
 
 def test_facets_support_all_points() -> None:

@@ -649,6 +649,8 @@ def test_closed_form_validates_input() -> None:
         ci_period_closed_form(4, (5,), 4)  # violates the anticanonical bound
     with pytest.raises(ValueError):
         ci_period_closed_form(0, (), 4)
+    with pytest.raises(ValueError, match="terms must be >= 1"):
+        ci_period_closed_form(4, (2,), 0)
 
 
 def test_compare_series_match_and_prefix() -> None:
@@ -674,6 +676,8 @@ def test_compare_series_requires_enough_terms() -> None:
     a = IntegerSeries((1, 2))
     with pytest.raises(ValueError):
         compare_series(a, a, upto=5)
+    with pytest.raises(ValueError, match="upto must be >= 0"):
+        compare_series(a, a, upto=-1)
 
 
 def test_shift_moves_between_conventions() -> None:
@@ -703,3 +707,4 @@ def test_normalize_requires_unit_leading_coefficient() -> None:
         normalize_shift(IntegerSeries((0, 1)))
     with pytest.raises(ValueError):
         normalize_shift(IntegerSeries((2, 4)))
+    assert normalize_shift(IntegerSeries((1,))) == IntegerSeries((1,))  # no t^1 coefficient to remove
