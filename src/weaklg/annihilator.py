@@ -8,6 +8,17 @@ is exact linear algebra over the rationals; the matrix is integral, so its
 nullspace comes from the fraction-free elimination in `linalg`.  The sweep
 over (order, degree) cells solves exactly only the cells that a rank
 computation modulo SCREEN_PRIME cannot rule out.
+
+A graded series splits the matrix.  Let g be the grading of s, the gcd of
+the indices of its nonzero coefficients.  The entry s_(i-l) (i-l)^j is 0
+unless g divides i - l, so the matrix is block-diagonal up to the order of
+its rows and columns, with one block per class c mod g: the rows i = c mod g
+and the columns (l, j) with l = c mod g.  Its nullspace is the direct sum of
+the blocks' nullspaces, and a column depends on the columns before it
+exactly when it depends on the earlier columns of its own class.  So each
+block is solved, and screened, on its own, at about 1/g^2 of the arithmetic
+of the whole matrix, with the same answers.  For a corpus entry g is the
+Fano index.
 """
 
 from __future__ import annotations
@@ -133,21 +144,48 @@ def find_annihilator(
     means no such operator exists at these bounds.  Every returned operator
     is re-checked against the series before being handed back, with the
     integer coefficients the nullspace gives it, before they are scaled.
+
+    Each class's block is solved by `linalg.nullspace`, whose basis has a
+    vector per free column; that column is the vector's last nonzero entry.
+    The vectors of all blocks are merged in the order of their free columns,
+    as a solve of the whole matrix orders them.
     """
     if order < 0 or degree < 0:
         raise ValueError("order and degree must be >= 0")
-    cols = [(l, j) for l in range(degree + 1) for j in range(order + 1)]
-    rows = zip(*_columns(s, order, degree))
-    # content stripping is applied to the input rows only: stripping
-    # mid-elimination would break Bareiss's exact divisions
-    basis = nullspace([_strip_content(row) for row in rows if any(row)], len(cols))
+    basis = []
+    for unknowns, columns in _blocks(s, order, degree).values():
+        # content stripping is applied to the input rows only: stripping
+        # mid-elimination would break Bareiss's exact divisions
+        rows = [_strip_content(row) for row in zip(*columns) if any(row)]
+        for vec in nullspace(rows, len(unknowns)):
+            basis.append({unknowns[k]: v for k, v in enumerate(vec) if v != 0})
     ops = []
-    for vec in basis:
-        coeffs = {cols[k]: v for k, v in enumerate(vec) if v != 0}
+    for coeffs in sorted(basis, key=max):
         if any(_apply_integral(coeffs, s)):
             raise ArithmeticError("solver returned an operator that fails its own equations")
         ops.append(DifferentialOperator(coeffs).scaled_canonical())
     return ops
+
+
+def tightest_class(s: IntegerSeries, order: int, degree: int) -> tuple[int, int, int]:
+    """The class of find_annihilator(s, order, degree) with the least slack,
+    its equations (the block's rows) minus its unknowns (the block's
+    columns), as (class, equations, unknowns); the least class among ties.
+
+    A block with fewer equations than unknowns has a nonzero nullspace
+    whatever the coefficients of s are, so an operator found at a negative
+    slack is not determined by the truncation.
+    """
+    return min(
+        ((c, len(columns[0]), len(unknowns)) for c, (unknowns, columns) in _blocks(s, order, degree).items()),
+        key=lambda cell: (cell[1] - cell[2], cell[0]),
+    )
+
+
+def grading(s: IntegerSeries) -> int:
+    """The gcd of the indices of the nonzero coefficients of s; 1 when no
+    index but 0 has one."""
+    return gcd(*(i for i, c in enumerate(s.coeffs) if c)) or 1
 
 
 def find_minimal_annihilator(
@@ -162,10 +200,14 @@ def find_minimal_annihilator(
     l <= r and j <= m, of find_annihilator's matrix (a row per coefficient) are
     dependent over the rationals.  For each m the columns are added one
     degree r at a time and eliminated modulo SCREEN_PRIME, which gives the
-    least r at which they become dependent mod p.  Before it they are
-    independent mod p, so by `linalg.first_dependent_mod` they are
-    independent over the rationals: no operator, proven without an exact
-    solve.  The columns of (m, r) are among those of (m', r') for m <= m'
+    least r at which they become dependent mod p.  The elimination keeps one
+    reduced basis per class mod the grading g of s, and reduces a column,
+    on its class's rows only, by the kept columns of its class: the other
+    classes' columns are 0 on those rows, so the first dependent column is
+    the one a single elimination of the whole matrix finds.  Before it the
+    columns are independent mod p, so by `linalg.first_dependent_mod` they
+    are independent over the rationals: no operator, proven without an
+    exact solve.  The columns of (m, r) are among those of (m', r') for m <= m'
     and r <= r', so a cell past its order's least r stays a candidate, and
     the least r of order m bounds that of order m + 1.  Only the candidate
     cells are solved exactly, by find_annihilator, in the sweep's order.  A
@@ -183,7 +225,7 @@ def find_minimal_annihilator(
     first = []  # per order, the least degree dependent mod p (max_degree + 1: none)
     bound = max_degree
     for m in range(max_order + 1):
-        found = first_dependent_mod(_columns(s, m, bound), SCREEN_PRIME)
+        found = first_dependent_mod(_class_columns(s, m, bound), SCREEN_PRIME)
         first.append(bound + 1 if found is None else found // (m + 1))
         bound = min(bound, first[-1])
     cells = sorted(
@@ -201,15 +243,33 @@ def find_minimal_annihilator(
     return None
 
 
-def _columns(s: IntegerSeries, order: int, degree: int) -> Iterator[list[int]]:
+def _class_columns(s: IntegerSeries, order: int, degree: int) -> Iterator[tuple[int, list[int]]]:
     """find_annihilator's columns (l, j), j <= order, for l = 0..degree in
-    turn: entry i of (l, j) is s_(i-l) (i-l)^j, 0 for i < l."""
-    powers = [list(s.coeffs)]  # s_k k^j, j = 0..order
+    turn, each as its class c = l mod g, g the grading of s, and its entries
+    on the rows i = c, c + g, ... through the truncation: s_(i-l) (i-l)^j,
+    0 for i < l.  On the other rows the column is 0."""
+    g = grading(s)
+    ks = range(0, len(s), g)
+    powers = [list(s.coeffs[::g])]  # s_k k^j for k = 0, g, 2g, ..., j = 0..order
     for _ in range(order):
-        powers.append([c * k for k, c in enumerate(powers[-1])])
+        powers.append([c * k for k, c in zip(ks, powers[-1])])
     for l in range(degree + 1):
+        c = l % g
+        rows = len(range(c, len(s), g))
         for row in powers:
-            yield ([0] * l + row)[: len(row)]
+            yield c, ([0] * (l // g) + row)[:rows]
+
+
+def _blocks(s: IntegerSeries, order: int, degree: int) -> dict[int, tuple[list[tuple[int, int]], list[list[int]]]]:
+    """find_annihilator's matrix as its blocks: for each class with an
+    unknown, its unknowns (l, j) in order and their columns on its rows."""
+    blocks: dict[int, tuple[list[tuple[int, int]], list[list[int]]]] = {}
+    unknowns = ((l, j) for l in range(degree + 1) for j in range(order + 1))
+    for lj, (c, column) in zip(unknowns, _class_columns(s, order, degree)):
+        block = blocks.setdefault(c, ([], []))
+        block[0].append(lj)
+        block[1].append(column)
+    return blocks
 
 
 def check_sweep_budget(terms: int, bits: int, max_order: int = 4, max_degree: int = 6) -> int:
@@ -223,9 +283,12 @@ def check_sweep_budget(terms: int, bits: int, max_order: int = 4, max_degree: in
     K min(K, R) R one-word products.  The costliest cell to solve exactly
     is (max_order, max_degree), which has the most columns and the largest
     entries, so the bound covers find_annihilator(s, max_order, max_degree)
-    alone as well.  The sweep solves a second cell only after a candidate
-    that is dependent mod p but not over the rationals, and charges it then.
-    Negative bounds are refused as find_annihilator refuses them.
+    alone as well.  Both are charged as eliminations of the whole matrix:
+    for a series graded by g the screen and the solve work on g blocks of
+    about R/g rows and K/g columns, so the bound is loose by up to g^2.  The
+    sweep solves a second cell only after a candidate that is dependent mod
+    p but not over the rationals, and charges it then.  Negative bounds are
+    refused as find_annihilator refuses them.
     """
     if max_order < 0 or max_degree < 0:
         raise ValueError("order and degree must be >= 0")

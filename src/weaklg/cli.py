@@ -20,7 +20,7 @@ from math import lcm
 from pathlib import Path
 
 from . import expr as ex
-from .annihilator import check_sweep_budget, find_annihilator, find_minimal_annihilator
+from .annihilator import check_sweep_budget, find_annihilator, find_minimal_annihilator, grading, tightest_class
 from .constructors import (
     ConstrainedModel,
     eliminate,
@@ -43,7 +43,7 @@ from .polytopes import (
     normalized_volume,
     semiweak_check,
 )
-from .series import constant_term_series
+from .series import IntegerSeries, constant_term_series
 
 
 def _emit(args: argparse.Namespace, payload: dict, text_lines: Iterable[str]) -> None:
@@ -201,16 +201,26 @@ def _cmd_pfop(args: argparse.Namespace) -> int:
     s = constant_term_series(f, args.terms)
     if args.order is not None:
         order, degree, basis = args.order, args.degree, find_annihilator(s, args.order, args.degree)
-        lines = [op.pretty() for op in basis] or ["no annihilator at these bounds"]
+        lines = [_slack_line(s, order, degree)] + ([op.pretty() for op in basis] or ["no annihilator at these bounds"])
     else:
         found = find_minimal_annihilator(s)
         if found is None:
             _emit(args, {"operators": []}, ["no annihilator found in the sweep"])
             return 1
         order, degree, basis = found
-        lines = [f"minimal bounds: order {order}, degree {degree}"] + [op.pretty() for op in basis]
+        lines = [f"minimal bounds: order {order}, degree {degree}", _slack_line(s, order, degree)]
+        lines += [op.pretty() for op in basis]
     _emit(args, {"order": order, "degree": degree, "operators": [op.to_json_dict() for op in basis]}, lines)
     return 0 if basis else 1
+
+
+def _slack_line(s: IntegerSeries, order: int, degree: int) -> str:
+    c, equations, unknowns = tightest_class(s, order, degree)
+    line = (
+        f"truncation t^{s.order}, tightest class {c} mod {grading(s)}:"
+        f" {equations} equations for {unknowns} unknowns, slack {equations - unknowns}"
+    )
+    return line + ("; the truncation does not determine the operator" if equations < unknowns else "")
 
 
 def _chunks(text: str) -> list[str]:

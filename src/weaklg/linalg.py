@@ -6,13 +6,14 @@ pivot step every remaining row is updated and divided exactly by the previous
 pivot, so every intermediate entry is a minor of the input and stays integral
 without growing in length per step.  `det`, `rank` and `nullspace` read their
 answers off that form, in integers throughout.  `first_dependent_mod` is the
-one elimination modulo a prime, a cheap screen that proves full column rank
-over the rationals without an exact solve; `axis_generator`, over the integers.
+one elimination modulo a prime, block by block, a cheap screen that proves
+full column rank over the rationals without an exact solve;
+`axis_generator`, over the integers.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Hashable, Iterable, Sequence
 from math import gcd
 
 Matrix = Sequence[Sequence[int]]
@@ -117,10 +118,17 @@ def nullspace(matrix: Matrix, ncols: int) -> list[list[int]]:
     return basis
 
 
-def first_dependent_mod(columns: Iterable[Sequence[int]], prime: int) -> int | None:
+def first_dependent_mod(columns: Iterable[tuple[Hashable, Sequence[int]]], prime: int) -> int | None:
     """Position of the first of the integer `columns` that is, modulo
     `prime`, a linear combination of the columns before it; None when all of
     them are independent mod prime.
+
+    The columns are those of a block-diagonal matrix, given as (block,
+    entries) pairs: the entries of a column on the rows of its own block,
+    where every column of another block is 0.  A dense matrix is one block.
+    A column then depends on the columns before it exactly when it depends
+    on the earlier columns of its own block, so each block keeps its own
+    reduced basis.
 
     Gaussian elimination over the field Z/prime, one column at a time, so a
     caller that generates the columns stops generating them at the answer.
@@ -133,8 +141,9 @@ def first_dependent_mod(columns: Iterable[Sequence[int]], prime: int) -> int | N
     the k columns are independent over the rationals as well.  The converse
     fails only when prime divides every k x k minor.
     """
-    basis: list[tuple[int, list[int]]] = []  # (pivot row, column)
-    for index, column in enumerate(columns):
+    bases: dict[Hashable, list[tuple[int, list[int]]]] = {}  # (pivot row, column) per block
+    for index, (block, column) in enumerate(columns):
+        basis = bases.setdefault(block, [])
         v = [x % prime for x in column]
         for row, kept in basis:
             c = v[row]

@@ -9,8 +9,9 @@ exhaustively where the package is clever.  The recursive render,
 substitute and (numerator, denominator) walkers that the package replaced
 by iterative passes and one compiled-program driver are kept verbatim.
 So are the exhaustive annihilator sweep that a mod-p screen replaced, the
-term-by-term ladder polynomial that the sum of its hyperplane-class factors
-replaced, the recursive == and repr() of expression nodes (compared and
+solve of the whole annihilator matrix that a solve per grading class
+replaced, the term-by-term ladder polynomial that the sum of its
+hyperplane-class factors replaced, the recursive == and repr() of expression nodes (compared and
 printed field by field, as a frozen value class does), and the
 character-level parser that the token-list parser replaced.
 """
@@ -22,12 +23,13 @@ import operator
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from weaklg import expr as ex
-from weaklg.annihilator import DifferentialOperator, find_annihilator
+from weaklg.annihilator import DifferentialOperator, _apply_integral
 from weaklg.expr import Const, Diff, Expr, IdentityResult, IdentityTestError, Pow, Prod, Quot, Sum, Var
 from weaklg.laurent import LaurentPolynomial
+from weaklg.linalg import nullspace
 from weaklg.series import IntegerSeries
 
 Term = tuple[tuple[int, ...], int]
@@ -670,6 +672,55 @@ def ehrhart_oracle(vertices: tuple[tuple, ...], facets: tuple, kmax: int) -> tup
     return tuple(counts)
 
 
+def find_annihilator_dense(
+    s: IntegerSeries,
+    order: int,
+    degree: int,
+) -> list[DifferentialOperator]:
+    """find_annihilator as one solve of the whole matrix, which the package
+    replaced by a solve per grading class (kept verbatim).
+
+    All operators with D-order <= order and t-degree <= degree that kill
+    the coefficients of s through its truncation order.
+
+    Returns a basis of the solution space, each element scaled so its first
+    nonzero coefficient in (l, j)-lexicographic order is 1.  An empty list
+    means no such operator exists at these bounds.  Every returned operator
+    is re-checked against the series before being handed back, with the
+    integer coefficients the nullspace gives it, before they are scaled.
+    """
+    if order < 0 or degree < 0:
+        raise ValueError("order and degree must be >= 0")
+    cols = [(l, j) for l in range(degree + 1) for j in range(order + 1)]
+    rows = zip(*_annihilator_columns(s, order, degree))
+    # content stripping is applied to the input rows only: stripping
+    # mid-elimination would break Bareiss's exact divisions
+    basis = nullspace([_strip_content(row) for row in rows if any(row)], len(cols))
+    ops = []
+    for vec in basis:
+        coeffs = {cols[k]: v for k, v in enumerate(vec) if v != 0}
+        if any(_apply_integral(coeffs, s)):
+            raise ArithmeticError("solver returned an operator that fails its own equations")
+        ops.append(DifferentialOperator(coeffs).scaled_canonical())
+    return ops
+
+
+def _strip_content(row: Sequence[int]) -> Sequence[int]:
+    g = math.gcd(*row)
+    return row if g == 1 else [v // g for v in row]
+
+
+def _annihilator_columns(s: IntegerSeries, order: int, degree: int) -> Iterator[list[int]]:
+    """find_annihilator's columns (l, j), j <= order, for l = 0..degree in
+    turn: entry i of (l, j) is s_(i-l) (i-l)^j, 0 for i < l."""
+    powers = [list(s.coeffs)]  # s_k k^j, j = 0..order
+    for _ in range(order):
+        powers.append([c * k for k, c in enumerate(powers[-1])])
+    for l in range(degree + 1):
+        for row in powers:
+            yield ([0] * l + row)[: len(row)]
+
+
 def find_minimal_annihilator_oracle(
     s: IntegerSeries,
     max_order: int = 4,
@@ -677,13 +728,13 @@ def find_minimal_annihilator_oracle(
 ) -> tuple[int, int, list[DifferentialOperator]] | None:
     """The exhaustive sweep: solve every (order, degree) cell exactly, by
     increasing order + degree, then order, and return the first cell with a
-    nonempty annihilator basis."""
+    nonempty annihilator basis, each by one solve of the whole matrix."""
     cells = sorted(
         ((m, r) for m in range(max_order + 1) for r in range(max_degree + 1)),
         key=lambda mr: (mr[0] + mr[1], mr[0]),
     )
     for m, r in cells:
-        ops = find_annihilator(s, m, r)
+        ops = find_annihilator_dense(s, m, r)
         if ops:
             return m, r, ops
     return None

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import find_minimal_annihilator_oracle
+from support import find_annihilator_dense, find_minimal_annihilator_oracle
 from weaklg import annihilator
 from weaklg.annihilator import (
     MAX_SWEEP_WORK,
@@ -16,6 +16,8 @@ from weaklg.annihilator import (
     check_sweep_budget,
     find_annihilator,
     find_minimal_annihilator,
+    grading,
+    tightest_class,
 )
 from weaklg.corpus import get_entry
 from weaklg.expr import parse, to_laurent, variables
@@ -212,11 +214,41 @@ def small_polys(draw) -> LaurentPolynomial:
     return LaurentPolynomial(n, draw(st.dictionaries(exps, st.integers(-3, 3).filter(bool), min_size=1, max_size=4)))
 
 
+def assert_every_cell_is_the_dense_solve(s: IntegerSeries, max_order: int = 4, max_degree: int = 6) -> None:
+    for m in range(max_order + 1):
+        for r in range(max_degree + 1):
+            assert find_annihilator(s, m, r) == find_annihilator_dense(s, m, r), (m, r)
+
+
 @settings(deadline=None, max_examples=60)
-@given(small_polys(), st.integers(min_value=4, max_value=16), st.integers(0, 4), st.integers(0, 6))
-def test_sweep_matches_the_exhaustive_sweep_on_small_polynomials(f, terms, max_order, max_degree) -> None:
+@given(
+    small_polys(), st.integers(min_value=4, max_value=16), st.integers(0, 4), st.integers(0, 6), st.integers(1, 4)
+)
+def test_sweep_matches_the_exhaustive_sweep_on_small_polynomials(f, terms, max_order, max_degree, g) -> None:
+    # the series stretched onto the multiples of g, so graded by g or more
     s = constant_term_series(f, terms)
+    s = IntegerSeries(tuple(0 if i % g else s[i // g] for i in range(len(s))))
     assert find_minimal_annihilator(s, max_order, max_degree) == find_minimal_annihilator_oracle(s, max_order, max_degree)
+    assert_every_cell_is_the_dense_solve(s, max_order, max_degree)
+
+
+@pytest.mark.parametrize("source", [*range(2, 18), *CONTROLS])
+def test_find_annihilator_is_the_dense_solve_on_every_cell(source: int | str) -> None:
+    # the corpus at T = 30, graded by its Fano index (1 to 4), and the controls at T = 36
+    if isinstance(source, int):
+        assert_every_cell_is_the_dense_solve(constant_term_series(get_entry(source).laurent(), 30))
+    else:
+        assert_every_cell_is_the_dense_solve(control_series(source, 36))
+
+
+def test_grading_and_the_tightest_class() -> None:
+    s = constant_term_series(get_entry(17).laurent(), 20)
+    assert grading(s) == 4 and grading(IntegerSeries((3, 0, 0))) == grading(GEOMETRIC) == 1
+    # (2, 5) at t^20: class 1 holds t and t^5 times D^0..D^2 against rows 1, 5, ..., 17
+    assert tightest_class(s, 2, 5) == (1, 5, 6)
+    assert tightest_class(constant_term_series(get_entry(17).laurent(), 30), 3, 4) == (0, 8, 8)
+    # one class: T + 1 equations for all (order + 1)(degree + 1) unknowns
+    assert tightest_class(GEOMETRIC, 2, 3) == (0, 10, 12)
 
 
 @pytest.mark.parametrize("prime", [2, 3])

@@ -414,6 +414,15 @@ def test_pfop_finds_operator_at_given_bidegree() -> None:
     assert doc["order"] == 3 and doc["degree"] == 4
     assert len(doc["operators"]) == 1
     assert [0, 3, "1"] in doc["operators"][0]["coeffs"]
+    # t^0, t^4, ..., t^24 are 7 equations for the 8 unknowns of t^0 and t^4
+    code, out, _ = run("pfop", "--entry", "17", "--order", "3", "--degree", "4", "--terms", "24")
+    assert code == 0 and out.splitlines()[0] == (
+        "truncation t^24, tightest class 0 mod 4: 7 equations for 8 unknowns, slack -1;"
+        " the truncation does not determine the operator"
+    )
+
+
+OPERATOR_17 = "D^3 - 256*t^4*D^3 - 1536*t^4*D^2 - 2816*t^4*D - 1536*t^4"
 
 
 def test_pfop_sweep_reports_minimal_bidegree() -> None:
@@ -421,6 +430,28 @@ def test_pfop_sweep_reports_minimal_bidegree() -> None:
     assert code == 0
     doc = json.loads(out)
     assert (doc["order"], doc["degree"]) == (3, 4)
+    assert run("pfop", "--entry", "17", "--terms", "30") == (0, (
+        "minimal bounds: order 3, degree 4\n"
+        "truncation t^30, tightest class 0 mod 4: 8 equations for 8 unknowns, slack 0\n"
+        f"{OPERATOR_17}\n"
+    ), "")
+    assert run("pfop", "--entry", "17", "--terms", "40") == (0, (
+        "minimal bounds: order 3, degree 4\n"
+        "truncation t^40, tightest class 0 mod 4: 11 equations for 8 unknowns, slack 3\n"
+        f"{OPERATOR_17}\n"
+    ), "")
+
+
+def test_pfop_flags_an_operator_its_truncation_does_not_determine() -> None:
+    # at the default t^20 the sweep's order-2 operator of entry 17 is wrong:
+    # class 1 of (2, 5) has 6 unknowns (t and t^5 times D^0..D^2) and 5 rows
+    code, out, _ = run("pfop", "--entry", "17")
+    assert code == 0
+    assert out.splitlines()[:2] == [
+        "minimal bounds: order 2, degree 5",
+        "truncation t^20, tightest class 1 mod 4: 5 equations for 6 unknowns, slack -1;"
+        " the truncation does not determine the operator",
+    ]
 
 
 @pytest.mark.parametrize("argv", [
