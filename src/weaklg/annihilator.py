@@ -6,8 +6,9 @@ is sum_{l,j} c_{l,j} s_{i-l} (i-l)^j, with terms for i < l dropped and the
 convention 0^0 = 1.  Finding an annihilator up to given order and t-degree
 is exact linear algebra over the rationals; the matrix is integral, so its
 nullspace comes from the fraction-free elimination in `linalg`.  The sweep
-over (order, degree) cells solves exactly only the cells that a rank
-computation modulo SCREEN_PRIME cannot rule out.
+over (order, degree) cells solves each order once, at its largest degree
+still of use, and reads every smaller cell of that order off a prefix of
+the basis.
 
 A graded series splits the matrix.  Let g be the grading of s, the gcd of
 the indices of its nonzero coefficients.  The entry s_(i-l) (i-l)^j is 0
@@ -16,31 +17,28 @@ its rows and columns, with one block per class c mod g: the rows i = c mod g
 and the columns (l, j) with l = c mod g.  Its nullspace is the direct sum of
 the blocks' nullspaces, and a column depends on the columns before it
 exactly when it depends on the earlier columns of its own class.  So each
-block is solved, and screened, on its own, at about 1/g^2 of the arithmetic
+block is solved on its own, at about 1/g^2 of the arithmetic
 of the whole matrix, with the same answers.  For a corpus entry g is the
 Fano index.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 
 from ._frozen import frozen
-from .linalg import first_dependent_mod, nullspace
+from .linalg import nullspace
 from .series import IntegerSeries
 
-# The prime of the sweep's screen (2^61 - 1).  Any prime gives the sweep's
-# result; a small one rules out fewer cells.
-SCREEN_PRIME = (1 << 61) - 1
-
-# The sweep's work in word products: its screen and its exact solves (see
+# The sweep's work in word products: one exact solve per order (see
 # check_sweep_budget).  On a 2-vCPU Linux host with Python 3.11.7 a word
 # product took 11-24 ns of find_annihilator on random series (T = 40-300,
 # 100-800 bits), so this is a few seconds.  From the norm bound on their
-# coefficients it admits every corpus entry at T = 40; entry 1 needs the
-# most, 1.7e8, and the series budget refuses it there.
+# coefficients it admits entries 2-17 at T = 40 (entry 11 needs the most,
+# 1.91e8) and entry 1 at T = 36 (1.98e8); entry 1 at T = 40 needs 2.97e8,
+# and the series budget refuses it there too.
 MAX_SWEEP_WORK = 2 * 10**8
 
 
@@ -196,107 +194,71 @@ def find_minimal_annihilator(
     """Sweep (order, degree) cells by increasing order + degree, then order,
     and return the first cell with a nonempty annihilator basis.
 
-    Screen.  Cell (m, r) has an operator exactly when the columns (l, j),
-    l <= r and j <= m, of find_annihilator's matrix (a row per coefficient) are
-    dependent over the rationals.  For each m the columns are added one
-    degree r at a time and eliminated modulo SCREEN_PRIME, which gives the
-    least r at which they become dependent mod p.  The elimination keeps one
-    reduced basis per class mod the grading g of s, and reduces a column,
-    on its class's rows only, by the kept columns of its class: the other
-    classes' columns are 0 on those rows, so the first dependent column is
-    the one a single elimination of the whole matrix finds.  Before it the
-    columns are independent mod p, so by `linalg.first_dependent_mod` they
-    are independent over the rationals: no operator, proven without an
-    exact solve.  The columns of (m, r) are among those of (m', r') for m <= m'
-    and r <= r', so a cell past its order's least r stays a candidate, and
-    the least r of order m bounds that of order m + 1.  Only the candidate
-    cells are solved exactly, by find_annihilator, in the sweep's order.  A
-    candidate that is dependent mod p but not over the rationals has an
-    empty basis and the sweep moves on, so the result is the exhaustive
-    sweep's, whatever the prime.
+    Each order m is solved once, exactly, at a degree bound r.  The basis of
+    find_annihilator comes sorted by free column, and a vector's free column
+    (l, j) is its last nonzero unknown in l-major order, so its degree is l.
+    The columns of a cell (m, r' <= r) are a prefix of those of (m, r), and
+    its free columns are those of (m, r) in that prefix, so the basis of
+    (m, r') is the leading run of operators of degree <= r', and the least
+    degree of order m is the degree of the first operator.  The bound starts at max_degree; once an order has
+    an operator, the orders after it need a cell m + r below the best one
+    (ties go to the smaller order), and the sweep stops when the bound falls
+    below 0.  So the result is the exhaustive sweep's.
 
-    Budget.  check_sweep_budget bounds the screen and one exact solve before
-    the screen starts; a further solve is charged against what that leaves
-    of MAX_SWEEP_WORK before it starts.
+    check_sweep_budget bounds the sweep's work before it starts.
     """
-    terms = s.order
     bits = max((abs(c) for c in s.coeffs), default=0).bit_length()
-    spare = MAX_SWEEP_WORK - check_sweep_budget(terms, bits, max_order, max_degree)
-    first = []  # per order, the least degree dependent mod p (max_degree + 1: none)
-    bound = max_degree
+    check_sweep_budget(s.order, bits, max_order, max_degree)
+    found = None
     for m in range(max_order + 1):
-        found = first_dependent_mod(_class_columns(s, m, bound), SCREEN_PRIME)
-        first.append(bound + 1 if found is None else found // (m + 1))
-        bound = min(bound, first[-1])
-    cells = sorted(
-        ((m, r) for m in range(max_order + 1) for r in range(first[m], max_degree + 1)),
-        key=lambda mr: (mr[0] + mr[1], mr[0]),
-    )
-    for i, (m, r) in enumerate(cells):
-        if i:  # the cells before were dependent mod p only
-            spare -= _solve_work(terms, bits, m, r)
-            if spare < 0:
-                raise _past_budget(terms)
-        ops = find_annihilator(s, m, r)
+        bound = max_degree if found is None else found[0] + found[1] - m - 1
+        if bound < 0:
+            break
+        ops = find_annihilator(s, m, bound)
         if ops:
-            return m, r, ops
-    return None
+            r = ops[0].degree
+            found = m, r, [op for op in ops if op.degree == r]
+    return found
 
 
-def _class_columns(s: IntegerSeries, order: int, degree: int) -> Iterator[tuple[int, list[int]]]:
-    """find_annihilator's columns (l, j), j <= order, for l = 0..degree in
-    turn, each as its class c = l mod g, g the grading of s, and its entries
-    on the rows i = c, c + g, ... through the truncation: s_(i-l) (i-l)^j,
-    0 for i < l.  On the other rows the column is 0."""
+def _blocks(s: IntegerSeries, order: int, degree: int) -> dict[int, tuple[list[tuple[int, int]], list[list[int]]]]:
+    """find_annihilator's matrix as its blocks: for each class c mod g, g
+    the grading of s, with an unknown, its unknowns (l, j), l = c mod g, in
+    order, and their columns on its rows i = c, c + g, ... through the
+    truncation: s_(i-l) (i-l)^j, 0 for i < l.  On the other rows the
+    columns are 0."""
     g = grading(s)
     ks = range(0, len(s), g)
     powers = [list(s.coeffs[::g])]  # s_k k^j for k = 0, g, 2g, ..., j = 0..order
     for _ in range(order):
         powers.append([c * k for k, c in zip(ks, powers[-1])])
+    blocks: dict[int, tuple[list[tuple[int, int]], list[list[int]]]] = {}
     for l in range(degree + 1):
         c = l % g
+        unknowns, columns = blocks.setdefault(c, ([], []))
         rows = len(range(c, len(s), g))
-        for row in powers:
-            yield c, ([0] * (l // g) + row)[:rows]
-
-
-def _blocks(s: IntegerSeries, order: int, degree: int) -> dict[int, tuple[list[tuple[int, int]], list[list[int]]]]:
-    """find_annihilator's matrix as its blocks: for each class with an
-    unknown, its unknowns (l, j) in order and their columns on its rows."""
-    blocks: dict[int, tuple[list[tuple[int, int]], list[list[int]]]] = {}
-    unknowns = ((l, j) for l in range(degree + 1) for j in range(order + 1))
-    for lj, (c, column) in zip(unknowns, _class_columns(s, order, degree)):
-        block = blocks.setdefault(c, ([], []))
-        block[0].append(lj)
-        block[1].append(column)
+        for j, row in enumerate(powers):
+            unknowns.append((l, j))
+            columns.append(([0] * (l // g) + row)[:rows])
     return blocks
 
 
 def check_sweep_budget(terms: int, bits: int, max_order: int = 4, max_degree: int = 6) -> int:
     """Raise ValueError if find_minimal_annihilator(s, max_order,
     max_degree), s a series through t^terms whose coefficients have at most
-    `bits` bits, may need more than MAX_SWEEP_WORK word products for its
-    screen and its first exact solve.  Return that bound otherwise.
+    `bits` bits, may need more than MAX_SWEEP_WORK word products.  Return
+    that bound otherwise.
 
-    The screen reduces each order's K = (m + 1)(max_degree + 1) columns of
-    R = terms + 1 residues, each by at most min(K, R) kept columns: at most
-    K min(K, R) R one-word products.  The costliest cell to solve exactly
-    is (max_order, max_degree), which has the most columns and the largest
-    entries, so the bound covers find_annihilator(s, max_order, max_degree)
-    alone as well.  Both are charged as eliminations of the whole matrix:
-    for a series graded by g the screen and the solve work on g blocks of
-    about R/g rows and K/g columns, so the bound is loose by up to g^2.  The
-    sweep solves a second cell only after a candidate that is dependent mod
-    p but not over the rationals, and charges it then.  Negative bounds are
-    refused as find_annihilator refuses them.
+    The sweep solves each order m at most once, at a degree bound of at most
+    max_degree, so it spends at most the sum over m of the work of
+    find_annihilator(s, m, max_degree).  Each solve is charged as an
+    elimination of the whole matrix: for a series graded by g it works on g
+    blocks of about 1/g of the rows and columns, so the bound is loose by up
+    to g^2.  Negative bounds are refused as find_annihilator refuses them.
     """
     if max_order < 0 or max_degree < 0:
         raise ValueError("order and degree must be >= 0")
-    rows = terms + 1
-    work = _solve_work(terms, bits, max_order, max_degree)
-    for m in range(max_order + 1):
-        k = (m + 1) * (max_degree + 1)
-        work += k * min(k, rows) * rows
+    work = sum(_solve_work(terms, bits, m, max_degree) for m in range(max_order + 1))
     if work > MAX_SWEEP_WORK:
         raise _past_budget(terms)
     return work

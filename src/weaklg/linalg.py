@@ -5,15 +5,13 @@ Bareiss's fraction-free elimination (Bareiss, Math. Comp. 22, 1968): at each
 pivot step every remaining row is updated and divided exactly by the previous
 pivot, so every intermediate entry is a minor of the input and stays integral
 without growing in length per step.  `det`, `rank` and `nullspace` read their
-answers off that form, in integers throughout.  `first_dependent_mod` is the
-one elimination modulo a prime, block by block, a cheap screen that proves
-full column rank over the rationals without an exact solve;
-`axis_generator`, over the integers.
+answers off that form, in integers throughout.  `axis_generator` is the
+one elimination by Euclid's algorithm, over the integers.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Sequence
+from collections.abc import Sequence
 from math import gcd
 
 Matrix = Sequence[Sequence[int]]
@@ -117,41 +115,3 @@ def nullspace(matrix: Matrix, ncols: int) -> list[list[int]]:
         basis.append(x)
     return basis
 
-
-def first_dependent_mod(columns: Iterable[tuple[Hashable, Sequence[int]]], prime: int) -> int | None:
-    """Position of the first of the integer `columns` that is, modulo
-    `prime`, a linear combination of the columns before it; None when all of
-    them are independent mod prime.
-
-    The columns are those of a block-diagonal matrix, given as (block,
-    entries) pairs: the entries of a column on the rows of its own block,
-    where every column of another block is 0.  A dense matrix is one block.
-    A column then depends on the columns before it exactly when it depends
-    on the earlier columns of its own block, so each block keeps its own
-    reduced basis.
-
-    Gaussian elimination over the field Z/prime, one column at a time, so a
-    caller that generates the columns stops generating them at the answer.
-    Each kept column is reduced by the kept columns before it and scaled to
-    1 at its pivot row, where every later kept column is 0.
-
-    The screen this gives is exact in one direction.  If the first k columns
-    of an integer matrix are independent mod prime, some k x k minor of them
-    is nonzero mod prime; that minor is an integer, so it is nonzero, and
-    the k columns are independent over the rationals as well.  The converse
-    fails only when prime divides every k x k minor.
-    """
-    bases: dict[Hashable, list[tuple[int, list[int]]]] = {}  # (pivot row, column) per block
-    for index, (block, column) in enumerate(columns):
-        basis = bases.setdefault(block, [])
-        v = [x % prime for x in column]
-        for row, kept in basis:
-            c = v[row]
-            if c:
-                v = [(x - c * y) % prime for x, y in zip(v, kept)]
-        pivot = next((r for r, x in enumerate(v) if x), None)
-        if pivot is None:
-            return index
-        inverse = pow(v[pivot], -1, prime)
-        basis.append((pivot, [x * inverse % prime for x in v]))
-    return None

@@ -457,6 +457,16 @@ def test_ehrhart_counts_match_box_scan_oracle(case: tuple[int, list[tuple]]) -> 
     assert ehrhart_counts(p, 4).counts == ehrhart_oracle(p.vertices, p.facets, 4)
 
 
+def test_ehrhart_counts_of_the_triangle_times_the_square() -> None:
+    # the triangle's facets are walls with no row or last coordinate (b = 0),
+    # which close every row over a prefix point outside k times the triangle
+    triangle, square = ((0, 0), (1, 0), (0, 1)), ((0, 0), (1, 0), (0, 1), (1, 1))
+    p = from_points([u + v for u in triangle for v in square])
+    counts = ehrhart_counts(p, 4).counts
+    assert counts == tuple((k + 1) * (k + 2) // 2 * (k + 1) ** 2 for k in range(5)) == (1, 12, 54, 160, 375)
+    assert counts == ehrhart_oracle(p.vertices, p.facets, 4)
+
+
 @settings(deadline=None, max_examples=60)
 @given(point_sets())
 def test_dual_vertices_match_intersection_oracle(case: tuple[int, list[tuple]]) -> None:
