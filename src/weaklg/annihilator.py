@@ -17,9 +17,8 @@ its rows and columns, with one block per class c mod g: the rows i = c mod g
 and the columns (l, j) with l = c mod g.  Its nullspace is the direct sum of
 the blocks' nullspaces, and a column depends on the columns before it
 exactly when it depends on the earlier columns of its own class.  So each
-block is solved on its own, at about 1/g^2 of the arithmetic
-of the whole matrix, with the same answers.  For a corpus entry g is the
-Fano index.
+block is solved on its own, at about 1/g^2 of the arithmetic of the whole
+matrix, with the same answers.  For a corpus entry g is the Fano index.
 """
 
 from __future__ import annotations
@@ -200,10 +199,11 @@ def find_minimal_annihilator(
     The columns of a cell (m, r' <= r) are a prefix of those of (m, r), and
     its free columns are those of (m, r) in that prefix, so the basis of
     (m, r') is the leading run of operators of degree <= r', and the least
-    degree of order m is the degree of the first operator.  The bound starts at max_degree; once an order has
-    an operator, the orders after it need a cell m + r below the best one
-    (ties go to the smaller order), and the sweep stops when the bound falls
-    below 0.  So the result is the exhaustive sweep's.
+    degree of order m is the degree of the first operator.  The bound starts
+    at max_degree; once an order has an operator, the orders after it need a
+    cell m + r below the best one (ties go to the smaller order), and the
+    sweep stops when the bound falls below 0.  So the result is the
+    exhaustive sweep's.
 
     check_sweep_budget bounds the sweep's work before it starts.
     """
@@ -256,11 +256,26 @@ def check_sweep_budget(terms: int, bits: int, max_order: int = 4, max_degree: in
     blocks of about 1/g of the rows and columns, so the bound is loose by up
     to g^2.  Negative bounds are refused as find_annihilator refuses them.
     """
-    if max_order < 0 or max_degree < 0:
+    return _charged(terms, bits, range(max_order + 1), max_degree)
+
+
+def check_solve_budget(terms: int, bits: int, order: int, degree: int) -> int:
+    """check_sweep_budget for the one solve find_annihilator(s, order,
+    degree): its work alone is charged."""
+    return _charged(terms, bits, range(order, order + 1), degree)
+
+
+def _charged(terms: int, bits: int, orders: range, degree: int) -> int:
+    # refused before any work is summed: (order + 1)(degree + 1) of two
+    # negative bounds is large; an empty range is a negative max_order
+    if degree < 0 or min(orders, default=-1) < 0:
         raise ValueError("order and degree must be >= 0")
-    work = sum(_solve_work(terms, bits, m, max_degree) for m in range(max_order + 1))
+    work = sum(_solve_work(terms, bits, m, degree) for m in orders)
     if work > MAX_SWEEP_WORK:
-        raise _past_budget(terms)
+        raise ValueError(
+            f"the operator search to t^{terms} may need more than {MAX_SWEEP_WORK} word products"
+            " (the limit MAX_SWEEP_WORK)"
+        )
     return work
 
 
@@ -277,10 +292,3 @@ def _solve_work(terms: int, bits: int, order: int, degree: int) -> int:
     rows, k = terms + 1, (order + 1) * (degree + 1)
     b = bits + order * terms.bit_length()
     return sum((rows - q) * (k - q + 1) * (q * b // 64 + 1) ** 2 for q in range(1, min(rows, k) + 1))
-
-
-def _past_budget(terms: int) -> ValueError:
-    return ValueError(
-        f"the operator search to t^{terms} may need more than {MAX_SWEEP_WORK} word products"
-        " (the limit MAX_SWEEP_WORK)"
-    )

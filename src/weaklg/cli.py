@@ -20,7 +20,14 @@ from math import lcm
 from pathlib import Path
 
 from . import expr as ex
-from .annihilator import check_sweep_budget, find_annihilator, find_minimal_annihilator, grading, tightest_class
+from .annihilator import (
+    check_solve_budget,
+    check_sweep_budget,
+    find_annihilator,
+    find_minimal_annihilator,
+    grading,
+    tightest_class,
+)
 from .constructors import (
     ConstrainedModel,
     eliminate,
@@ -197,7 +204,10 @@ def _cmd_pfop(args: argparse.Namespace) -> int:
     # |phi(i)| <= norm^i < 2^(i * bitlen(norm^64) / 64), and phi(0) = 1
     norm = sum(abs(c) for c in f.terms.values())
     bits = max(1, -(-args.terms * (norm**64).bit_length() // 64))
-    check_sweep_budget(args.terms, bits, *(() if args.order is None else (args.order, args.degree)))
+    if args.order is None:
+        check_sweep_budget(args.terms, bits)
+    else:
+        check_solve_budget(args.terms, bits, args.order, args.degree)
     s = constant_term_series(f, args.terms)
     if args.order is not None:
         order, degree, basis = args.order, args.degree, find_annihilator(s, args.order, args.degree)

@@ -13,6 +13,7 @@ from weaklg.annihilator import (
     MAX_SWEEP_WORK,
     DifferentialOperator,
     apply_operator,
+    check_solve_budget,
     check_sweep_budget,
     find_annihilator,
     find_minimal_annihilator,
@@ -282,3 +283,23 @@ def test_sweep_budget_admits_the_corpus_at_forty_terms_and_entry_one_at_thirty_s
     # entry 1 at t^40 is past the series budget as well
     with pytest.raises(ValueError, match="the limit MAX_SWEEP_WORK"):
         budget(1, 40)
+
+
+def test_one_cell_is_charged_its_own_solve_only() -> None:
+    # lg pfop --order 4 --degree 6 runs one solve, not the sweep of orders 0..4
+    assert check_solve_budget(30, 100, 4, 6) == annihilator._solve_work(30, 100, 4, 6)
+    assert check_solve_budget(30, 100, 4, 6) < check_sweep_budget(30, 100, 4, 6)
+    # entry 1 at t^40, with lg pfop's bits: 1.7e8 for the cell, 3.0e8 for the sweep
+    norm = sum(abs(c) for c in get_entry(1).laurent().terms.values())
+    bits = -(-40 * (norm**64).bit_length() // 64)
+    assert check_solve_budget(40, bits, 4, 6) <= MAX_SWEEP_WORK
+    with pytest.raises(ValueError, match="the limit MAX_SWEEP_WORK"):
+        check_sweep_budget(40, bits, 4, 6)
+    with pytest.raises(ValueError, match="the limit MAX_SWEEP_WORK"):
+        check_solve_budget(30, 100, 40, 40)
+    # two negative bounds are refused before their work is summed
+    start = time.perf_counter()
+    for order, degree in ((-1, 6), (4, -1), (-10**6, -10**6)):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            check_solve_budget(10**7, 100, order, degree)
+    assert time.perf_counter() - start < 0.5

@@ -467,6 +467,16 @@ def test_pfop_refuses_a_sweep_past_its_budget(argv: tuple[str, ...]) -> None:
     assert "(the limit MAX_SWEEP_WORK)" in err
 
 
+def test_pfop_charges_one_cell_only_its_own_solve() -> None:
+    # the sweep of orders 0..4 at t-degree 6 would be charged 2.6e8 here, the cell 1.7e8
+    code, out, _ = run("pfop", "--poly", "x+y+1/(x*y)", "--terms", "120", "--order", "4", "--degree", "6")
+    assert code == 0
+    assert out.splitlines()[:2] == [
+        "truncation t^120, tightest class 0 mod 3: 41 equations for 15 unknowns, slack 26",
+        "D^2 - 27*t^3*D^2 - 81*t^3*D - 54*t^3",
+    ]
+
+
 def test_pfop_exits_one_when_nothing_found() -> None:
     code, _, _ = run(
         "pfop", "--entry", "17", "--order", "1", "--degree", "1", "--terms", "12"
