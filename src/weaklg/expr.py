@@ -20,22 +20,26 @@ degrees are below D, a single agreeing evaluation is wrong with probability
 at most D/(p - 1); twenty agreeing trials push that below 2^-800 for every
 polynomial appearing in the bundled corpus.
 
-parse() lexes the text once into a list of tokens and builds each run of
-n-ary operands (a+b+...+z, a*b*...*z) as one Sum or Prod from a list.
+parse() lexes the text once into a list of tokens, builds each run of
+n-ary operands (a+b+...+z, a*b*...*z) as one Sum or Prod from a list, and
+builds one node per distinct name, constant and power of the text.
 
-Every operation on a tree runs on one compiled form: an iterative walk
-lists each distinct subexpression once, operands first, as one step per
-node (a sum or product of any number of operands too), and one driver runs
-down that list with a step function per kind of node, dropping each value
-after its last use.  random_equal(), to_laurent() and to_fraction()
-evaluate in three rings: Laurent polynomials, (numerator, denominator)
-pairs of polynomials, and batches of points mod p; the identity test
-evaluates a whole batch per step as one vector of residues, divides by one
-batch inversion per vector (Montgomery's trick), and keeps the set of
-points where some step divided by zero.  render(), substitute(), hash() and
-repr() run step tables of their own, variables() reads the program's
-variable steps, and two trees are == when their roots share a step.  Only
-the parser recurses, at most MAX_NESTING levels deep.
+Every operation on a tree runs on one compiled program, built at the
+tree's first use and kept on its root: an iterative walk lists each
+distinct subexpression once, operands first, as one step per node (a sum
+or product of any number of operands too), and one driver runs down that
+list with a step function per kind of node, dropping each value after its
+last use.  random_equal(), to_laurent() and to_fraction() evaluate in
+three rings: Laurent polynomials (a product's one-term factors multiplied
+as one monomial), (numerator, denominator) pairs of polynomials, and
+batches of points mod p; the identity test evaluates a whole batch per
+step as one vector of residues, divides by one batch inversion per vector
+(Montgomery's trick), and keeps the set of points where some step divided
+by zero.  render(), substitute(), hash() and repr() run step tables of
+their own, variables() reads the program's variable steps, and two trees
+are == when their roots share a step of the joint program that merging
+their two programs gives, as random_equal does.  Only the parser recurses,
+at most MAX_NESTING levels deep.
 """
 
 from __future__ import annotations
@@ -128,20 +132,24 @@ class _Node:
     """Structural ==, hash() and repr() without recursion, so that a 5,000-term
     chain x-x-...-x compares, hashes and prints: two nodes are equal when
     their heads (_head) are and their operands are, in order.  A node is
-    frozen: assigning to or deleting a field raises AttributeError."""
+    frozen: assigning to or deleting a field raises AttributeError.  The slot
+    _program (see _compiled) is no field: vars(), copies and pickles omit it."""
+
+    __slots__ = ("_program",)
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        left, right = _Program(self, other).roots  # equal subtrees share a slot
+        left, right = _joint(self, other).roots  # equal subtrees share a slot
         return left == right
 
     def __hash__(self) -> int:
-        return _Program(self).run(dict.fromkeys(_KINDS, lambda node, *kids: hash((_head(node), *kids))))[0]
+        return _compiled(self).run(dict.fromkeys(_KINDS, lambda node, *kids: hash((_head(node), *kids))))[0]
 
     def __repr__(self) -> str:
-        return _Program(self).run(dict.fromkeys(_KINDS, _repr_node))[0]
+        return _compiled(self).run(dict.fromkeys(_KINDS, _repr_node))[0]
 
+    __getstate__ = lambda self: vars(self)  # what copies and pickles hold: the fields
     __setattr__ = __delattr__ = refuse_assignment
 
 
@@ -239,6 +247,15 @@ class _Parser:
         self.tokens = _lex(text)
         self.pos = 0
         self.nesting = 0  # open parentheses and unary minus signs
+        self.shared: dict = {}  # a name, a value or (id(base), exponent) -> its node
+
+    def node(self, kind: type, *fields: object) -> Expr:
+        """The text's one leaf or power kind(*fields).  A power is keyed by its
+        base's id, which the table keeps in use by holding the power."""
+        key = (id(fields[0]), fields[1]) if kind is Pow else fields[0]
+        if key not in self.shared:
+            self.shared[key] = kind(*fields)
+        return self.shared[key]
 
     def infix(self, level: int) -> Expr:
         """An expr (level 0) or a term (level 1).  Each run of the n-ary
@@ -266,7 +283,7 @@ class _Parser:
             self.enter()
             inner = self.factor()
             self.nesting -= 1
-            return Const(-inner.value) if type(inner) is Const else Prod((Const(-1), inner))
+            return self.node(Const, -inner.value) if type(inner) is Const else Prod((self.node(Const, -1), inner))
         base = self.atom()
         if self.tokens[self.pos][0] != "^":
             return base
@@ -276,13 +293,13 @@ class _Parser:
         if kind is not Const:
             raise ParseError("expected an integer", offset)
         self.pos += 1
-        return Pow(base, -int(digits) if negative else int(digits))
+        return self.node(Pow, base, -int(digits) if negative else int(digits))
 
     def atom(self) -> Expr:
         kind, value, offset = self.tokens[self.pos]
         if kind is Var or kind is Const:
             self.pos += 1
-            return Var(value) if kind is Var else Const(int(value))
+            return self.node(kind, value if kind is Var else int(value))
         if kind == "(":
             self.enter()
             node = self.infix(0)
@@ -318,7 +335,7 @@ def render(e: Expr) -> str:
     for a power, 5 for a leaf and 0 for a negative constant.  An operand of
     lower precedence than its place asks is parenthesised: the first operand
     of an infix kind asks for the kind's precedence, the others one more."""
-    return _Program(e).run(dict.fromkeys(_KINDS, _render_node))[0][0]
+    return _compiled(e).run(dict.fromkeys(_KINDS, _render_node))[0][0]
 
 
 _INFIX = {Sum: (" + ", 1), Diff: (" - ", 1), Prod: ("*", 2), Quot: ("/", 2)}  # operator, precedence
@@ -377,54 +394,53 @@ class _Program:
     nodes[i] is computed from the values of the slots operands[i]; last[j]
     is the step that reads slot j last, where an evaluator can drop it, or
     -1 for a root; roots[k] is the slot of the k-th root.
-    Equal subtrees share a slot: a step is numbered by its kind, its leaf
-    value or exponent and its operands' slots, so a subtree that substitute
-    shares, or that the text repeats (x^-1 in every term), is computed once,
-    and two roots are equal trees exactly when they share a slot.  Each
-    node is one step, a sum or product of any number of operands too.  The
-    steps are numbered in the walk that lists the nodes: iterative, each
-    distinct node (by identity) once, after its operands.  It is the only
-    walk over a tree besides the parser.
+    Equal subtrees share a slot: number maps a step's key, its leaf value or
+    its kind, exponent and operands' slots, to its slot, so a subtree that
+    the text repeats (x^-1 in every term) is computed once, and two roots
+    are equal trees exactly when they share a slot.  Each node is one step,
+    a sum or product of any number of operands too.  The steps are numbered
+    in the walk that lists the nodes: iterative, each distinct node (by
+    identity) once, after its operands.  It is the only walk over a tree
+    besides the parser.
     """
 
-    __slots__ = ("nodes", "operands", "last", "roots")
+    __slots__ = ("nodes", "operands", "last", "roots", "number")
 
     def __init__(self, *roots: Expr):
+        self.nodes, self.operands, self.last, self.number = [], [], [], {}
         slot: dict[int, int] = {}  # id(node) -> slot
-        number: dict = {}  # name, value or (kind, [exponent,] *reads) -> slot
-        nodes: list[Expr] = []
-        operands: list[list[int]] = []
-        last: list[int] = []
         stack: list = list(reversed(roots))
         while stack:
             node = stack.pop()
             kind = type(node)
-            if kind is Var or kind is Const:
-                key, reads = node.name if kind is Var else node.value, ()
-            elif kind is tuple:  # (node, its operands), the operands placed
+            if kind is tuple:  # (node, its operands), the operands placed
                 node, kids = node
-                kind = type(node)
-                reads = list(map(slot.__getitem__, map(id, kids)))
-                key = (Pow, node.exponent, *reads) if kind is Pow else (kind, *reads)
-            else:
-                if id(node) not in slot:
-                    kids = _operands(node)
-                    stack.append((node, kids))
-                    stack += reversed(kids)
+                slot[id(node)] = self.step(node, *map(slot.__getitem__, map(id, kids)))
+            elif id(node) in slot:
                 continue
-            here = number.setdefault(key, len(nodes))
-            if here == len(nodes):
-                for j in reads:
-                    last[j] = here
-                nodes.append(node)
-                operands.append(reads)
-                last.append(-1)
-            slot[id(node)] = here
-        self.nodes, self.operands = nodes, operands
+            elif kind is Var or kind is Const:
+                slot[id(node)] = self.step(node)
+            else:
+                kids = _operands(node)
+                stack.append((node, kids))
+                stack += reversed(kids)
         self.roots = [slot[id(root)] for root in roots]
         for j in self.roots:
-            last[j] = -1
-        self.last = last
+            self.last[j] = -1
+
+    def step(self, node: Expr, *reads: int) -> int:
+        """The slot of node, its operands in the slots reads, listed if new."""
+        kind = type(node)
+        key = (node.name if kind is Var else node.value if kind is Const
+               else (Pow, node.exponent, *reads) if kind is Pow else (kind, *reads))
+        here = self.number.setdefault(key, len(self.nodes))
+        if here == len(self.nodes):
+            for j in reads:
+                self.last[j] = here
+            self.nodes.append(node)
+            self.operands.append(reads)
+            self.last.append(-1)
+        return here
 
     def run(self, steps: Mapping[type, Callable]) -> list:
         """Each root's value.  A step's value is steps[kind](node, *values
@@ -442,9 +458,32 @@ class _Program:
         return [values[j] for j in self.roots]
 
 
+def _compiled(e: Expr) -> _Program:
+    """_Program(e), compiled at e's first use and kept on e without its last
+    node, e itself, so that e and its program form no reference cycle."""
+    kept = getattr(e, "_program", None)
+    if kept is None:
+        _set(e, "_program", kept := _Program(e))
+        kept.nodes.pop()
+    program = object.__new__(_Program)
+    program.operands, program.last, program.roots, program.number = kept.operands, kept.last, kept.roots, kept.number
+    program.nodes = [*kept.nodes, e]
+    return program
+
+
+def _joint(left: Expr, right: Expr) -> _Program:
+    """_Program(left, right) without a walk: right's program adds its steps,
+    in order, to a copy of left's, keyed by the joint program's slots."""
+    joint, second = _compiled(left), _compiled(right)
+    joint.operands, joint.last, joint.number = joint.operands[:], joint.last[:], dict(joint.number)
+    joint.roots = [*joint.roots, *second.run(dict.fromkeys(_KINDS, joint.step))]
+    joint.last[joint.roots[0]] = joint.last[joint.roots[1]] = -1
+    return joint
+
+
 def variables(e: Expr) -> tuple[str, ...]:
     """Free variable names, sorted."""
-    return tuple(sorted({node.name for node in _Program(e).nodes if type(node) is Var}))
+    return tuple(sorted({node.name for node in _compiled(e).nodes if type(node) is Var}))
 
 
 # ---------------------------------------------------------------------------
@@ -477,12 +516,21 @@ def to_laurent(e: Expr, variable_order: Sequence[str]) -> LaurentPolynomial:
                 out[exps] = get(exps, 0) + coeff
         return LaurentPolynomial._raw(len(variable_order), {exps: coeff for exps, coeff in out.items() if coeff})
 
-    return _Program(e).run({
+    def product(node: Prod, *values: LaurentPolynomial) -> LaurentPolynomial:
+        # the one-term factors as one monomial, one term product each past the first
+        ones, others = [f for f in values if len(f) == 1], [f for f in values if len(f) != 1]
+        if len(ones) > 1:
+            ring.charge(len(ones) - 1, "a product of {} and {} terms", 1, 1)
+            exps, coeffs = zip(*[term for f in ones for term in f.terms.items()])
+            ones = [LaurentPolynomial._raw(ring.n, {tuple(map(sum, zip(*exps))): prod(coeffs)})]
+        return reduce(ring.product, others, *ones)
+
+    return _compiled(e).run({
         Const: ring.constant,
         Var: ring.variable,
         Sum: total,
         Diff: lambda node, a, b: a - b,
-        Prod: lambda node, *values: reduce(ring.product, values),
+        Prod: product,
         Quot: quotient,
         Pow: raise_to,
     })[0]
@@ -512,7 +560,7 @@ def to_fraction(e: Expr, variable_order: Sequence[str]) -> tuple[LaurentPolynomi
             bn, bd, k = bd, bn, -k
         return ring.power(bn, k), ring.power(bd, k)
 
-    root, = _Program(e).run({
+    root, = _compiled(e).run({
         Const: lambda node: (ring.constant(node), one),
         Var: lambda node: (ring.variable(node), one),
         Sum: lambda node, *values: reduce(
@@ -665,7 +713,7 @@ def substitute(e: Expr, bindings: Mapping[str, Expr]) -> Expr:
 
     steps = dict.fromkeys(_KINDS, fold)
     steps[Const], steps[Var] = (lambda node: node), (lambda node: bindings.get(node.name, node))
-    return _Program(e).run(steps)[0]
+    return _compiled(e).run(steps)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -779,7 +827,7 @@ def random_equal(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    program = _Program(left, right)
+    program = _joint(left, right)
     budget = 8 * trials + 16
     steps = sum(
         max(1, abs(node.exponent).bit_length() if type(node) is Pow else len(reads) - 1)

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import contextlib
 import copy
+import io
+import operator
+import pickle
 import sys
 import tracemalloc
 import unittest.mock
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import assume, given, settings
@@ -12,7 +17,7 @@ from hypothesis import strategies as st
 
 from support import _expr_to_fraction, _render, evaluate_exactly, expr_equal, expr_repr, parse_oracle, random_equal_oracle
 from support import substitute as substitute_oracle
-from weaklg import expr
+from weaklg import cli, expr
 from weaklg.expr import (
     IDENTITY_PRIME,
     MAX_POWER_TERMS,
@@ -638,3 +643,133 @@ def test_substitute_leaves_constant_powers_past_the_digit_limit_unfolded() -> No
     assert substitute(parse("a^30000000 + b"), seven) == Sum((Pow(Const(7), 30000000), Var("b")))
     assert substitute(parse("a^5000"), seven) == Const(7**5000)  # 4226 digits
     assert substitute(parse("a^-30000000"), {"a": Const(-1)}) == Const(1)
+
+
+def test_parse_builds_one_node_per_name_constant_and_power() -> None:
+    first, y, second = parse("x^2*y*x^2").factors
+    assert first is second and type(first.base) is Var and type(y) is Var
+    x = parse("x + 2*x*x^3 - 2")
+    assert x.left.terms[0] is x.left.terms[1].factors[1] is x.left.terms[1].factors[2].base
+    assert x.left.terms[1].factors[0] is x.right  # one Const(2)
+    two = parse("-2 + 2*x")
+    assert two.terms[0] == Const(-2) and two.terms[1].factors[0] == Const(2)
+    minus = parse("-x*-y")
+    assert minus.factors[0] is minus.factors[2].factors[0]  # one Const(-1)
+
+
+def test_each_tree_is_compiled_once() -> None:
+    builds, walked = [], []
+    build, operands = expr._Program.__init__, expr._operands
+
+    def counted_build(self, *roots):
+        builds.append(roots)
+        build(self, *roots)
+
+    def counted_operands(node):
+        walked.append(node)
+        return operands(node)
+
+    with unittest.mock.patch.object(expr._Program, "__init__", counted_build), \
+            unittest.mock.patch.object(expr, "_operands", counted_operands):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["series", "--poly", "x+y+1/(x*y)"]) == 0
+        assert len(builds) == 1  # variables() and to_laurent() share the program
+        a, b = parse("(x+y)^2/x"), parse("x + 2*y + y^2*x^-1")
+        builds.clear()
+        assert to_laurent(a, XYZ) == to_laurent(b, XYZ)
+        assert [roots for roots in builds] == [(a,), (b,)]
+        walked.clear()
+        assert random_equal(a, b).equal and a != b
+        assert render(a) == "(x + y)^2/x" and variables(b) == ("x", "y")
+        assert len(builds) == 2 and walked == []
+
+
+@settings(deadline=None)
+@given(st.one_of(expr_trees(), shared_dags()), st.sampled_from((repr, render, lambda e: to_laurent(e, XYZ))))
+def test_shared_nodes_and_compiled_programs_are_invisible(tree, compile_first) -> None:
+    # the drawn tree against its uncompiled copy, and the parse of its text
+    # (which shares leaves and powers) against a second parse
+    twin = copy.deepcopy(tree)
+    text = render(tree)
+    for tree, fresh in ((tree, twin), (parse(text), parse(text))):
+        try:
+            compile_first(tree)
+        except ValueError:  # to_laurent refused, after compiling
+            pass
+        assert getattr(tree, "_program", None) is not None
+        assert getattr(fresh, "_program", None) is None
+        assert pickle.dumps(tree) == pickle.dumps(fresh)
+        for copied in (copy.deepcopy(tree), pickle.loads(pickle.dumps(tree))):
+            assert getattr(copied, "_program", None) is None and vars(copied).keys() == vars(fresh).keys()
+        assert "_program" not in vars(tree) and vars(tree) == vars(fresh)
+        assert expr._head(tree) == expr._head(fresh)
+        assert repr(tree) == repr(fresh) == expr_repr(fresh)
+        assert render(tree) == render(fresh)
+        assert tree == fresh and hash(tree) == hash(fresh)
+        for copied in (copy.deepcopy(tree), pickle.loads(pickle.dumps(tree))):
+            assert copied == tree and hash(copied) == hash(tree) and repr(copied) == repr(tree)
+
+
+@settings(deadline=None)
+@given(st.one_of(expr_trees(), shared_dags()), st.one_of(expr_trees(), shared_dags()), st.booleans())
+def test_random_equal_merges_the_two_programs_into_the_joint_one(left, right, compile_first) -> None:
+    # the merged program is the one a walk of both trees lists: the same
+    # nodes, operands, last reads and roots, so the same step count and
+    # MAX_IDENTITY_WORK charge
+    if compile_first:
+        render(left), render(right)
+    for a, b in ((left, right), (right, left), (left, left)):
+        merged, walked = expr._joint(a, b), expr._Program(a, b)
+        assert merged.roots == walked.roots
+        assert len(merged.nodes) == len(walked.nodes) and all(map(operator.is_, merged.nodes, walked.nodes))
+        assert merged.operands == walked.operands and merged.last == walked.last
+        assert merged.number == walked.number
+    # merging copied what it extends: each side's program is unchanged
+    assert expr._compiled(left).nodes == expr._Program(left).nodes
+    assert expr._compiled(left).last == expr._Program(left).last
+
+
+def laurent_factors() -> st.SearchStrategy:
+    terms = st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), st.integers(-3, 3).filter(bool),
+                            max_size=4)
+    return terms.map(lambda t: LaurentPolynomial(2, t))
+
+
+@settings(deadline=None)
+@given(st.lists(st.one_of(laurent_factors(), laurent_factors().filter(lambda f: len(f) == 1)), min_size=1,
+                max_size=6))
+def test_to_laurent_folds_one_term_factors_as_the_pairwise_product_would(factors) -> None:
+    tree = Prod(tuple(parse(f.render(("x", "y"))) for f in factors))
+    assert to_laurent(tree, ("x", "y")) == reduce(operator.mul, factors)
+
+
+@pytest.mark.parametrize("names", [XYZ, (*XYZ, "w")])
+def test_one_term_factors_are_charged_one_term_product_each(names) -> None:
+    # each factor after the first is one term product, charged before the
+    # product is formed: in 4 variables one counts 12/11 of one
+    limit, weight = 10, max(len(names), 3) + 8
+    most = 11 * limit // weight + 1  # factors admitted: 11 in 3 variables, 10 in 4
+    factors = ["x", "2", "y", "z"]
+    for k in (most, most + 1):
+        text = "*".join(factors[j % 4] for j in range(k))
+        with unittest.mock.patch.object(expr, "MAX_TERM_PRODUCTS", limit):
+            if k == most:
+                assert to_laurent(parse(text), names) == to_laurent(parse(text), names)
+                continue
+            with pytest.raises(ValueError) as err:
+                to_laurent(parse(text), names)
+        assert str(err.value) == (f"a product of 1 and 1 terms in {len(names)} variables may take this conversion"
+                                  f" past {limit} term products (the limit MAX_TERM_PRODUCTS)")
+    # x*y*z is folded with 2 term products, then multiplied into x+1 with 2
+    expected = to_laurent(parse("x^2*y*z + x*y*z"), XYZ)
+    with unittest.mock.patch.object(expr, "MAX_TERM_PRODUCTS", 4):
+        assert to_laurent(parse("(x+1)*x*y*z"), XYZ) == expected
+    with unittest.mock.patch.object(expr, "MAX_TERM_PRODUCTS", 3):
+        with pytest.raises(ValueError, match="a product of 1 and 2 terms"):
+            to_laurent(parse("(x+1)*x*y*z"), XYZ)
+
+
+def test_the_highest_power_of_four_terms_admitted_is_the_37th() -> None:
+    assert len(to_laurent(parse("(x+y+z+1)^37"), XYZ)) == 9880
+    with pytest.raises(ValueError, match="MAX_POWER_TERMS"):
+        to_laurent(parse("(x+y+z+1)^38"), XYZ)
