@@ -165,18 +165,38 @@ def find_annihilator(
 
 
 def tightest_class(s: IntegerSeries, order: int, degree: int) -> tuple[int, int, int]:
-    """The class of find_annihilator(s, order, degree) with the least slack,
-    its equations (the block's rows) minus its unknowns (the block's
-    columns), as (class, equations, unknowns); the least class among ties.
+    """(class, equations, unknowns) of least slack, then class, of find_annihilator(s, order, degree)."""
+    return min(_class_sizes(s.order, grading(s), order, degree), key=lambda cell: (cell[1] - cell[2], cell[0]))
 
-    A block with fewer equations than unknowns has a nonzero nullspace
-    whatever the coefficients of s are, so an operator found at a negative
-    slack is not determined by the truncation.
-    """
-    return min(
-        ((c, len(columns[0]), len(unknowns)) for c, (unknowns, columns) in _blocks(s, order, degree).items()),
-        key=lambda cell: (cell[1] - cell[2], cell[0]),
-    )
+
+def determining_terms(s: IntegerSeries, order: int, degree: int) -> int:
+    """The least truncation order at which each class c mod g, g the grading of s, has as
+    many equations as its u unknowns: the rows c, c + g, ..., c + (u - 1) g."""
+    g = grading(s)
+    return max(c + (unknowns - 1) * g for c, _, unknowns in _class_sizes(s.order, g, order, degree))
+
+
+def determined(s: IntegerSeries, order: int, degree: int) -> bool:
+    """Whether each class of the cell has as many equations as unknowns or more (Kauers,
+    Guessing Handbook, RISC 09-07): a class with fewer has a nonzero nullspace whatever s is."""
+    return determining_terms(s, order, degree) <= s.order
+
+
+def first_undetermined(s: IntegerSeries, max_order: int = 4, max_degree: int = 6) -> tuple[int, int] | None:
+    """The first cell, by order + degree and then order, that s does not determine."""
+    cells = ((m, r) for m in range(max_order + 1) for r in range(max_degree + 1) if not determined(s, m, r))
+    return min(cells, key=lambda cell: (sum(cell), cell[0]), default=None)
+
+
+def slack_line(s: IntegerSeries, order: int, degree: int) -> str:
+    """lg pfop's line on a cell: the truncation, the tightest class and, at a
+    negative slack, the --terms that determines the cell."""
+    c, equations, unknowns = tightest_class(s, order, degree)
+    unsolved = f"; not solved, --terms {determining_terms(s, order, degree)} determines the cell"
+    return (
+        f"truncation t^{s.order}, tightest class {c} mod {grading(s)}:"
+        f" {equations} equations for {unknowns} unknowns, slack {equations - unknowns}"
+    ) + (unsolved if equations < unknowns else "")
 
 
 def grading(s: IntegerSeries) -> int:
@@ -200,10 +220,10 @@ def find_minimal_annihilator(
     its free columns are those of (m, r) in that prefix, so the basis of
     (m, r') is the leading run of operators of degree <= r', and the least
     degree of order m is the degree of the first operator.  The bound starts
-    at max_degree; once an order has an operator, the orders after it need a
-    cell m + r below the best one (ties go to the smaller order), and the
-    sweep stops when the bound falls below 0.  So the result is the
-    exhaustive sweep's.
+    at max_degree, capped at the largest `determined` degree; once an order
+    has an operator, the orders after it need a cell m + r below the best
+    one (ties go to the smaller order), and the sweep stops when the bound
+    falls below 0.  So the result is the exhaustive sweep's over `determined` cells.
 
     check_sweep_budget bounds the sweep's work before it starts.
     """
@@ -212,6 +232,8 @@ def find_minimal_annihilator(
     found = None
     for m in range(max_order + 1):
         bound = max_degree if found is None else found[0] + found[1] - m - 1
+        while bound >= 0 and not determined(s, m, bound):
+            bound -= 1
         if bound < 0:
             break
         ops = find_annihilator(s, m, bound)
@@ -225,22 +247,25 @@ def _blocks(s: IntegerSeries, order: int, degree: int) -> dict[int, tuple[list[t
     """find_annihilator's matrix as its blocks: for each class c mod g, g
     the grading of s, with an unknown, its unknowns (l, j), l = c mod g, in
     order, and their columns on its rows i = c, c + g, ... through the
-    truncation: s_(i-l) (i-l)^j, 0 for i < l.  On the other rows the
-    columns are 0."""
+    truncation (as many as _class_sizes counts): s_(i-l) (i-l)^j, 0 for
+    i < l.  On the other rows the columns are 0."""
     g = grading(s)
     ks = range(0, len(s), g)
     powers = [list(s.coeffs[::g])]  # s_k k^j for k = 0, g, 2g, ..., j = 0..order
     for _ in range(order):
         powers.append([c * k for k, c in zip(ks, powers[-1])])
-    blocks: dict[int, tuple[list[tuple[int, int]], list[list[int]]]] = {}
-    for l in range(degree + 1):
-        c = l % g
-        unknowns, columns = blocks.setdefault(c, ([], []))
-        rows = len(range(c, len(s), g))
-        for j, row in enumerate(powers):
-            unknowns.append((l, j))
-            columns.append(([0] * (l // g) + row)[:rows])
+    blocks = {}
+    for c, rows, _ in _class_sizes(s.order, g, order, degree):
+        unknowns = [(l, j) for l in range(c, degree + 1, g) for j in range(order + 1)]
+        blocks[c] = unknowns, [([0] * (l // g) + powers[j])[:rows] for l, j in unknowns]
     return blocks
+
+
+def _class_sizes(terms: int, g: int, order: int, degree: int) -> list[tuple[int, int, int]]:
+    """(class, rows, columns) of each of _blocks' blocks for a series through
+    t^terms graded by g, without building them."""
+    return [(c, len(range(c, terms + 1, g)), (order + 1) * len(range(c, degree + 1, g)))
+            for c in range(min(g, degree + 1))]
 
 
 def check_sweep_budget(terms: int, bits: int, max_order: int = 4, max_degree: int = 6) -> int:

@@ -2,10 +2,10 @@
 
 One subcommand per library operation.  Exit codes: 0 for success or a
 passing check, 1 for a failing check (series mismatch, unequal identity,
-volume mismatch, no annihilator at the given bounds), 2 for usage or input
-errors, and 141 (128 + SIGPIPE) when the reader closes stdout early.  With
---format json the output is a single JSON document with sorted keys, so
-identical invocations produce identical bytes.
+volume mismatch, no annihilator in a cell the truncation determines), 2 for
+usage or input errors, and 141 (128 + SIGPIPE) when the reader closes
+stdout early.  With --format json the output is a single JSON document with
+sorted keys, so identical invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -23,10 +23,11 @@ from . import expr as ex
 from .annihilator import (
     check_solve_budget,
     check_sweep_budget,
+    determined,
     find_annihilator,
     find_minimal_annihilator,
-    grading,
-    tightest_class,
+    first_undetermined,
+    slack_line,
 )
 from .constructors import (
     ConstrainedModel,
@@ -50,7 +51,7 @@ from .polytopes import (
     normalized_volume,
     semiweak_check,
 )
-from .series import IntegerSeries, constant_term_series
+from .series import coefficient_bits, constant_term_series
 
 
 def _emit(args: argparse.Namespace, payload: dict, text_lines: Iterable[str]) -> None:
@@ -201,36 +202,29 @@ def _cmd_pfop(args: argparse.Namespace) -> int:
     f = _input_polynomial(args)
     if (args.order is None) != (args.degree is None):
         raise ValueError("--order and --degree must be given together")
-    # |phi(i)| <= norm^i < 2^(i * bitlen(norm^64) / 64), and phi(0) = 1
-    norm = sum(abs(c) for c in f.terms.values())
-    bits = max(1, -(-args.terms * (norm**64).bit_length() // 64))
+    bits = coefficient_bits(f, args.terms)
     if args.order is None:
         check_sweep_budget(args.terms, bits)
-    else:
-        check_solve_budget(args.terms, bits, args.order, args.degree)
-    s = constant_term_series(f, args.terms)
-    if args.order is not None:
-        order, degree, basis = args.order, args.degree, find_annihilator(s, args.order, args.degree)
-        lines = [_slack_line(s, order, degree)] + ([op.pretty() for op in basis] or ["no annihilator at these bounds"])
-    else:
+        s = constant_term_series(f, args.terms)
         found = find_minimal_annihilator(s)
         if found is None:
-            _emit(args, {"operators": []}, ["no annihilator found in the sweep"])
+            cell = first_undetermined(s)
+            skipped = [f"first cell skipped: order {cell[0]}, degree {cell[1]}", slack_line(s, *cell)] if cell else []
+            _emit(args, {"operators": []}, ["no annihilator found in the sweep", *skipped])
             return 1
         order, degree, basis = found
-        lines = [f"minimal bounds: order {order}, degree {degree}", _slack_line(s, order, degree)]
-        lines += [op.pretty() for op in basis]
+        lines = [f"minimal bounds: order {order}, degree {degree}", slack_line(s, order, degree)]
+    else:
+        order, degree = args.order, args.degree
+        check_solve_budget(args.terms, bits, order, degree)
+        s = constant_term_series(f, args.terms)
+        basis, lines = [], [slack_line(s, order, degree)]
+        if determined(s, order, degree):
+            basis = find_annihilator(s, order, degree)
+            lines += [] if basis else ["no annihilator at these bounds"]
+    lines += [op.pretty() for op in basis]
     _emit(args, {"order": order, "degree": degree, "operators": [op.to_json_dict() for op in basis]}, lines)
     return 0 if basis else 1
-
-
-def _slack_line(s: IntegerSeries, order: int, degree: int) -> str:
-    c, equations, unknowns = tightest_class(s, order, degree)
-    line = (
-        f"truncation t^{s.order}, tightest class {c} mod {grading(s)}:"
-        f" {equations} equations for {unknowns} unknowns, slack {equations - unknowns}"
-    )
-    return line + ("; the truncation does not determine the operator" if equations < unknowns else "")
 
 
 def _chunks(text: str) -> list[str]:

@@ -299,6 +299,12 @@ def constant_term_series(f: LaurentPolynomial, terms: int = 20) -> IntegerSeries
     return IntegerSeries(tuple(out))
 
 
+def coefficient_bits(f: LaurentPolynomial, terms: int) -> int:
+    """A bound on the bits of constant_term_series(f, terms)'s coefficients,
+    before it is computed: phi(0) = 1, |phi(i)| <= norm^i < 2^(i * bitlen(norm^64) / 64)."""
+    return max(1, -(-terms * (sum(map(abs, f.terms.values())) ** 64).bit_length() // 64))
+
+
 def check_series_budget(f: LaurentPolynomial, terms: int) -> int:
     """Raise ValueError if constant_term_series(f, terms) would be refused:
     terms < 1, work past MAX_SERIES_WORK, or coefficients that may have more

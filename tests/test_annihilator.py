@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 import time
 from fractions import Fraction
 
@@ -15,15 +16,18 @@ from weaklg.annihilator import (
     apply_operator,
     check_solve_budget,
     check_sweep_budget,
+    determined,
+    determining_terms,
     find_annihilator,
     find_minimal_annihilator,
+    first_undetermined,
     grading,
     tightest_class,
 )
 from weaklg.corpus import get_entry
 from weaklg.expr import parse, to_laurent, variables
 from weaklg.laurent import LaurentPolynomial
-from weaklg.series import IntegerSeries, constant_term_series
+from weaklg.series import IntegerSeries, coefficient_bits, constant_term_series
 
 SIMPLEX = LaurentPolynomial(
     3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1, (-1, -1, -1): 1}
@@ -161,8 +165,8 @@ def test_operator_json_round_trip_layout() -> None:
 
 
 # The sweep against the exhaustive one.  Corpus entries whose series to t^30
-# is cheap; ROADMAP item 2's controls (an order-4 operator, and P1 x P1 x P1)
-# and two polynomials with no operator in the sweep, at T = 36.
+# is cheap; ROADMAP item 2's controls (graded by 3, and P1 x P1 x P1) and two
+# polynomials with no operator in the sweep, at T = 36.
 CHEAP_ENTRIES = (8, 9, 13, 14, 15, 16, 17)
 CONTROLS = (
     "x+y+z+1/(x*y)+1/(y*z)+x*z/y+2*y",
@@ -208,7 +212,9 @@ def test_sweep_matches_the_exhaustive_sweep_on_the_controls(text: str, monkeypat
     found, solved = counted_sweep(s, monkeypatch)
     assert found == find_minimal_annihilator_oracle(s)
     if found is None:
-        assert solved == [(m, 6) for m in range(5)]
+        # the first control's (4, 6) has 15 unknowns in class 0 mod 3 for its 13 rows
+        top = 5 if text == CONTROLS[0] else 6
+        assert solved == [(m, 6) for m in range(4)] + [(4, top)]
 
 
 @st.composite
@@ -255,6 +261,52 @@ def test_grading_and_the_tightest_class() -> None:
     assert tightest_class(GEOMETRIC, 2, 3) == (0, 10, 12)
 
 
+def test_the_rule_is_read_off_the_closed_form_without_a_matrix(monkeypatch: pytest.MonkeyPatch) -> None:
+    def refuse(*args):
+        raise AssertionError("a block was built")
+
+    s = constant_term_series(get_entry(17).laurent(), 20)
+    with monkeypatch.context() as patch:
+        patch.setattr(annihilator, "_blocks", refuse)
+        assert tightest_class(s, 2, 5) == (1, 5, 6)
+        # class 1 of (2, 5) needs the rows 1, 5, ..., 21; class 0 of (3, 4) the rows 0, 4, ..., 28
+        assert determining_terms(s, 2, 5) == 21 and determining_terms(s, 3, 4) == 28
+        assert not determined(s, 2, 5) and determined(s, 2, 4) and determined(s, 3, 3)
+        assert first_undetermined(s) == (2, 5) and first_undetermined(s, 1, 6) is None
+    # an unchecked sweep's order-2 operator at (2, 5) is wrong, and (3, 4) needs t^28
+    assert find_minimal_annihilator(s) is None
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, 40), st.integers(1, 4), st.integers(0, 4), st.integers(0, 6))
+def test_the_closed_form_is_the_shape_of_the_blocks(terms: int, g: int, order: int, degree: int) -> None:
+    def series(top: int) -> IntegerSeries:
+        return IntegerSeries(tuple(int(i % g == 0) for i in range(top + 1)))
+
+    def shapes(s: IntegerSeries) -> list[tuple[int, int, int]]:
+        return [(c, len(columns[0]), len(unknowns)) for c, (unknowns, columns) in annihilator._blocks(s, order, degree).items()]
+
+    s = series(terms)
+    assert annihilator._class_sizes(terms, grading(s), order, degree) == shapes(s)
+    assert determined(s, order, degree) == all(e >= u for _, e, u in shapes(s))
+    # graded by g from t^g on, each truncation is determined exactly from determining_terms on
+    if terms >= g:
+        least = determining_terms(s, order, degree)
+        for top in range(g, 60):
+            assert all(e >= u for _, e, u in shapes(series(top))) == (top >= least), top
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(1, 4).flatmap(lambda g: st.tuples(st.just(g), st.integers(g, 40))), st.integers(0, 2**32))
+def test_the_sweep_finds_no_operator_for_a_random_series(g_terms: tuple[int, int], seed: int) -> None:
+    # a nonzero coefficient of up to 64 bits at every multiple of g through t^T,
+    # T >= g: below t^g the series is a constant, which D kills
+    g, terms = g_terms
+    rng = random.Random(seed)
+    coeffs = (rng.choice((-1, 1)) * rng.randrange(1, 2**64) if i % g == 0 else 0 for i in range(terms + 1))
+    assert find_minimal_annihilator(IntegerSeries(tuple(coeffs))) is None
+
+
 def test_sweep_is_budgeted_before_it_starts() -> None:
     # x + y + 1/(x*y) to t^800 took about 9 s before the budget
     s = control_series("x+y+1/(x*y)", 60)
@@ -275,8 +327,7 @@ def test_sweep_is_budgeted_before_it_starts() -> None:
 def test_sweep_budget_admits_the_corpus_at_forty_terms_and_entry_one_at_thirty_six() -> None:
     # lg pfop's bits, from |phi(i)| <= norm^i, so no series is computed
     def budget(entry_id: int, terms: int) -> int:
-        norm = sum(abs(c) for c in get_entry(entry_id).laurent().terms.values())
-        return check_sweep_budget(terms, -(-terms * (norm**64).bit_length() // 64))
+        return check_sweep_budget(terms, coefficient_bits(get_entry(entry_id).laurent(), terms))
 
     assert all(budget(k, 40) <= MAX_SWEEP_WORK for k in range(2, 18))
     assert budget(1, 36) <= MAX_SWEEP_WORK
@@ -290,8 +341,7 @@ def test_one_cell_is_charged_its_own_solve_only() -> None:
     assert check_solve_budget(30, 100, 4, 6) == annihilator._solve_work(30, 100, 4, 6)
     assert check_solve_budget(30, 100, 4, 6) < check_sweep_budget(30, 100, 4, 6)
     # entry 1 at t^40, with lg pfop's bits: 1.7e8 for the cell, 3.0e8 for the sweep
-    norm = sum(abs(c) for c in get_entry(1).laurent().terms.values())
-    bits = -(-40 * (norm**64).bit_length() // 64)
+    bits = coefficient_bits(get_entry(1).laurent(), 40)
     assert check_solve_budget(40, bits, 4, 6) <= MAX_SWEEP_WORK
     with pytest.raises(ValueError, match="the limit MAX_SWEEP_WORK"):
         check_sweep_budget(40, bits, 4, 6)

@@ -407,19 +407,20 @@ def test_long_left_nested_chains_run_without_recursion(argv: tuple[str, ...]) ->
 def test_pfop_finds_operator_at_given_bidegree() -> None:
     code, out, _ = run(
         "pfop", "--entry", "17", "--order", "3", "--degree", "4",
-        "--terms", "24", "--format", "json",
+        "--terms", "30", "--format", "json",
     )
     assert code == 0
     doc = json.loads(out)
     assert doc["order"] == 3 and doc["degree"] == 4
     assert len(doc["operators"]) == 1
     assert [0, 3, "1"] in doc["operators"][0]["coeffs"]
-    # t^0, t^4, ..., t^24 are 7 equations for the 8 unknowns of t^0 and t^4
-    code, out, _ = run("pfop", "--entry", "17", "--order", "3", "--degree", "4", "--terms", "24")
-    assert code == 0 and out.splitlines()[0] == (
+    # t^0, t^4, ..., t^24 are 7 equations for the 8 unknowns of t^0 and t^4: not solved
+    cell = ("pfop", "--entry", "17", "--order", "3", "--degree", "4", "--terms", "24")
+    assert run(*cell) == (1, (
         "truncation t^24, tightest class 0 mod 4: 7 equations for 8 unknowns, slack -1;"
-        " the truncation does not determine the operator"
-    )
+        " not solved, --terms 28 determines the cell\n"
+    ), "")
+    assert run(*cell, "--format", "json") == (1, '{\n  "degree": 4,\n  "operators": [],\n  "order": 3\n}\n', "")
 
 
 OPERATOR_17 = "D^3 - 256*t^4*D^3 - 1536*t^4*D^2 - 2816*t^4*D - 1536*t^4"
@@ -442,16 +443,25 @@ def test_pfop_sweep_reports_minimal_bidegree() -> None:
     ), "")
 
 
-def test_pfop_flags_an_operator_its_truncation_does_not_determine() -> None:
-    # at the default t^20 the sweep's order-2 operator of entry 17 is wrong:
-    # class 1 of (2, 5) has 6 unknowns (t and t^5 times D^0..D^2) and 5 rows
-    code, out, _ = run("pfop", "--entry", "17")
-    assert code == 0
-    assert out.splitlines()[:2] == [
-        "minimal bounds: order 2, degree 5",
+def test_pfop_reports_no_operator_its_truncation_does_not_determine() -> None:
+    # at the default t^20 the order-2 operator of entry 17 that an unchecked
+    # sweep finds is wrong: class 1 of (2, 5) has 6 unknowns (t and t^5 times
+    # D^0..D^2) and 5 rows, so the cell is skipped, as (3, 4) is
+    assert run("pfop", "--entry", "17") == (1, (
+        "no annihilator found in the sweep\n"
+        "first cell skipped: order 2, degree 5\n"
         "truncation t^20, tightest class 1 mod 4: 5 equations for 6 unknowns, slack -1;"
-        " the truncation does not determine the operator",
-    ]
+        " not solved, --terms 21 determines the cell\n"
+    ), "")
+    assert run("pfop", "--entry", "17", "--format", "json") == (1, '{\n  "operators": []\n}\n', "")
+
+
+@pytest.mark.parametrize("text", ["x+y+z+1/(x*y)+1/(y*z)+x*z/y+2*y", "3*x+5*y+z+7/(x*y)+2/(y*z)+x*z/y+11*y/z+x/y"])
+@pytest.mark.parametrize("terms", [12, 20, 24, 30, 36, 40])
+def test_pfop_finds_no_operator_for_the_controls(text: str, terms: int) -> None:
+    # an unchecked sweep found an operator of each of these at some of these terms
+    code, out, _ = run("pfop", "--poly", text, "--terms", str(terms))
+    assert code == 1 and out.startswith("no annihilator found in the sweep\n")
 
 
 @pytest.mark.parametrize("argv", [
