@@ -6,9 +6,9 @@ is sum_{l,j} c_{l,j} s_{i-l} (i-l)^j, with terms for i < l dropped and the
 convention 0^0 = 1.  Finding an annihilator up to given order and t-degree
 is exact linear algebra over the rationals; the matrix is integral, so its
 nullspace comes from the fraction-free elimination in `linalg`.  The sweep
-over (order, degree) cells solves each order once, at its largest degree
-still of use, and reads every smaller cell of that order off a prefix of
-the basis.
+over the (order, degree) cells up to (MAX_ORDER, MAX_DEGREE) solves each
+order once, at its largest degree still of use, and reads every smaller
+cell of that order off a prefix of the basis.
 
 A graded series splits the matrix.  Let g be the grading of s, the gcd of
 the indices of its nonzero coefficients.  The entry s_(i-l) (i-l)^j is 0
@@ -31,6 +31,8 @@ from ._frozen import frozen
 from .linalg import nullspace
 from .series import IntegerSeries
 
+MAX_ORDER = 4
+MAX_DEGREE = 6
 # The sweep's work in word products: one exact solve per order (see
 # check_sweep_budget).  On a 2-vCPU Linux host with Python 3.11.7 a word
 # product took 11-24 ns of find_annihilator on random series (T = 40-300,
@@ -171,7 +173,9 @@ def tightest_class(s: IntegerSeries, order: int, degree: int) -> tuple[int, int,
 
 def determining_terms(s: IntegerSeries, order: int, degree: int) -> int:
     """The least truncation order at which each class c mod g, g the grading of s, has as
-    many equations as its u unknowns: the rows c, c + g, ..., c + (u - 1) g."""
+    many equations as its u unknowns: the rows c, c + g, ..., c + (u - 1) g.  Unknowns only
+    grow with order and degree, and a longer truncation only lowers g to a divisor, which for
+    g <= 8 never raises the value at (MAX_ORDER, MAX_DEGREE): there the sweep skips no cell."""
     g = grading(s)
     return max(c + (unknowns - 1) * g for c, _, unknowns in _class_sizes(s.order, g, order, degree))
 
@@ -180,12 +184,6 @@ def determined(s: IntegerSeries, order: int, degree: int) -> bool:
     """Whether each class of the cell has as many equations as unknowns or more (Kauers,
     Guessing Handbook, RISC 09-07): a class with fewer has a nonzero nullspace whatever s is."""
     return determining_terms(s, order, degree) <= s.order
-
-
-def first_undetermined(s: IntegerSeries, max_order: int = 4, max_degree: int = 6) -> tuple[int, int] | None:
-    """The first cell, by order + degree and then order, that s does not determine."""
-    cells = ((m, r) for m in range(max_order + 1) for r in range(max_degree + 1) if not determined(s, m, r))
-    return min(cells, key=lambda cell: (sum(cell), cell[0]), default=None)
 
 
 def slack_line(s: IntegerSeries, order: int, degree: int) -> str:
@@ -207,11 +205,11 @@ def grading(s: IntegerSeries) -> int:
 
 def find_minimal_annihilator(
     s: IntegerSeries,
-    max_order: int = 4,
-    max_degree: int = 6,
+    max_order: int = MAX_ORDER,
+    max_degree: int = MAX_DEGREE,
 ) -> tuple[int, int, list[DifferentialOperator]] | None:
-    """Sweep (order, degree) cells by increasing order + degree, then order,
-    and return the first cell with a nonempty annihilator basis.
+    """Sweep the cells up to (max_order, max_degree), (MAX_ORDER, MAX_DEGREE) by default, by
+    increasing order + degree, then order, and return the first with a nonempty annihilator basis.
 
     Each order m is solved once, exactly, at a degree bound r.  The basis of
     find_annihilator comes sorted by free column, and a vector's free column
@@ -268,7 +266,7 @@ def _class_sizes(terms: int, g: int, order: int, degree: int) -> list[tuple[int,
             for c in range(min(g, degree + 1))]
 
 
-def check_sweep_budget(terms: int, bits: int, max_order: int = 4, max_degree: int = 6) -> int:
+def check_sweep_budget(terms: int, bits: int, max_order: int = MAX_ORDER, max_degree: int = MAX_DEGREE) -> int:
     """Raise ValueError if find_minimal_annihilator(s, max_order,
     max_degree), s a series through t^terms whose coefficients have at most
     `bits` bits, may need more than MAX_SWEEP_WORK word products.  Return

@@ -21,12 +21,14 @@ from pathlib import Path
 
 from . import expr as ex
 from .annihilator import (
+    MAX_DEGREE,
+    MAX_ORDER,
     check_solve_budget,
     check_sweep_budget,
     determined,
+    determining_terms,
     find_annihilator,
     find_minimal_annihilator,
-    first_undetermined,
     slack_line,
 )
 from .constructors import (
@@ -175,9 +177,9 @@ def _cmd_polytope(args: argparse.Namespace) -> int:
 
 def _cmd_semiweak(args: argparse.Namespace) -> int:
     entry = _input_entry(args)
-    f = _input_polynomial(args) if entry is None else entry.laurent()
     if entry is None and args.target is None:
         raise ValueError("--target is required with --poly")
+    f = _input_polynomial(args) if entry is None else entry.laurent()
     report = semiweak_check(f, entry.degree if args.target is None else args.target)
     _emit(args, report.to_json_dict(), [semiweak_line(report)])
     return 0 if report.ok else 1
@@ -199,18 +201,18 @@ def _cmd_ehrhart(args: argparse.Namespace) -> int:
 
 
 def _cmd_pfop(args: argparse.Namespace) -> int:
-    f = _input_polynomial(args)
     if (args.order is None) != (args.degree is None):
         raise ValueError("--order and --degree must be given together")
+    f = _input_polynomial(args)
     bits = coefficient_bits(f, args.terms)
     if args.order is None:
         check_sweep_budget(args.terms, bits)
         s = constant_term_series(f, args.terms)
         found = find_minimal_annihilator(s)
         if found is None:
-            cell = first_undetermined(s)
-            skipped = [f"first cell skipped: order {cell[0]}, degree {cell[1]}", slack_line(s, *cell)] if cell else []
-            _emit(args, {"operators": []}, ["no annihilator found in the sweep", *skipped])
+            terms = determining_terms(s, MAX_ORDER, MAX_DEGREE)
+            settled = [f"--terms {terms} determines every cell of the sweep"] if terms > s.order else []
+            _emit(args, {"operators": []}, ["no annihilator found in the sweep", *settled])
             return 1
         order, degree, basis = found
         lines = [f"minimal bounds: order {order}, degree {degree}", slack_line(s, order, degree)]

@@ -98,11 +98,14 @@ def _check_ci_data(ambient_dim: int, degrees: Sequence[int]) -> tuple[int, ...]:
 
 def hori_vafa_variables(ambient_dim: int, degrees: Sequence[int]) -> tuple[str, ...]:
     """Deterministic variable names: x{i}{j} blocks first, then y{s}."""
+    return tuple(name for block in _hori_vafa_blocks(ambient_dim, degrees) for name in block)
+
+
+def _hori_vafa_blocks(ambient_dim: int, degrees: Sequence[int]) -> list[list[str]]:
+    """Check the data; its names in blocks: x{i}1 .. x{i}(k_i - 1) for each degree k_i, then the y{s}."""
     degs = _check_ci_data(ambient_dim, degrees)
-    k0 = ambient_dim - sum(degs)
-    names = [f"x{i}{j}" for i, k in enumerate(degs, start=1) for j in range(1, k)]
-    names += [f"y{s}" for s in range(1, k0 + 1)]
-    return tuple(names)
+    xs = [[f"x{i}{j}" for j in range(1, k)] for i, k in enumerate(degs, start=1)]
+    return xs + [[f"y{s}" for s in range(1, ambient_dim - sum(degs) + 1)]]
 
 
 def hori_vafa_ci(ambient_dim: int, degrees: Sequence[int]) -> LaurentPolynomial:
@@ -116,13 +119,10 @@ def hori_vafa_ci(ambient_dim: int, degrees: Sequence[int]) -> LaurentPolynomial:
     in N - r variables (r = number of degrees), written as text, parsed and
     expanded by ex.to_laurent within its limits.
     """
-    degs = _check_ci_data(ambient_dim, degrees)
-    names = hori_vafa_variables(ambient_dim, degs)
-    blocks, pos = ["1"], 0
-    for k in degs:
-        blocks.append(f"({' + '.join(names[pos:pos + k - 1])} + 1)^{k}")
-        pos += k - 1
-    text = "*".join(blocks) + f"/({'*'.join(names)})" + "".join(f" + {y}" for y in names[pos:])
+    *xs, ys = _hori_vafa_blocks(ambient_dim, degrees)
+    names = tuple(name for block in (*xs, ys) for name in block)
+    factors = ["1"] + [f"({' + '.join(block)} + 1)^{len(block) + 1}" for block in xs]
+    text = "*".join(factors) + f"/({'*'.join(names)})" + "".join(f" + {y}" for y in ys)
     return ex.to_laurent(ex.parse(text), names)
 
 

@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import expr as ex
 from ._frozen import frozen
-from .constructors import weighted_hypersurface_system
+from .constructors import _check_ci_data, weighted_hypersurface_system
 from .laurent import LaurentPolynomial
 from .polytopes import SemiweakReport, semiweak_check
 from .series import (
@@ -225,10 +225,9 @@ def _parse_entry(raw: object, position: int) -> FanoEntry:
         _require(isinstance(data["degrees"], list), eid, "ci.degrees", "must be a list")
         degs = tuple(_as_int(k, eid, "ci.degrees") for k in data["degrees"])
         try:
-            ci_period_closed_form(ambient, degs, 1)
+            ci = CompleteIntersection(ambient, _check_ci_data(ambient, degs))
         except ValueError as err:
             raise CorpusError(f"entry {eid}: field 'ci' is invalid: {err}") from err
-        ci = CompleteIntersection(ambient, degs)
 
     weighted = None
     if "weighted" in raw:

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from support import find_annihilator_dense, find_minimal_annihilator_oracle
 from weaklg import annihilator
 from weaklg.annihilator import (
+    MAX_DEGREE,
+    MAX_ORDER,
     MAX_SWEEP_WORK,
     DifferentialOperator,
     apply_operator,
@@ -20,7 +22,6 @@ from weaklg.annihilator import (
     determining_terms,
     find_annihilator,
     find_minimal_annihilator,
-    first_undetermined,
     grading,
     tightest_class,
 )
@@ -272,7 +273,8 @@ def test_the_rule_is_read_off_the_closed_form_without_a_matrix(monkeypatch: pyte
         # class 1 of (2, 5) needs the rows 1, 5, ..., 21; class 0 of (3, 4) the rows 0, 4, ..., 28
         assert determining_terms(s, 2, 5) == 21 and determining_terms(s, 3, 4) == 28
         assert not determined(s, 2, 5) and determined(s, 2, 4) and determined(s, 3, 3)
-        assert first_undetermined(s) == (2, 5) and first_undetermined(s, 1, 6) is None
+        # class 0 of (4, 6) holds t^0 and t^4 times D^0..D^4 against the rows 0, 4, ..., 36
+        assert determining_terms(s, 4, 6) == 38
     # an unchecked sweep's order-2 operator at (2, 5) is wrong, and (3, 4) needs t^28
     assert find_minimal_annihilator(s) is None
 
@@ -294,6 +296,20 @@ def test_the_closed_form_is_the_shape_of_the_blocks(terms: int, g: int, order: i
         least = determining_terms(s, order, degree)
         for top in range(g, 60):
             assert all(e >= u for _, e, u in shapes(series(top))) == (top >= least), top
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.integers(1, 8), st.integers(0, 60))
+def test_the_box_needs_the_most_terms_and_a_divisor_of_the_grading_no_more(g: int, terms: int) -> None:
+    # a series graded by g, through t^terms or through t^g if that is later
+    s = IntegerSeries(tuple(int(i % g == 0) for i in range(max(terms, g) + 1)))
+    box = determining_terms(s, MAX_ORDER, MAX_DEGREE)
+    assert all(determining_terms(s, m, r) <= box for m in range(MAX_ORDER + 1) for r in range(MAX_DEGREE + 1))
+    assert determined(s, MAX_ORDER, MAX_DEGREE) == (s.order >= box)
+    # a longer truncation can only lower the grading to a divisor, which never raises the box's value
+    for divisor in (d for d in range(1, g) if g % d == 0):
+        finer = IntegerSeries(tuple(int(i % divisor == 0) for i in range(len(s))))
+        assert grading(finer) == divisor and determining_terms(finer, MAX_ORDER, MAX_DEGREE) <= box
 
 
 @settings(deadline=None, max_examples=25)

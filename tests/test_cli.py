@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 
 import weaklg
 from weaklg import cli
+from weaklg.annihilator import MAX_DEGREE, MAX_ORDER, determined
 from weaklg.cli import main
+from weaklg.series import constant_term_series
 
 
 def run(*argv: str) -> tuple[int, str, str]:
@@ -446,14 +448,44 @@ def test_pfop_sweep_reports_minimal_bidegree() -> None:
 def test_pfop_reports_no_operator_its_truncation_does_not_determine() -> None:
     # at the default t^20 the order-2 operator of entry 17 that an unchecked
     # sweep finds is wrong: class 1 of (2, 5) has 6 unknowns (t and t^5 times
-    # D^0..D^2) and 5 rows, so the cell is skipped, as (3, 4) is
+    # D^0..D^2) and 5 rows, so the cell is skipped, as (3, 4) is; class 0 of
+    # (4, 6) has 10 unknowns (t^0 and t^4 times D^0..D^4), the rows 0, 4, ..., 36
     assert run("pfop", "--entry", "17") == (1, (
         "no annihilator found in the sweep\n"
-        "first cell skipped: order 2, degree 5\n"
-        "truncation t^20, tightest class 1 mod 4: 5 equations for 6 unknowns, slack -1;"
-        " not solved, --terms 21 determines the cell\n"
+        "--terms 38 determines every cell of the sweep\n"
     ), "")
     assert run("pfop", "--entry", "17", "--format", "json") == (1, '{\n  "operators": []\n}\n', "")
+
+
+# the truncation that determines every cell of the sweep, and the cell the
+# sweep finds there (None: no operator in the box)
+SETTLED = {
+    ("--entry", "15"): (38, (3, 4)),
+    ("--entry", "16"): (42, (3, 3)),
+    ("--entry", "17"): (38, (3, 4)),
+    ("--poly", "x+y+z+1/(x*y)+1/(y*z)+x*z/y+2*y"): (42, None),
+    ("--poly", "x+y+z+1/x+1/y+1/z"): (38, (3, 4)),
+    ("--poly", "x+2*y+3*z+1/(x*y)+5/(y*z)+x*z/y+7*y/x"): (34, None),
+    ("--poly", "2*x+y^2/z+3*z+1/(x*y)+x/(y*z)+5/x"): (34, None),
+    ("--poly", "3*x+5*y+z+7/(x*y)+2/(y*z)+x*z/y+11*y/z+x/y"): (34, None),
+}
+
+
+@pytest.mark.parametrize("source", SETTLED)
+@pytest.mark.parametrize("terms", [12, 20])
+def test_pfop_names_the_one_truncation_that_settles_the_sweep(source: tuple[str, str], terms: int) -> None:
+    settled, cell = SETTLED[source]
+    assert run("pfop", *source, "--terms", str(terms)) == (1, (
+        "no annihilator found in the sweep\n"
+        f"--terms {settled} determines every cell of the sweep\n"
+    ), "")
+    s = constant_term_series(cli._input_polynomial(cli.build_parser("pfop").parse_args(["pfop", *source])), settled)
+    assert determined(s, MAX_ORDER, MAX_DEGREE)
+    code, out, err = run("pfop", *source, "--terms", str(settled))
+    if cell is None:
+        assert (code, out, err) == (1, "no annihilator found in the sweep\n", "")
+    else:
+        assert code == 0 and err == "" and out.startswith(f"minimal bounds: order {cell[0]}, degree {cell[1]}\n")
 
 
 @pytest.mark.parametrize("text", ["x+y+z+1/(x*y)+1/(y*z)+x*z/y+2*y", "3*x+5*y+z+7/(x*y)+2/(y*z)+x*z/y+11*y/z+x/y"])
@@ -612,6 +644,10 @@ def test_error_paths_exit_two(tmp_path: Path) -> None:
     assert run("series", "--entry", "5", "--poly", "") == (2, "", "error: give either --entry or --poly, not both\n")
     assert run("pfop", "--entry", "17", "--order", "3") == (
         2, "", "error: --order and --degree must be given together\n")
+    # usage is checked before the polynomial is parsed
+    assert run("pfop", "--poly", "x+", "--order", "1") == (
+        2, "", "error: --order and --degree must be given together\n")
+    assert run("semiweak", "--poly", "x+") == (2, "", "error: --target is required with --poly\n")
     assert run("series", "--poly", "x/(2*y)") == (
         2, "", "error: coefficient 1 is not divisible by 2 in quotient by 2*y\n")
     assert run("series", "--poly", "(2*x)^-1") == (

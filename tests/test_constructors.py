@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from support import grassmannian_polynomial_oracle
+from weaklg import constructors
 from weaklg.constructors import (
     ConstrainedModel,
     eliminate,
@@ -70,6 +71,14 @@ def test_hori_vafa_ci_matches_written_out_forms() -> None:
     for ambient, degrees, text in cases:
         names = hori_vafa_variables(ambient, degrees)
         assert hori_vafa_ci(ambient, degrees) == to_laurent(parse(text), names)
+
+
+def test_hori_vafa_ci_checks_its_data_once(monkeypatch: pytest.MonkeyPatch) -> None:
+    calls = []
+    check = constructors._check_ci_data
+    monkeypatch.setattr(constructors, "_check_ci_data", lambda *args: calls.append(args) or check(*args))
+    hori_vafa_ci(5, (2, 2))
+    assert calls == [(5, (2, 2))]
 
 
 def test_hori_vafa_ci_validates_input() -> None:

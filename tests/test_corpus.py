@@ -179,6 +179,13 @@ def test_load_corpus_rejects_inconsistent_ci_block(tmp_path: Path) -> None:
         load_corpus(write_corpus(tmp_path, doc))
 
 
+def test_load_corpus_checks_a_ci_block_without_the_closed_form(tmp_path: Path) -> None:
+    bundled = [e.ci for e in load_corpus()]
+    with unittest.mock.patch("weaklg.corpus.ci_period_closed_form", side_effect=AssertionError("closed form")):
+        assert [e.ci for e in load_corpus(write_corpus(tmp_path, builtin_doc()))] == bundled
+    assert sum(ci is not None for ci in bundled) == 7
+
+
 def test_load_corpus_rejects_inconsistent_weighted_block(tmp_path: Path) -> None:
     doc = builtin_doc()
     doc["entries"][0]["weighted"]["d"] = 7
