@@ -25,9 +25,10 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from ._frozen import frozen
+from .laurent import _signed_sum
 from .linalg import nullspace
 from .series import IntegerSeries
 
@@ -81,22 +82,7 @@ class DifferentialOperator:
 
     def pretty(self) -> str:
         """Readable form, higher D-powers first."""
-        pieces = []
-        for (l, j) in sorted(self.coeffs, key=lambda k: (-k[1], k[0])):
-            c = self.coeffs[(l, j)]
-            factors = []
-            if abs(c) != 1 or (l == 0 and j == 0):
-                factors.append(str(abs(c)))
-            if l:
-                factors.append("t" if l == 1 else f"t^{l}")
-            if j:
-                factors.append("D" if j == 1 else f"D^{j}")
-            body = "*".join(factors)
-            if not pieces:
-                pieces.append(body if c > 0 else "-" + body)
-            else:
-                pieces.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(pieces)
+        return _signed_sum(sorted(self.coeffs.items(), key=lambda kc: (-kc[0][1], kc[0][0])), ("t", "D"))
 
     def to_json_dict(self) -> dict:
         return {
@@ -108,16 +94,13 @@ class DifferentialOperator:
 
 def apply_operator(op: DifferentialOperator, s: IntegerSeries) -> tuple[Fraction, ...]:
     """Coefficients of L s through the truncation order of s."""
-    # d L has integer coefficients for d the lcm of the denominators
-    d = lcm(*(c.denominator for c in op.coeffs.values()))
-    scaled = {lj: c.numerator * (d // c.denominator) for lj, c in op.coeffs.items()}
-    return tuple(Fraction(v, d) for v in _apply_integral(scaled, s))
+    return tuple(Fraction(v) for v in _apply_integral(op.coeffs, s))
 
 
-def _apply_integral(coeffs: Mapping[tuple[int, int], int], s: IntegerSeries) -> list[int]:
+def _apply_integral(coeffs: Mapping[tuple[int, int], int | Fraction], s: IntegerSeries) -> list[int | Fraction]:
     """Coefficients of L s through the truncation order of s, for an L with
-    integer coefficients c_(l,j): sum_(l,j) c_(l,j) s_(i-l) (i-l)^j, terms
-    with i < l dropped."""
+    integer or rational coefficients c_(l,j): sum_(l,j) c_(l,j) s_(i-l)
+    (i-l)^j, terms with i < l dropped."""
     out = [0] * len(s)
     for (l, j), c in coeffs.items():
         for k in range(len(s) - l):

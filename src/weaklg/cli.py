@@ -33,12 +33,11 @@ from .annihilator import (
 )
 from .constructors import (
     ConstrainedModel,
+    _hori_vafa_text,
     eliminate,
     grassmannian_hyperplane_system,
     grassmannian_polynomial,
     grassmannian_variables,
-    hori_vafa_ci,
-    hori_vafa_variables,
     toric_polynomial,
     weighted_hypersurface_system,
 )
@@ -253,9 +252,8 @@ def _cmd_construct_toric(args: argparse.Namespace) -> int:
 
 
 def _cmd_construct_ci(args: argparse.Namespace) -> int:
-    degrees = _parse_int_list(args.degrees, "--degrees")
-    f = hori_vafa_ci(args.n, degrees)
-    return _emit_polynomial(args, f, hori_vafa_variables(args.n, degrees))
+    text, names = _hori_vafa_text(args.n, _parse_int_list(args.degrees, "--degrees"))
+    return _emit_polynomial(args, ex.to_laurent(ex.parse(text), names), names)
 
 
 def _cmd_construct_grassmannian(args: argparse.Namespace) -> int:

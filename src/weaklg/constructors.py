@@ -14,7 +14,7 @@ from collections.abc import Sequence
 
 from . import expr as ex
 from ._frozen import frozen
-from .laurent import LaurentPolynomial
+from .laurent import LaurentPolynomial, _signed_sum
 
 
 @frozen
@@ -98,14 +98,18 @@ def _check_ci_data(ambient_dim: int, degrees: Sequence[int]) -> tuple[int, ...]:
 
 def hori_vafa_variables(ambient_dim: int, degrees: Sequence[int]) -> tuple[str, ...]:
     """Deterministic variable names: x{i}{j} blocks first, then y{s}."""
-    return tuple(name for block in _hori_vafa_blocks(ambient_dim, degrees) for name in block)
+    return _hori_vafa_text(ambient_dim, degrees)[1]
 
 
-def _hori_vafa_blocks(ambient_dim: int, degrees: Sequence[int]) -> list[list[str]]:
-    """Check the data; its names in blocks: x{i}1 .. x{i}(k_i - 1) for each degree k_i, then the y{s}."""
+def _hori_vafa_text(ambient_dim: int, degrees: Sequence[int]) -> tuple[str, tuple[str, ...]]:
+    """Check the data; hori_vafa_ci's text and names: x{i}1 .. x{i}(k_i - 1) per degree k_i, then the y{s}."""
     degs = _check_ci_data(ambient_dim, degrees)
     xs = [[f"x{i}{j}" for j in range(1, k)] for i, k in enumerate(degs, start=1)]
-    return xs + [[f"y{s}" for s in range(1, ambient_dim - sum(degs) + 1)]]
+    ys = [f"y{s}" for s in range(1, ambient_dim - sum(degs) + 1)]
+    names = tuple(name for block in (*xs, ys) for name in block)
+    factors = ["1"] + [f"({' + '.join(block)} + 1)^{len(block) + 1}" for block in xs]
+    text = "*".join(factors) + f"/({_signed_sum([((1,) * len(names), 1)], names)})"
+    return text + "".join(f" + {y}" for y in ys), names
 
 
 def hori_vafa_ci(ambient_dim: int, degrees: Sequence[int]) -> LaurentPolynomial:
@@ -119,10 +123,7 @@ def hori_vafa_ci(ambient_dim: int, degrees: Sequence[int]) -> LaurentPolynomial:
     in N - r variables (r = number of degrees), written as text, parsed and
     expanded by ex.to_laurent within its limits.
     """
-    *xs, ys = _hori_vafa_blocks(ambient_dim, degrees)
-    names = tuple(name for block in (*xs, ys) for name in block)
-    factors = ["1"] + [f"({' + '.join(block)} + 1)^{len(block) + 1}" for block in xs]
-    text = "*".join(factors) + f"/({'*'.join(names)})" + "".join(f" + {y}" for y in ys)
+    text, names = _hori_vafa_text(ambient_dim, degrees)
     return ex.to_laurent(ex.parse(text), names)
 
 
@@ -214,10 +215,9 @@ def weighted_hypersurface_system(
             f"partition {part} must match the trailing weights of {ws}; reorder the weights"
         )
     names = tuple(f"y{i}" for i in range(len(ws)))
-    monomial = "*".join(name if w == 1 else f"{name}^{w}" for name, w in zip(names, ws))
     return ConstrainedModel(
         variables=names,
-        constraints=(ex.parse(monomial), ex.parse(" + ".join(names[len(ws) - len(part):]))),
+        constraints=(ex.parse(_signed_sum([(ws, 1)], names)), ex.parse(" + ".join(names[len(ws) - len(part):]))),
         potential=ex.parse(" + ".join(names)),
     )
 

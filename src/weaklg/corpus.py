@@ -325,9 +325,8 @@ def verify_entry(entry: FanoEntry, terms: int = 20) -> VerificationReport:
 
     checks = []
     if entry.reference is not None:
-        ref = normalize_shift(IntegerSeries(entry.reference.coeffs))
-        upto = min(canonical.order, ref.order)
-        checks.append(_series_check("reference", "reference", compare_series(canonical, ref, upto)))
+        ref = normalize_shift(IntegerSeries(entry.reference.coeffs[: terms + 1]))
+        checks.append(_series_check("reference", "reference", compare_series(canonical, ref, ref.order)))
     if entry.ci is not None:
         raw = shifted_series(canonical, shift)
         closed = ci_period_closed_form(entry.ci.ambient_dim, entry.ci.degrees, terms)

@@ -12,6 +12,7 @@ All values are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Mapping, Sequence
+from fractions import Fraction
 from itertools import repeat
 from operator import add, mul
 from types import MappingProxyType
@@ -58,6 +59,22 @@ def _times(g: Mapping[int, int], steps: Sequence[tuple[int, int]]) -> dict[int, 
     return out
 
 
+def _signed_sum(terms: Iterable[tuple[Sequence[int], int | Fraction]], names: Sequence[str]) -> str:
+    """Sum c * prod_i names[i]^e[i] over the (e, c) of terms in order ("0" for none): a factor is name^e,
+    or name if e == 1; +-1 shows only on a constant term; "-" leads a negative first term; " + "/" - " join."""
+    pieces: list[str] = []
+    for exps, coeff in terms:
+        factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e]
+        if coeff < 0:
+            coeff, sign = -coeff, ("- " if pieces else "-")
+        else:
+            sign = "+ " if pieces else ""
+        if coeff != 1 or not factors:
+            factors.insert(0, str(coeff))
+        pieces.append(sign + "*".join(factors))
+    return " ".join(pieces) or "0"
+
+
 class LaurentPolynomial:
     """Sparse Laurent polynomial with integer coefficients.
 
@@ -90,8 +107,10 @@ class LaurentPolynomial:
         object.__setattr__(self, "_terms", clean)
         object.__setattr__(self, "_hash", None)
 
-    def __setattr__(self, name: str, value: object) -> None:
+    def __setattr__(self, name: str, *value: object) -> None:
         raise AttributeError("LaurentPolynomial is immutable")
+
+    __delattr__ = __setattr__
 
     def __reduce__(self) -> tuple:  # copy and pickle rebuild through __init__: __setattr__ refuses
         return LaurentPolynomial, (self._nvars, self._terms)
@@ -283,28 +302,11 @@ class LaurentPolynomial:
 
     def render(self, names: Sequence[str] | None = None) -> str:
         """Canonical text form, parseable by the expression grammar."""
-        if not self._terms:
-            return "0"
         if names is None:
             names = self.default_names()
-        if len(names) != self._nvars:
+        if self._terms and len(names) != self._nvars:
             raise ValueError(f"need {self._nvars} variable names, got {len(names)}")
-        pieces: list[str] = []
-        for exps in sorted(self._terms, reverse=True):
-            coeff = self._terms[exps]
-            factors = [f"{names[i]}^{e}" if e != 1 else names[i] for i, e in enumerate(exps) if e != 0]
-            mag = abs(coeff)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(mag)] + factors)
-            if not pieces:
-                pieces.append(body if coeff > 0 else "-" + body)
-            else:
-                pieces.append(("+ " if coeff > 0 else "- ") + body)
-        return " ".join(pieces)
+        return _signed_sum(sorted(self._terms.items(), reverse=True), names)
 
     def __str__(self) -> str:
         return self.render()

@@ -12,8 +12,10 @@ So are the exhaustive annihilator sweep that a mod-p screen replaced, the
 solve of the whole annihilator matrix that a solve per grading class
 replaced, the term-by-term ladder polynomial that the sum of its
 hyperplane-class factors replaced, the recursive == and repr() of expression nodes (compared and
-printed field by field, as a frozen value class does), and the
-character-level parser that the token-list parser replaced.
+printed field by field, as a frozen value class does), the
+character-level parser that the token-list parser replaced, and the two
+signed-sum loops of LaurentPolynomial.render and DifferentialOperator.pretty
+that one printer replaced.
 """
 
 from __future__ import annotations
@@ -780,3 +782,49 @@ def grassmannian_polynomial_oracle(k: int, n: int) -> LaurentPolynomial:
     e[idx(rows, cols)] = -1
     add_term(e)
     return LaurentPolynomial(nv, terms)
+
+
+def render_oracle(f: LaurentPolynomial, names: Sequence[str] | None = None) -> str:
+    """LaurentPolynomial.render with its own signed-sum loop (kept verbatim)."""
+    if not f._terms:
+        return "0"
+    if names is None:
+        names = f.default_names()
+    if len(names) != f._nvars:
+        raise ValueError(f"need {f._nvars} variable names, got {len(names)}")
+    pieces: list[str] = []
+    for exps in sorted(f._terms, reverse=True):
+        coeff = f._terms[exps]
+        factors = [f"{names[i]}^{e}" if e != 1 else names[i] for i, e in enumerate(exps) if e != 0]
+        mag = abs(coeff)
+        if not factors:
+            body = str(mag)
+        elif mag == 1:
+            body = "*".join(factors)
+        else:
+            body = "*".join([str(mag)] + factors)
+        if not pieces:
+            pieces.append(body if coeff > 0 else "-" + body)
+        else:
+            pieces.append(("+ " if coeff > 0 else "- ") + body)
+    return " ".join(pieces)
+
+
+def pretty_oracle(op: DifferentialOperator) -> str:
+    """DifferentialOperator.pretty with its own signed-sum loop (kept verbatim)."""
+    pieces = []
+    for (l, j) in sorted(op.coeffs, key=lambda k: (-k[1], k[0])):
+        c = op.coeffs[(l, j)]
+        factors = []
+        if abs(c) != 1 or (l == 0 and j == 0):
+            factors.append(str(abs(c)))
+        if l:
+            factors.append("t" if l == 1 else f"t^{l}")
+        if j:
+            factors.append("D" if j == 1 else f"D^{j}")
+        body = "*".join(factors)
+        if not pieces:
+            pieces.append(body if c > 0 else "-" + body)
+        else:
+            pieces.append(("+ " if c > 0 else "- ") + body)
+    return " ".join(pieces)

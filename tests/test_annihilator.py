@@ -5,10 +5,10 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from support import find_annihilator_dense, find_minimal_annihilator_oracle
+from support import find_annihilator_dense, find_minimal_annihilator_oracle, pretty_oracle
 from weaklg import annihilator
 from weaklg.annihilator import (
     MAX_DEGREE,
@@ -77,6 +77,22 @@ def test_apply_operator_with_fractional_coefficients_follows_the_formula() -> No
     got = apply_operator(lop, s)
     assert got == expected
     assert all(type(v) is Fraction for v in got)
+
+
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, 12), st.integers(0, 5)),
+        st.one_of(st.sampled_from([1, -1]), st.fractions(min_value=-50, max_value=50, max_denominator=60)),
+        max_size=8,
+    ),
+    st.sampled_from([None, 1, -1, 5, Fraction(-7, 3)]),
+)
+def test_pretty_matches_the_signed_sum_oracle(coeffs: dict[tuple[int, int], Fraction], constant: Fraction | None) -> None:
+    if constant is not None:
+        coeffs[(0, 0)] = constant
+    assume(any(coeffs.values()))
+    lop = op(coeffs)
+    assert lop.pretty() == pretty_oracle(lop)
 
 
 def test_find_annihilator_refuses_a_basis_vector_that_fails_its_equations(monkeypatch: pytest.MonkeyPatch) -> None:

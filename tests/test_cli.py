@@ -153,6 +153,24 @@ def test_verify_reports_mismatch_with_exit_one(tmp_path: Path) -> None:
         "first_mismatch": 3, "left": "312", "matched": False, "right": "313", "upto": 6}
 
 
+def test_verify_reads_a_long_reference_only_through_its_terms(tmp_path: Path) -> None:
+    # normalizing a stored reference costs the square of its length; entry
+    # 17's, given phi(1) = 5 and 1,502 coefficients, took 25 s in full
+    coeffs = json.loads(corpus_copy(tmp_path, {}).read_text())["entries"][16]["reference_series"]["coeffs"]
+    coeffs[1] = "5"
+    outputs = []
+    for name, kept in (("long", coeffs + ["0"] * (1502 - len(coeffs))), ("cut", coeffs[:13])):
+        (tmp_path / name).mkdir()
+        path = str(corpus_copy(tmp_path / name, {17: {"reference_series": {"coeffs": kept, "provenance": "regression"}}}))
+        start = time.perf_counter()
+        text = run("verify", "--entry", "17", "--terms", "12", "--corpus", path)
+        seconds = time.perf_counter() - start
+        outputs.append((text, run("verify", "--entry", "17", "--terms", "12", "--corpus", path, "--format", "json")))
+        assert text[0] == 1 and "  reference: MISMATCH at t^2: 0 != -25" in text[1].splitlines()
+        assert seconds < 1.0, (name, seconds)
+    assert outputs[0] == outputs[1]
+
+
 def corpus_copy(tmp_path: Path, changes: dict[int, dict]) -> Path:
     """The bundled corpus with the fields in changes[id] replaced, written
     under tmp_path."""
@@ -544,6 +562,19 @@ def test_construct_ci_and_grassmannian() -> None:
     assert code == 0 and "x11" in out
     code, out, _ = run("construct", "grassmannian", "--k", "2", "--n", "6")
     assert code == 0 and "X42" in out
+
+
+def test_construct_ci_checks_its_data_once() -> None:
+    polynomial = (
+        "x11*x21*y1^-1 + 2*x11*y1^-1 + x11*x21^-1*y1^-1 + 2*x21*y1^-1 + y1 + 4*y1^-1"
+        " + 2*x21^-1*y1^-1 + x11^-1*x21*y1^-1 + 2*x11^-1*y1^-1 + x11^-1*x21^-1*y1^-1"
+    )
+    check = weaklg.constructors._check_ci_data
+    with unittest.mock.patch("weaklg.constructors._check_ci_data", wraps=check) as checked:
+        assert run("construct", "ci", "--n", "5", "--degrees", "2,2") == (0, polynomial + "\n", "")
+    assert checked.call_count == 1
+    code, out, _ = run("construct", "ci", "--n", "5", "--degrees", "2,2", "--format", "json")
+    assert (code, json.loads(out)) == (0, {"polynomial": polynomial, "variables": ["x11", "x21", "y1"]})
 
 
 @pytest.mark.parametrize("command", [("grassmannian",), ("grass-ci", "--sections", "2")])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import coefficient_in_power, convolve_terms, determinant_3x3, random_unimodular
+from support import coefficient_in_power, convolve_terms, determinant_3x3, random_unimodular, render_oracle
 from weaklg.laurent import LaurentPolynomial, _times
 
 import random
@@ -75,6 +75,9 @@ def test_equality_and_hash() -> None:
     assert f != "2*x*y^-1"  # __eq__ defers to the other operand, then == is identity
     with pytest.raises(AttributeError, match="LaurentPolynomial is immutable"):
         f._terms = {}
+    with pytest.raises(AttributeError, match="LaurentPolynomial is immutable"):
+        del f._terms
+    assert f.render() == "2*x*y^-1"
 
 
 def test_arithmetic_small_example() -> None:
@@ -219,6 +222,24 @@ def test_render_examples() -> None:
     assert repr(f) == "LaurentPolynomial(3, 'x + y + z + x^-1*y^-1*z^-1')"
     with pytest.raises(ValueError, match="need 3 variable names, got 2"):
         f.render(("u", "v"))
+    # the zero polynomial renders before its names are checked
+    assert LaurentPolynomial(2, {}).render(("u", "v", "w")) == "0"
+
+
+def printable_polys(nvars: int) -> st.SearchStrategy[LaurentPolynomial]:
+    """Polynomials with the zero polynomial, constants, coefficients +-1 and
+    larger, and exponents 0, +-1 and large all likely."""
+    exponent = st.one_of(st.sampled_from([0, 0, 1, -1]), st.integers(-1000, 1000))
+    coeff = st.one_of(st.sampled_from([1, -1]), st.integers(-(10**30), 10**30))
+    return st.dictionaries(st.tuples(*[exponent] * nvars), coeff, max_size=8).map(
+        lambda d: LaurentPolynomial(nvars, d)
+    )
+
+
+@given(st.integers(min_value=1, max_value=4).flatmap(printable_polys), st.booleans())
+def test_render_matches_the_signed_sum_oracle(f: LaurentPolynomial, own_names: bool) -> None:
+    names = tuple(f"v{i}" for i in range(f.nvars)) if own_names else None
+    assert f.render(names) == render_oracle(f, names)
 
 
 def test_render_leading_negative_power_survives_round_trip() -> None:
