@@ -154,30 +154,42 @@ def tightest_class(s: IntegerSeries, order: int, degree: int) -> tuple[int, int,
     return min(_class_sizes(s.order, grading(s), order, degree), key=lambda cell: (cell[1] - cell[2], cell[0]))
 
 
-def determining_terms(s: IntegerSeries, order: int, degree: int) -> int:
-    """The least truncation order at which each class c mod g, g the grading of s, has as
-    many equations as its u unknowns: the rows c, c + g, ..., c + (u - 1) g.  Unknowns only
-    grow with order and degree, and a longer truncation only lowers g to a divisor, which for
-    g <= 8 never raises the value at (MAX_ORDER, MAX_DEGREE): there the sweep skips no cell."""
-    g = grading(s)
-    return max(c + (unknowns - 1) * g for c, _, unknowns in _class_sizes(s.order, g, order, degree))
+def determining_terms(s: IntegerSeries, order: int, degree: int) -> int | None:
+    """The least truncation order T at which each class c mod g, g the grading of s, has as
+    many equations as its u unknowns, the rows c, c + g, ..., c + (u - 1) g, and no column
+    t^l D^j, which reads s_k for k <= T - l, k >= 1 if j >= 1, is zero: degree + p <= T, p
+    the least such k with s_k != 0, None if s shows none.  Unknowns only grow with order and
+    degree, p is fixed once seen, and a longer truncation only lowers g to a divisor, which
+    for g <= 8 never raises the value at (MAX_ORDER, MAX_DEGREE): there the sweep skips no cell."""
+    g, p = grading(s), next((k for k in range(min(order, 1), len(s)) if s[k]), None)
+    sizes = _class_sizes(s.order, g, order, degree)
+    return None if p is None else max(degree + p, *(c + (unknowns - 1) * g for c, _, unknowns in sizes))
 
 
 def determined(s: IntegerSeries, order: int, degree: int) -> bool:
-    """Whether each class of the cell has as many equations as unknowns or more (Kauers,
-    Guessing Handbook, RISC 09-07): a class with fewer has a nonzero nullspace whatever s is."""
-    return determining_terms(s, order, degree) <= s.order
+    """Whether each class of the cell has as many equations as unknowns or more (Kauers, Guessing
+    Handbook, RISC 09-07) and no column is zero: else its nullspace is nonzero whatever s holds past t^T."""
+    terms = determining_terms(s, order, degree)
+    return terms is not None and terms <= s.order
+
+
+def undetermined_note(s: IntegerSeries, order: int, degree: int, cells: str) -> str | None:
+    """What settles `cells`, of which (order, degree) needs the most terms; None if they are determined."""
+    terms = determining_terms(s, order, degree)
+    if terms is None:
+        return "the truncation shows no coefficient past t^0"
+    return f"--terms {terms} determines {cells}" if terms > s.order else None
 
 
 def slack_line(s: IntegerSeries, order: int, degree: int) -> str:
-    """lg pfop's line on a cell: the truncation, the tightest class and, at a
-    negative slack, the --terms that determines the cell."""
+    """lg pfop's line on a cell: the truncation, the tightest class and, for
+    an undetermined cell, what would determine it."""
     c, equations, unknowns = tightest_class(s, order, degree)
-    unsolved = f"; not solved, --terms {determining_terms(s, order, degree)} determines the cell"
+    note = undetermined_note(s, order, degree, "the cell")
     return (
         f"truncation t^{s.order}, tightest class {c} mod {grading(s)}:"
         f" {equations} equations for {unknowns} unknowns, slack {equations - unknowns}"
-    ) + (unsolved if equations < unknowns else "")
+    ) + (f"; not solved, {note}" if note else "")
 
 
 def grading(s: IntegerSeries) -> int:

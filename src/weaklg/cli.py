@@ -16,7 +16,6 @@ import json
 import os
 import sys
 from collections.abc import Iterable
-from math import lcm
 from pathlib import Path
 
 from . import expr as ex
@@ -26,10 +25,10 @@ from .annihilator import (
     check_solve_budget,
     check_sweep_budget,
     determined,
-    determining_terms,
     find_annihilator,
     find_minimal_annihilator,
     slack_line,
+    undetermined_note,
 )
 from .constructors import (
     ConstrainedModel,
@@ -193,7 +192,7 @@ def _cmd_ehrhart(args: argparse.Namespace) -> int:
         payload["polynomial"] = [str(c) for c in result.polynomial]
         lines.append("polynomial coefficients (ascending): " + ", ".join(payload["polynomial"]))
     else:  # a quasi-polynomial in k, whose period divides this lcm
-        payload["period"] = lcm(*(c.denominator for v in p.vertices for c in v))
+        payload["period"] = p.denominator
         lines.append(f"period {payload['period']} (lcm of the vertex denominators): the counts are a quasi-polynomial")
     _emit(args, payload, lines)
     return 0
@@ -209,9 +208,8 @@ def _cmd_pfop(args: argparse.Namespace) -> int:
         s = constant_term_series(f, args.terms)
         found = find_minimal_annihilator(s)
         if found is None:
-            terms = determining_terms(s, MAX_ORDER, MAX_DEGREE)
-            settled = [f"--terms {terms} determines every cell of the sweep"] if terms > s.order else []
-            _emit(args, {"operators": []}, ["no annihilator found in the sweep", *settled])
+            note = undetermined_note(s, MAX_ORDER, MAX_DEGREE, "every cell of the sweep")
+            _emit(args, {"operators": []}, ["no annihilator found in the sweep", *([note] if note else [])])
             return 1
         order, degree, basis = found
         lines = [f"minimal bounds: order {order}, degree {degree}", slack_line(s, order, degree)]

@@ -102,8 +102,14 @@ def hori_vafa_variables(ambient_dim: int, degrees: Sequence[int]) -> tuple[str, 
 
 
 def _hori_vafa_text(ambient_dim: int, degrees: Sequence[int]) -> tuple[str, tuple[str, ...]]:
-    """Check the data; hori_vafa_ci's text and names: x{i}1 .. x{i}(k_i - 1) per degree k_i, then the y{s}."""
+    """Check the data and that no name repeats; hori_vafa_ci's text and names: x{i}1 .. x{i}(k_i - 1) per
+    degree k_i, then the y{s}."""
     degs = _check_ci_data(ambient_dim, degrees)
+    first: dict[str, tuple[int, int]] = {}
+    for i, j in ((i, j) for i, k in enumerate(degs, start=1) for j in range(1, k)):
+        a, b = first.setdefault(f"x{i}{j}", (i, j))
+        if (a, b) != (i, j):
+            raise ValueError(f"the names x{{i}}{{j}} collide: x{i}{j} would be both x_{{{a},{b}}} and x_{{{i},{j}}}")
     xs = [[f"x{i}{j}" for j in range(1, k)] for i, k in enumerate(degs, start=1)]
     ys = [f"y{s}" for s in range(1, ambient_dim - sum(degs) + 1)]
     names = tuple(name for block in (*xs, ys) for name in block)

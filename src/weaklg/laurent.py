@@ -17,6 +17,7 @@ from itertools import repeat
 from operator import add, mul
 from types import MappingProxyType
 
+from ._frozen import refuse_assignment
 from .linalg import det
 
 ExponentVector = tuple[int, ...]
@@ -83,7 +84,7 @@ class LaurentPolynomial:
     parser accepts, e.g. ``x^2*y^-1 + 2*y``.
     """
 
-    __slots__ = ("_nvars", "_terms", "_hash")
+    __slots__ = ("_nvars", "_terms")
 
     def __init__(self, nvars: int, terms: Mapping[ExponentVector, int] | Iterable[tuple[ExponentVector, int]]):
         if nvars < 1:
@@ -105,12 +106,8 @@ class LaurentPolynomial:
             clean[key] = coeff
         object.__setattr__(self, "_nvars", nvars)
         object.__setattr__(self, "_terms", clean)
-        object.__setattr__(self, "_hash", None)
 
-    def __setattr__(self, name: str, *value: object) -> None:
-        raise AttributeError("LaurentPolynomial is immutable")
-
-    __delattr__ = __setattr__
+    __setattr__ = __delattr__ = refuse_assignment
 
     def __reduce__(self) -> tuple:  # copy and pickle rebuild through __init__: __setattr__ refuses
         return LaurentPolynomial, (self._nvars, self._terms)
@@ -121,7 +118,6 @@ class LaurentPolynomial:
         self = object.__new__(cls)
         object.__setattr__(self, "_nvars", nvars)
         object.__setattr__(self, "_terms", terms)
-        object.__setattr__(self, "_hash", None)
         return self
 
     @classmethod
@@ -130,9 +126,7 @@ class LaurentPolynomial:
 
     @classmethod
     def constant(cls, nvars: int, value: int) -> "LaurentPolynomial":
-        if value == 0:
-            return cls(nvars, {})
-        return cls(nvars, {(0,) * nvars: value})
+        return cls(nvars, {(0,) * nvars: value})  # __init__ drops a zero
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "LaurentPolynomial":
@@ -176,9 +170,7 @@ class LaurentPolynomial:
         return self._nvars == other._nvars and self._terms == other._terms
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self._nvars, frozenset(self._terms.items()))))
-        return self._hash
+        return hash((self._nvars, frozenset(self._terms.items())))
 
     def _coerce(self, other: object) -> "LaurentPolynomial":
         if isinstance(other, LaurentPolynomial):
@@ -213,8 +205,6 @@ class LaurentPolynomial:
 
     def __mul__(self, other: object) -> "LaurentPolynomial":
         g = self._coerce(other)
-        if not self._terms or not g._terms:
-            return LaurentPolynomial._raw(self._nvars, {})
         out: dict[ExponentVector, int] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in g._terms.items():
@@ -289,10 +279,7 @@ class LaurentPolynomial:
             raise ValueError(f"matrix must be {n}x{n}")
         if abs(det(m)) != 1:
             raise ValueError("matrix is not unimodular (|det| != 1)")
-        out: dict[ExponentVector, int] = {}
-        for exps, coeff in self._terms.items():
-            key = tuple(sum(row[j] * exps[j] for j in range(n)) for row in m)
-            out[key] = coeff
+        out = {tuple(sum(row[j] * exps[j] for j in range(n)) for row in m): c for exps, c in self._terms.items()}
         return LaurentPolynomial._raw(n, out)
 
     def default_names(self) -> tuple[str, ...]:

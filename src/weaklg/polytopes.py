@@ -65,8 +65,13 @@ class Polytope:
         return bool(self.facets)
 
     @property
+    def denominator(self) -> int:
+        """The lcm of the vertex denominators: 1 exactly for a lattice polytope."""
+        return math.lcm(*(c.denominator for v in self.vertices for c in v))
+
+    @property
     def is_lattice(self) -> bool:
-        return all(all(isinstance(c, int) or c.denominator == 1 for c in v) for v in self.vertices)
+        return self.denominator == 1
 
     def to_json_dict(self) -> dict:
         return {

@@ -222,7 +222,7 @@ def constant_term_series(f: LaurentPolynomial, terms: int = 20) -> IntegerSeries
         return IntegerSeries(tuple(out))
     s_plus, s_minus = _reach(f)
     half = (top + 1) // 2
-    order, runs = _orbit_runs(f, half, work, list(zip(s_plus, s_minus)))
+    order, runs = _orbit_runs(f, half, work)
     s_plus, s_minus = [s_plus[c] for c in order], [s_minus[c] for c in order]
     offsets = [half * max(sp, sm) for sp, sm in zip(s_plus, s_minus)]
     widths = [2 * o + 1 for o in offsets]
@@ -328,28 +328,18 @@ def check_series_budget(f: LaurentPolynomial, terms: int) -> int:
     return work
 
 
-def _orbit_runs(
-    f: LaurentPolynomial, half: int, work: int, reach: list[tuple[int, int]]
-) -> tuple[list[int], list[tuple[int, int]]]:
+def _orbit_runs(f: LaurentPolynomial, half: int, work: int) -> tuple[list[int], list[tuple[int, int]]]:
     """The coordinates of a nonzero f in the kernel's order, the blocks of G
     one after another, and each block of two or more as a run (first,
     last + 1) of positions in that order.  G is trivial, with no runs, when
     |f| * (|G| - 1) * half < 6 * ORBIT_MIN_SAVING over the kernel's `half`
     power steps, and when the search for G could look up more than `work`,
-    the bound on the kernel's work, allows.  `reach` is (s_plus[c],
-    s_minus[c]) per coordinate c."""
+    the bound on the kernel's work, allows."""
     n = f.nvars
     blocks = [[c] for c in range(n)]
-
-    def worth(group_order: int) -> bool:
-        return len(f) * (group_order - 1) * half >= 6 * ORBIT_MIN_SAVING
-
-    # a swap that fixes f fixes the reach, so |G| is at most the product of
-    # k! over the k coordinates of each reach; no search where that fails
-    # the rule
-    if worth(prod(factorial(reach.count(r)) for r in set(reach))) and n * (n - 1) * len(f) <= work:
+    if n * (n - 1) * len(f) <= work:
         symmetric = _symmetric_blocks(f)
-        if worth(prod(factorial(len(b)) for b in symmetric)):
+        if len(f) * (prod(factorial(len(b)) for b in symmetric) - 1) * half >= 6 * ORBIT_MIN_SAVING:
             blocks = symmetric
     order = [c for b in blocks for c in b]
     runs = []

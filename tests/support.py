@@ -733,13 +733,15 @@ def find_minimal_annihilator_oracle(
     nonempty annihilator basis, each by one solve of the whole matrix.  A
     cell is skipped when some class c mod g, g the gcd of the indices of the
     nonzero coefficients of s, has fewer equations i = c mod g than unknowns
-    (l, j) with l = c mod g, each counted one by one."""
+    (l, j) with l = c mod g, each counted one by one, and when a column of
+    the whole matrix is zero."""
     g = math.gcd(*(i for i, c in enumerate(s.coeffs) if c)) or 1
 
     def determined(m: int, r: int) -> bool:
         equations = [sum(1 for i in range(len(s)) if i % g == c) for c in range(g)]
         unknowns = [sum(1 for l in range(r + 1) for _ in range(m + 1) if l % g == c) for c in range(g)]
-        return all(e >= u for e, u in zip(equations, unknowns))
+        counted = all(e >= u for e, u in zip(equations, unknowns))
+        return counted and all(any(column) for column in _annihilator_columns(s, m, r))
 
     cells = sorted(
         ((m, r) for m in range(max_order + 1) for r in range(max_degree + 1) if determined(m, r)),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from support import find_annihilator_dense, find_minimal_annihilator_oracle, pretty_oracle
+from support import _annihilator_columns, find_annihilator_dense, find_minimal_annihilator_oracle, pretty_oracle
 from weaklg import annihilator
 from weaklg.annihilator import (
     MAX_DEGREE,
@@ -306,7 +306,9 @@ def test_the_closed_form_is_the_shape_of_the_blocks(terms: int, g: int, order: i
 
     s = series(terms)
     assert annihilator._class_sizes(terms, grading(s), order, degree) == shapes(s)
-    assert determined(s, order, degree) == all(e >= u for _, e, u in shapes(s))
+    # below t^g no coefficient past t^0 shows, so every column of a power of D is zero
+    counted = all(e >= u for _, e, u in shapes(s))
+    assert determined(s, order, degree) == (counted and (order == 0 or terms >= g))
     # graded by g from t^g on, each truncation is determined exactly from determining_terms on
     if terms >= g:
         least = determining_terms(s, order, degree)
@@ -328,12 +330,36 @@ def test_the_box_needs_the_most_terms_and_a_divisor_of_the_grading_no_more(g: in
         assert grading(finer) == divisor and determining_terms(finer, MAX_ORDER, MAX_DEGREE) <= box
 
 
+def test_a_truncation_with_nothing_past_t0_determines_no_cell_past_order_zero() -> None:
+    # entry 17 (Fano index 4) through t^3 reads 1, 0, 0, 0: graded by 1 for want of
+    # a nonzero index, so the count passes, but every column t^l D^j, j >= 1, is zero
+    s = constant_term_series(get_entry(17).laurent(), 3)
+    assert s.coeffs == (1, 0, 0, 0) and grading(s) == 1 and tightest_class(s, 1, 0) == (0, 4, 2)
+    assert find_annihilator(s, 1, 0) == [op({(0, 1): 1})]
+    assert determining_terms(s, 1, 0) is None and not determined(s, 1, 0)
+    assert determining_terms(s, 0, 3) == 3 and determined(s, 0, 3)
+    assert find_minimal_annihilator(s) is None
+    # through t^4 the first nonzero coefficient past t^0 is seen, and (1, 0) needs no more
+    assert determining_terms(constant_term_series(get_entry(17).laurent(), 4), 1, 0) == 4
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.sampled_from([0, 0, 0, 1, -2, 7]), min_size=1, max_size=14))
+def test_no_cell_the_rule_accepts_has_a_zero_column(coeffs: list[int]) -> None:
+    # any series, also one with s_0 = 0; a zero column is an operator whatever s is
+    s = IntegerSeries(tuple(coeffs))
+    for m in range(MAX_ORDER + 1):
+        for r in range(MAX_DEGREE + 1):
+            counted = all(e >= u for _, e, u in annihilator._class_sizes(s.order, grading(s), m, r))
+            nonzero = all(any(column) for column in _annihilator_columns(s, m, r))
+            assert determined(s, m, r) == (counted and nonzero), (m, r)
+
+
 @settings(deadline=None, max_examples=25)
-@given(st.integers(1, 4).flatmap(lambda g: st.tuples(st.just(g), st.integers(g, 40))), st.integers(0, 2**32))
-def test_the_sweep_finds_no_operator_for_a_random_series(g_terms: tuple[int, int], seed: int) -> None:
-    # a nonzero coefficient of up to 64 bits at every multiple of g through t^T,
-    # T >= g: below t^g the series is a constant, which D kills
-    g, terms = g_terms
+@given(st.integers(1, 4), st.integers(0, 40), st.integers(0, 2**32))
+def test_the_sweep_finds_no_operator_for_a_random_series(g: int, terms: int, seed: int) -> None:
+    # a nonzero coefficient of up to 64 bits at every multiple of g through t^T;
+    # for T < g the series is a constant, which D kills, and the sweep takes no cell that says so
     rng = random.Random(seed)
     coeffs = (rng.choice((-1, 1)) * rng.randrange(1, 2**64) if i % g == 0 else 0 for i in range(terms + 1))
     assert find_minimal_annihilator(IntegerSeries(tuple(coeffs))) is None

@@ -18,6 +18,7 @@ import weaklg
 from weaklg import cli
 from weaklg.annihilator import MAX_DEGREE, MAX_ORDER, determined
 from weaklg.cli import main
+from weaklg.corpus import get_entry
 from weaklg.series import constant_term_series
 
 
@@ -475,6 +476,36 @@ def test_pfop_reports_no_operator_its_truncation_does_not_determine() -> None:
     assert run("pfop", "--entry", "17", "--format", "json") == (1, '{\n  "operators": []\n}\n', "")
 
 
+NOTHING_PAST_T0 = "the truncation shows no coefficient past t^0"
+
+
+@pytest.mark.parametrize("argv", [
+    *(("--entry", str(i), "--terms", str(get_entry(i).fano_index - 1)) for i in range(11, 18)),
+    ("--poly", "x+1/x", "--terms", "1"), ("--poly", "0"), ("--poly", "x"),
+])
+def test_pfop_reports_no_operator_from_a_truncation_with_nothing_past_t0(argv: tuple[str, ...]) -> None:
+    # the series reads 1, 0, ..., 0, so every column t^l D^j, j >= 1, is zero:
+    # D kills the truncation of any series whose next coefficient lies beyond it
+    assert run("pfop", *argv) == (1, f"no annihilator found in the sweep\n{NOTHING_PAST_T0}\n", "")
+    assert run("pfop", *argv, "--format", "json") == (1, '{\n  "operators": []\n}\n', "")
+
+
+def test_pfop_cell_from_a_truncation_with_nothing_past_t0() -> None:
+    # the count alone passes with slack 2, since 1, 0, 0, 0 is graded by 1
+    cell = ("pfop", "--entry", "17", "--order", "1", "--degree", "0")
+    assert run(*cell, "--terms", "3") == (1, (
+        "truncation t^3, tightest class 0 mod 1: 4 equations for 2 unknowns, slack 2;"
+        f" not solved, {NOTHING_PAST_T0}\n"
+    ), "")
+    assert run(*cell, "--terms", "3", "--format", "json") == (
+        1, '{\n  "degree": 0,\n  "operators": [],\n  "order": 1\n}\n', "")
+    # t^4 shows s_4 = 24, and D no longer kills the series
+    assert run(*cell, "--terms", "4") == (1, (
+        "truncation t^4, tightest class 0 mod 4: 2 equations for 2 unknowns, slack 0\n"
+        "no annihilator at these bounds\n"
+    ), "")
+
+
 # the truncation that determines every cell of the sweep, and the cell the
 # sweep finds there (None: no operator in the box)
 SETTLED = {
@@ -666,6 +697,8 @@ def test_error_paths_exit_two(tmp_path: Path) -> None:
     assert code == 2
     code, _, err = run("construct", "ci", "--n", "0", "--degrees", "")
     assert code == 2 and err == "error: ambient dimension must be >= 1\n"
+    assert run("construct", "ci", "--n", "32", "--degrees", "12" + ",2" * 10) == (
+        2, "", "error: the names x{i}{j} collide: x111 would be both x_{1,11} and x_{11,1}\n")
     # refused before the series, which takes about 2 s
     start = time.perf_counter()
     assert run("pfop", "--entry", "1", "--order", "-1", "--degree", "2", "--terms", "36") == (

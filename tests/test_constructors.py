@@ -58,6 +58,18 @@ def test_hori_vafa_variables_layout() -> None:
     assert hori_vafa_variables(3, ()) == ("y1", "y2", "y3")
 
 
+def test_hori_vafa_names_that_would_repeat_are_refused() -> None:
+    # x{i}{j} writes both x_{1,11} and x_{11,1} as x111, which to_laurent
+    # used to refuse as "variable_order contains duplicates"
+    message = "the names x{i}{j} collide: x111 would be both x_{1,11} and x_{11,1}"
+    for build in (hori_vafa_variables, hori_vafa_ci):
+        with pytest.raises(ValueError) as refused:
+            build(32, (12,) + (2,) * 10)
+        assert str(refused.value) == message
+    names = hori_vafa_variables(30, (12,) + (2,) * 9)
+    assert len(set(names)) == len(names) == 20 and {"x101", "x110", "x111"} <= set(names)
+
+
 def test_hori_vafa_ci_matches_written_out_forms() -> None:
     cases = [
         (5, (2, 3), "(x11+1)^2*(x21+x22+1)^3/(x11*x21*x22)"),

@@ -287,6 +287,14 @@ def test_dual_of_dual_across_whole_corpus() -> None:
     assert non_lattice == [(1, 0), (11, 0), (11, 1)]
 
 
+def test_denominator_is_one_exactly_for_a_lattice_polytope() -> None:
+    assert from_points([(0, 0), (2, 0), (0, 3)]).denominator == 1
+    rational = from_points([(Fraction(1, 2), 0), (0, Fraction(2, 3)), (0, 0), (Fraction(-5, 4), 1)])
+    assert rational.denominator == 12 and not rational.is_lattice
+    # the lcm of 1/2, 2/3 and 5/4 is not a single vertex's denominator
+    assert all(math.lcm(*(c.denominator for c in v)) < 12 for v in rational.vertices)
+
+
 def _echelon_calls(monkeypatch: pytest.MonkeyPatch) -> list:
     calls: list = []
     echelon = polytopes.echelon

@@ -172,10 +172,6 @@ def block_symmetric_polys(draw: st.DrawFn) -> tuple[LaurentPolynomial, list[list
     return LaurentPolynomial(n, terms), blocks
 
 
-def reach(f: LaurentPolynomial) -> list[tuple[int, int]]:
-    return list(zip(*_reach(f)))
-
-
 def saving(f: LaurentPolynomial, blocks: list[list[int]]) -> int:
     return len(f) * (math.prod(math.factorial(len(b)) for b in blocks) - 1)
 
@@ -202,7 +198,7 @@ def test_orbit_sums_agree_with_naive_on_block_symmetric_supports(data: st.DataOb
     assert all(any(set(b) <= set(c) for c in found) for b in blocks)
     work = _work_bound(f, terms)
     half = (terms + 1) // 2
-    compressed = bool(_orbit_runs(f, half, work, reach(f))[1])
+    compressed = bool(_orbit_runs(f, half, work)[1])
     searched = f.nvars * (f.nvars - 1) * len(f) <= work
     assert compressed == (searched and saving(f, found) * half >= 6 * ORBIT_MIN_SAVING)
     event(f"orbit sums: {compressed}")
@@ -217,7 +213,7 @@ def test_forced_orbit_sums_agree_with_naive_on_block_symmetric_supports(data: st
     f, _ = data.draw(block_symmetric_polys())
     terms = data.draw(short_terms(f))
     with unittest.mock.patch.object(series, "ORBIT_MIN_SAVING", 0):
-        compressed = bool(_orbit_runs(f, (terms + 1) // 2, _work_bound(f, terms), reach(f))[1])
+        compressed = bool(_orbit_runs(f, (terms + 1) // 2, _work_bound(f, terms))[1])
         event(f"orbit sums: {compressed}")
         assert constant_term_series(f, terms).coeffs == constant_term_series_naive(f, terms)
 
@@ -280,7 +276,7 @@ def test_steps_that_cut_and_steps_that_cannot_agree_with_naive(orbit_min_saving:
     cut = cutting_steps(f, terms)
     assume(0 < len(cut) < (terms + 1) // 2)
     with unittest.mock.patch.object(series, "ORBIT_MIN_SAVING", orbit_min_saving):
-        event(f"orbit sums: {bool(_orbit_runs(f, (terms + 1) // 2, _work_bound(f, terms), reach(f))[1])}")
+        event(f"orbit sums: {bool(_orbit_runs(f, (terms + 1) // 2, _work_bound(f, terms))[1])}")
         assert constant_term_series(f, terms).coeffs == constant_term_series_naive(f, terms)
 
 
@@ -356,7 +352,7 @@ def test_swap_that_fixes_only_the_support_is_not_used(data: st.DataObject) -> No
                        for x, cf in terms.items()}
             assert swapped == terms
     t = data.draw(short_terms(g))
-    event(f"orbit sums: {bool(_orbit_runs(g, (t + 1) // 2, _work_bound(g, t), reach(g))[1])}")
+    event(f"orbit sums: {bool(_orbit_runs(g, (t + 1) // 2, _work_bound(g, t))[1])}")
     assert constant_term_series(g, t).coeffs == constant_term_series_naive(g, t)
 
 
@@ -388,7 +384,7 @@ def test_orbit_rule_on_the_corpus_depends_on_the_truncation(terms: int, chosen: 
     for entry in load_corpus():
         f = entry.laurent()
         f = f - f.constant_term()
-        assert bool(_orbit_runs(f, half, MAX_SERIES_WORK, reach(f))[1]) == (entry.id in chosen), entry.id
+        assert bool(_orbit_runs(f, half, MAX_SERIES_WORK)[1]) == (entry.id in chosen), entry.id
 
 
 def test_group_search_on_cyclic_and_fully_symmetric_supports() -> None:
@@ -403,8 +399,8 @@ def test_group_search_on_cyclic_and_fully_symmetric_supports() -> None:
     # lookups are within the kernel's work bound
     f = LaurentPolynomial(n, {**dict.fromkeys(unit, 1), (-1,) * n: 1})
     assert _symmetric_blocks(f) == [list(range(n))]
-    assert _orbit_runs(f, 7, n * (n - 1) * len(f), reach(f)) == (list(range(n)), [(0, n)])
-    assert _orbit_runs(f, 7, n * (n - 1) * len(f) - 1, reach(f)) == (list(range(n)), [])
+    assert _orbit_runs(f, 7, n * (n - 1) * len(f)) == (list(range(n)), [(0, n)])
+    assert _orbit_runs(f, 7, n * (n - 1) * len(f) - 1) == (list(range(n)), [])
     assert constant_term_series(f, 14).coeffs == constant_term_series_naive(f, 14)
 
 
@@ -417,7 +413,7 @@ def test_orbit_sums_on_interleaved_blocks_of_two_and_three() -> None:
     terms[(-1, -1, -1, -1, -1)] = 2
     f = LaurentPolynomial(5, terms)
     assert _symmetric_blocks(f) == [[0, 2], [1, 3, 4]]
-    assert _orbit_runs(f, 3, MAX_SERIES_WORK, reach(f)) == ([0, 2, 1, 3, 4], [(0, 2), (2, 5)])
+    assert _orbit_runs(f, 3, MAX_SERIES_WORK) == ([0, 2, 1, 3, 4], [(0, 2), (2, 5)])
     assert constant_term_series(f, 5).coeffs == constant_term_series_naive(f, 5)
 
 
@@ -547,7 +543,7 @@ def test_work_bound_covers_every_product_and_decode_of_orbit_sums(data: st.DataO
     f, _ = data.draw(block_symmetric_polys())
     terms = data.draw(short_terms(f))
     with unittest.mock.patch.object(series, "ORBIT_MIN_SAVING", 0):
-        event(f"orbit sums: {bool(_orbit_runs(f, (terms + 1) // 2, _work_bound(f, terms), reach(f))[1])}")
+        event(f"orbit sums: {bool(_orbit_runs(f, (terms + 1) // 2, _work_bound(f, terms))[1])}")
         assert counted_work(f, terms) <= _work_bound(f, terms)
 
 
