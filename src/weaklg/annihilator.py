@@ -1,14 +1,12 @@
 """Annihilating differential operators for integer series.
 
-Operators are polynomials in t and the Euler operator D = t d/dt:
-L = sum c_{l,j} t^l D^j.  Acting on a series s, the t^i coefficient of L s
-is sum_{l,j} c_{l,j} s_{i-l} (i-l)^j, with terms for i < l dropped and the
-convention 0^0 = 1.  Finding an annihilator up to given order and t-degree
-is exact linear algebra over the rationals; the matrix is integral, so its
-nullspace comes from the fraction-free elimination in `linalg`.  The sweep
-over the (order, degree) cells up to (MAX_ORDER, MAX_DEGREE) solves each
-order once, at its largest degree still of use, and reads every smaller
-cell of that order off a prefix of the basis.
+The operators L = sum c_{l,j} t^l D^j, D = t d/dt, and their action on a
+series are those of `operators`.  Finding an annihilator up to given order
+and t-degree is exact linear algebra over the rationals; the matrix is
+integral, so its nullspace comes from the fraction-free elimination in
+`linalg`.  The sweep over the (order, degree) cells up to (MAX_ORDER,
+MAX_DEGREE) solves each order once, at its largest degree still of use, and
+reads every smaller cell of that order off a prefix of the basis.
 
 A graded series splits the matrix.  Let g be the grading of s, the gcd of
 the indices of its nonzero coefficients.  The entry s_(i-l) (i-l)^j is 0
@@ -23,13 +21,11 @@ matrix, with the same answers.  For a corpus entry g is the Fano index.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
-from fractions import Fraction
+from collections.abc import Sequence
 from math import gcd
 
-from ._frozen import frozen
-from .laurent import _signed_sum
 from .linalg import nullspace
+from .operators import DifferentialOperator, _apply_integral, euler_powers
 from .series import IntegerSeries
 
 MAX_ORDER = 4
@@ -42,70 +38,6 @@ MAX_DEGREE = 6
 # 1.91e8) and entry 1 at T = 36 (1.98e8); entry 1 at T = 40 needs 2.97e8,
 # and the series budget refuses it there too.
 MAX_SWEEP_WORK = 2 * 10**8
-
-
-@frozen
-class DifferentialOperator:
-    """Operator sum c_{l,j} t^l D^j with exact rational coefficients.
-
-    coeffs maps (l, j) to nonzero Fractions.  order is the largest D-power,
-    degree the largest t-power appearing.
-    """
-
-    coeffs: Mapping[tuple[int, int], Fraction]
-
-    def __post_init__(self) -> None:
-        clean = {}
-        for (l, j), c in self.coeffs.items():
-            if l < 0 or j < 0:
-                raise ValueError(f"negative index in coefficient position ({l}, {j})")
-            c = Fraction(c)
-            if c != 0:
-                clean[(l, j)] = c
-        if not clean:
-            raise ValueError("operator must have at least one nonzero coefficient")
-        object.__setattr__(self, "coeffs", clean)
-
-    @property
-    def order(self) -> int:
-        return max(j for _, j in self.coeffs)
-
-    @property
-    def degree(self) -> int:
-        return max(l for l, _ in self.coeffs)
-
-    def scaled_canonical(self) -> "DifferentialOperator":
-        """Divide through so the first nonzero coefficient in (l, j)-lexicographic
-        order becomes 1."""
-        lead = self.coeffs[min(self.coeffs)]
-        return DifferentialOperator({k: c / lead for k, c in self.coeffs.items()})
-
-    def pretty(self) -> str:
-        """Readable form, higher D-powers first."""
-        return _signed_sum(sorted(self.coeffs.items(), key=lambda kc: (-kc[0][1], kc[0][0])), ("t", "D"))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "degree": self.degree,
-            "coeffs": [[l, j, str(c)] for (l, j), c in sorted(self.coeffs.items())],
-        }
-
-
-def apply_operator(op: DifferentialOperator, s: IntegerSeries) -> tuple[Fraction, ...]:
-    """Coefficients of L s through the truncation order of s."""
-    return tuple(Fraction(v) for v in _apply_integral(op.coeffs, s))
-
-
-def _apply_integral(coeffs: Mapping[tuple[int, int], int | Fraction], s: IntegerSeries) -> list[int | Fraction]:
-    """Coefficients of L s through the truncation order of s, for an L with
-    integer or rational coefficients c_(l,j): sum_(l,j) c_(l,j) s_(i-l)
-    (i-l)^j, terms with i < l dropped."""
-    out = [0] * len(s)
-    for (l, j), c in coeffs.items():
-        for k in range(len(s) - l):
-            out[k + l] += c * s[k] * k**j
-    return out
 
 
 def _strip_content(row: Sequence[int]) -> Sequence[int]:
@@ -243,10 +175,7 @@ def _blocks(s: IntegerSeries, order: int, degree: int) -> dict[int, tuple[list[t
     truncation (as many as _class_sizes counts): s_(i-l) (i-l)^j, 0 for
     i < l.  On the other rows the columns are 0."""
     g = grading(s)
-    ks = range(0, len(s), g)
-    powers = [list(s.coeffs[::g])]  # s_k k^j for k = 0, g, 2g, ..., j = 0..order
-    for _ in range(order):
-        powers.append([c * k for k, c in zip(ks, powers[-1])])
+    powers = euler_powers(s, order, g)
     blocks = {}
     for c, rows, _ in _class_sizes(s.order, g, order, degree):
         unknowns = [(l, j) for l in range(c, degree + 1, g) for j in range(order + 1)]

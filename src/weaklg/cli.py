@@ -15,7 +15,7 @@ import functools
 import json
 import os
 import sys
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from pathlib import Path
 
 from . import expr as ex
@@ -334,8 +334,9 @@ def _cmd_identity(args: argparse.Namespace) -> int:
 
 # --- parser ----------------------------------------------------------------
 
-def _add_common(sub: argparse.ArgumentParser, *, entry: bool = False, poly: bool = False,
-                terms: bool = False, corpus: bool = False, dual: bool = False) -> None:
+def _add_common(sub: argparse.ArgumentParser, func: Callable[[argparse.Namespace], int], *, entry: bool = False,
+                poly: bool = False, terms: bool = False, corpus: bool = False, dual: bool = False) -> None:
+    sub.set_defaults(func=func)
     if entry:
         sub.add_argument("--entry", type=int, help="corpus entry id (1..17)")
     if poly:
@@ -371,89 +372,74 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True, parser_class=subparser)
 
     p = subs.add_parser("list", help="list the bundled models")
-    _add_common(p, corpus=True)
-    p.set_defaults(func=_cmd_list)
+    _add_common(p, _cmd_list, corpus=True)
 
     p = subs.add_parser("series", help="constant-term series of a polynomial")
-    _add_common(p, entry=True, poly=True, terms=True, corpus=True)
-    p.set_defaults(func=_cmd_series)
+    _add_common(p, _cmd_series, entry=True, poly=True, terms=True, corpus=True)
 
     p = subs.add_parser("verify", help="verify one corpus entry")
-    _add_common(p, entry=True, terms=True, corpus=True)
-    p.set_defaults(func=_cmd_verify)
+    _add_common(p, _cmd_verify, entry=True, terms=True, corpus=True)
 
     p = subs.add_parser("verify-all", help="verify every corpus entry")
-    _add_common(p, terms=True, corpus=True)
-    p.set_defaults(func=_cmd_verify_all)
+    _add_common(p, _cmd_verify_all, terms=True, corpus=True)
 
     p = subs.add_parser("polytope", help="Newton polytope data")
-    _add_common(p, entry=True, poly=True, corpus=True, dual=True)
-    p.set_defaults(func=_cmd_polytope)
+    _add_common(p, _cmd_polytope, entry=True, poly=True, corpus=True, dual=True)
 
     p = subs.add_parser("semiweak", help="dual-volume check against the anticanonical degree")
-    _add_common(p, entry=True, poly=True, corpus=True)
+    _add_common(p, _cmd_semiweak, entry=True, poly=True, corpus=True)
     p.add_argument("--target", type=int, help="expected normalized dual volume (defaults to the entry degree)")
-    p.set_defaults(func=_cmd_semiweak)
 
     p = subs.add_parser("ehrhart", help="lattice point counts of dilations")
-    _add_common(p, entry=True, poly=True, corpus=True, dual=True)
+    _add_common(p, _cmd_ehrhart, entry=True, poly=True, corpus=True, dual=True)
     p.add_argument("--kmax", type=int, default=3, help="largest dilation factor (default 3)")
-    p.set_defaults(func=_cmd_ehrhart)
 
     p = subs.add_parser("pfop", help="annihilating differential operator of the series")
-    _add_common(p, entry=True, poly=True, terms=True, corpus=True)
+    _add_common(p, _cmd_pfop, entry=True, poly=True, terms=True, corpus=True)
     p.add_argument("--order", type=int, help="operator order bound (D-degree)")
     p.add_argument("--degree", type=int, help="operator t-degree bound")
-    p.set_defaults(func=_cmd_pfop)
 
     construct = subs.add_parser("construct", help="build a model from a recipe")
     csubs = construct.add_subparsers(dest="recipe", required=True, parser_class=subparser)
 
     p = csubs.add_parser("toric", help="one monomial per fan ray")
     p.add_argument("--rays", required=True, help="semicolon-separated integer vectors, e.g. '1,0,0;0,1,0;0,0,1;-1,-1,-1'")
-    _add_common(p)
-    p.set_defaults(func=_cmd_construct_toric)
+    _add_common(p, _cmd_construct_toric)
 
     p = csubs.add_parser("ci", help="complete intersection in projective space")
     p.add_argument("--n", type=int, required=True, help="ambient projective dimension N")
     p.add_argument("--degrees", default="", help="comma-separated hypersurface degrees (may be empty)")
-    _add_common(p)
-    p.set_defaults(func=_cmd_construct_ci)
+    _add_common(p, _cmd_construct_ci)
 
     p = csubs.add_parser("grassmannian", help="ladder polynomial of G(k, N)")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_construct_grassmannian)
+    _add_common(p, _cmd_construct_grassmannian)
 
     p = csubs.add_parser("grass-ci", help="G(k, N) cut by hyperplane-class factors")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--sections", type=int, required=True, help="number of leading factors pinned to 1")
-    _add_common(p)
-    p.set_defaults(func=_cmd_construct_grass_ci)
+    _add_common(p, _cmd_construct_grass_ci)
 
     p = csubs.add_parser("weighted", help="hypersurface in weighted projective space")
     p.add_argument("--weights", required=True, help="comma-separated positive weights")
     p.add_argument("--d", type=int, required=True, help="hypersurface degree")
     p.add_argument("--partition", required=True, help="trailing weights summing to d")
-    _add_common(p)
-    p.set_defaults(func=_cmd_construct_weighted)
+    _add_common(p, _cmd_construct_weighted)
 
     p = subs.add_parser("eliminate", help="solve constraints out of a model file")
     p.add_argument("--model", required=True, help="path to a model JSON file (as printed by construct --format json)")
     p.add_argument("--plan", required=True, help="semicolon-separated INDEX:VARIABLE steps, e.g. '0:X11;4:X42'")
     p.add_argument("--subs", help="semicolon-separated NAME=EXPRESSION substitutions applied afterwards")
-    _add_common(p)
-    p.set_defaults(func=_cmd_eliminate)
+    _add_common(p, _cmd_eliminate)
 
     p = subs.add_parser("identity", help="randomized equality test of two expressions")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
-    p.set_defaults(func=_cmd_identity)
+    _add_common(p, _cmd_identity)
 
     return parser
 

@@ -433,16 +433,10 @@ def semiweak_check(f: LaurentPolynomial, expected_degree: int) -> SemiweakReport
     """Test whether the dual of the Newton polytope of f has normalized
     volume equal to the expected anticanonical degree."""
     newt = newton_polytope(f)
-    if not newt.is_full_dimensional:
-        return SemiweakReport(
-            ok=False, origin_interior=False, expected=expected_degree,
-            reason="newton polytope is not full-dimensional",
-        )
     if not contains_origin_interior(newt):
-        return SemiweakReport(
-            ok=False, origin_interior=False, expected=expected_degree,
-            reason="origin is not interior to the newton polytope",
-        )
+        return SemiweakReport(ok=False, origin_interior=False, expected=expected_degree, reason=(
+            "origin is not interior to the newton polytope" if newt.is_full_dimensional
+            else "newton polytope is not full-dimensional"))
     volume = normalized_volume(dual_polytope(newt))
     ok = volume == expected_degree
     return SemiweakReport(

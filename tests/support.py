@@ -10,8 +10,9 @@ substitute and (numerator, denominator) walkers that the package replaced
 by iterative passes and one compiled-program driver are kept verbatim.
 So are the exhaustive annihilator sweep that a mod-p screen replaced, the
 solve of the whole annihilator matrix that a solve per grading class
-replaced, the term-by-term ladder polynomial that the sum of its
-hyperplane-class factors replaced, the recursive == and repr() of expression nodes (compared and
+replaced (but for its re-check, which sums the matrix's columns itself),
+the term-by-term ladder polynomial that the sum of its hyperplane-class
+factors replaced, the recursive == and repr() of expression nodes (compared and
 printed field by field, as a frozen value class does), the
 character-level parser that the token-list parser replaced, and the two
 signed-sum loops of LaurentPolynomial.render and DifferentialOperator.pretty
@@ -28,10 +29,10 @@ from itertools import combinations, product
 from typing import Iterator, Mapping, Sequence
 
 from weaklg import expr as ex
-from weaklg.annihilator import DifferentialOperator, _apply_integral
 from weaklg.expr import Const, Diff, Expr, IdentityResult, IdentityTestError, Pow, Prod, Quot, Sum, Var
 from weaklg.laurent import LaurentPolynomial
 from weaklg.linalg import nullspace
+from weaklg.operators import DifferentialOperator
 from weaklg.series import IntegerSeries
 
 Term = tuple[tuple[int, ...], int]
@@ -680,7 +681,9 @@ def find_annihilator_dense(
     degree: int,
 ) -> list[DifferentialOperator]:
     """find_annihilator as one solve of the whole matrix, which the package
-    replaced by a solve per grading class (kept verbatim).
+    replaced by a solve per grading class (kept verbatim but for the
+    re-check, which sums the columns itself rather than call the package's
+    operator action).
 
     All operators with D-order <= order and t-degree <= degree that kill
     the coefficients of s through its truncation order.
@@ -694,14 +697,15 @@ def find_annihilator_dense(
     if order < 0 or degree < 0:
         raise ValueError("order and degree must be >= 0")
     cols = [(l, j) for l in range(degree + 1) for j in range(order + 1)]
-    rows = zip(*_annihilator_columns(s, order, degree))
+    columns = list(_annihilator_columns(s, order, degree))
+    rows = zip(*columns)
     # content stripping is applied to the input rows only: stripping
     # mid-elimination would break Bareiss's exact divisions
     basis = nullspace([_strip_content(row) for row in rows if any(row)], len(cols))
     ops = []
     for vec in basis:
         coeffs = {cols[k]: v for k, v in enumerate(vec) if v != 0}
-        if any(_apply_integral(coeffs, s)):
+        if any(sum(v * e for v, e in zip(vec, row)) for row in zip(*columns)):
             raise ArithmeticError("solver returned an operator that fails its own equations")
         ops.append(DifferentialOperator(coeffs).scaled_canonical())
     return ops

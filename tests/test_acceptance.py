@@ -14,7 +14,7 @@ import time
 from fractions import Fraction
 
 from support import constant_term_series_naive, determinant_3x3, random_unimodular
-from weaklg.annihilator import DifferentialOperator, apply_operator, find_annihilator
+from weaklg.annihilator import find_annihilator
 from weaklg.constructors import (
     eliminate,
     grassmannian_hyperplane_system,
@@ -23,6 +23,7 @@ from weaklg.constructors import (
 from weaklg.corpus import get_entry, load_corpus
 from weaklg.expr import parse, random_equal, substitute
 from weaklg.laurent import LaurentPolynomial
+from weaklg.operators import DifferentialOperator, apply_operator
 from weaklg.polytopes import (
     dual_polytope,
     ehrhart_counts,

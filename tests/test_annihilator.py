@@ -9,13 +9,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from support import _annihilator_columns, find_annihilator_dense, find_minimal_annihilator_oracle, pretty_oracle
-from weaklg import annihilator
+from weaklg import annihilator, operators
 from weaklg.annihilator import (
     MAX_DEGREE,
     MAX_ORDER,
     MAX_SWEEP_WORK,
-    DifferentialOperator,
-    apply_operator,
     check_solve_budget,
     check_sweep_budget,
     determined,
@@ -28,6 +26,7 @@ from weaklg.annihilator import (
 from weaklg.corpus import get_entry
 from weaklg.expr import parse, to_laurent, variables
 from weaklg.laurent import LaurentPolynomial
+from weaklg.operators import DifferentialOperator, apply_operator
 from weaklg.series import IntegerSeries, coefficient_bits, constant_term_series
 
 SIMPLEX = LaurentPolynomial(
@@ -77,6 +76,30 @@ def test_apply_operator_with_fractional_coefficients_follows_the_formula() -> No
     got = apply_operator(lop, s)
     assert got == expected
     assert all(type(v) is Fraction for v in got)
+
+
+@given(
+    st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=12),
+    st.dictionaries(
+        # t-degrees up to 15 run past truncations up to t^11
+        st.tuples(st.integers(0, 15), st.integers(0, 4)),
+        st.one_of(st.integers(-9, 9), st.fractions(min_value=-50, max_value=50, max_denominator=60)),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_apply_operator_matches_the_formula(coeffs: list[int], terms: dict[tuple[int, int], int | Fraction]) -> None:
+    assume(any(terms.values()))
+    s = IntegerSeries(tuple(coeffs))
+    expected = [
+        sum((c * s[i - l] * (i - l) ** j for (l, j), c in terms.items() if i >= l), Fraction(0))
+        for i in range(len(s))
+    ]
+    assert apply_operator(DifferentialOperator(terms), s) == tuple(expected)
+    # the integer re-check of find_annihilator: integer coefficients give integers
+    raw = operators._apply_integral(terms, s)
+    assert raw == expected
+    assert all(type(v) is int for v in raw) or not all(type(c) is int for c in terms.values())
 
 
 @given(

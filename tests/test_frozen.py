@@ -10,7 +10,6 @@ from fractions import Fraction
 
 import pytest
 
-from weaklg.annihilator import DifferentialOperator
 from weaklg.constructors import ConstrainedModel, EliminationResult
 from weaklg.corpus import (
     Check,
@@ -22,6 +21,7 @@ from weaklg.corpus import (
     get_entry,
 )
 from weaklg.expr import Const, Diff, IdentityResult, Pow, Prod, Quot, Sum, Var
+from weaklg.operators import DifferentialOperator
 from weaklg.polytopes import EhrhartResult, Polytope, SemiweakReport, dual_polytope, newton_polytope
 from weaklg.series import IntegerSeries, MatchReport
 

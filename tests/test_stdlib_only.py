@@ -38,3 +38,19 @@ def test_import_and_first_corpus_load_pull_in_no_slow_modules() -> None:
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env={"PYTHONPATH": src}, timeout=60)
     assert (done.returncode, done.stderr, done.stdout) == (0, "", "[]\n")
+
+
+def test_operators_import_nothing_from_the_search_and_the_search_defines_no_class() -> None:
+    # operators.py owns the operator type and its action on a series; the
+    # annihilator search builds on it and keeps no value type of its own
+    root = Path(weaklg.__file__).resolve().parent
+    operators, search = (ast.parse((root / name).read_text(encoding="utf-8")) for name in ("operators.py", "annihilator.py"))
+    imported = set()
+    for node in ast.walk(operators):
+        if isinstance(node, ast.Import):
+            imported.update(part for alias in node.names for part in alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            imported.update((node.module or "").split("."))
+            imported.update(alias.name for alias in node.names)
+    assert "annihilator" not in imported
+    assert [node.name for node in ast.walk(search) if isinstance(node, ast.ClassDef)] == []
